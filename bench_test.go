@@ -415,6 +415,27 @@ func BenchmarkCursorVsMaterialize(b *testing.B) {
 	})
 }
 
+// countScan streams q's matches and counts them instead of materializing:
+// the measured work is the scan itself, not allocation of a giant result
+// slice.
+func countScan(b *testing.B, st *storage.Store, q *storage.DataQuery) int {
+	qc := *q
+	cur := st.Scan(context.Background(), &qc)
+	defer cur.Close()
+	total := 0
+	batch := make([]storage.Match, storage.ScanBatchSize)
+	for {
+		n := cur.Next(batch)
+		if n == 0 {
+			if err := cur.Err(); err != nil {
+				b.Fatal(err)
+			}
+			return total
+		}
+		total += n
+	}
+}
+
 // BenchmarkHotScanLike measures the hot columnar shadow on the workload it
 // was built for: a LIKE-dominated scan whose candidate set is too broad for
 // the posting lists, forcing a full range walk over in-memory partitions.
@@ -443,22 +464,7 @@ func BenchmarkHotScanLike(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			st := storage.New(cfg.opts)
 			st.Ingest(ds)
-			// Stream and count instead of materializing: the measured work
-			// is the scan itself, not allocation of a giant result slice.
-			count := func() int {
-				qc := *q
-				cur := st.Scan(context.Background(), &qc)
-				defer cur.Close()
-				total := 0
-				batch := make([]storage.Match, storage.ScanBatchSize)
-				for {
-					n := cur.Next(batch)
-					if n == 0 {
-						return total
-					}
-					total += n
-				}
-			}
+			count := func() int { return countScan(b, st, q) }
 			// Warm once so shadow build cost is not billed to iteration 0,
 			// and sanity-check the scan finds work.
 			if count() == 0 {
@@ -476,6 +482,82 @@ func BenchmarkHotScanLike(b *testing.B) {
 			}
 			if cfg.name == "scalar" && ss.HotBatches != 0 {
 				b.Fatal("scalar run used the batch path")
+			}
+		})
+	}
+}
+
+// BenchmarkColdScanLike is BenchmarkHotScanLike's cold mirror: a LIKE on the
+// object too broad for posting lists plus an amount threshold, answered from
+// a compacted and reopened store whose events all sit in one v3 segment.
+// "filtered" asks for process starts on those files — every block holds
+// starts, none of them on a file — so each opened block is rejected on its
+// packed op and dictionary-index columns and no value column is inflated;
+// "matching" asks for reads and writes, so blocks have survivors, the amount
+// column decodes for them, and the rows above the threshold materialize.
+func BenchmarkColdScanLike(b *testing.B) {
+	ds := benchDataset()
+	dir := b.TempDir()
+	popts := storage.PersistOptions{FlushInterval: -1, CompactInterval: -1}
+	p, err := storage.OpenPersistent(dir, popts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := p.Ingest(ds); err != nil {
+		b.Fatal(err)
+	}
+	if err := p.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		b.Fatal(err)
+	}
+	p, err = storage.OpenPersistent(dir, popts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.WarmUp(); err != nil {
+		b.Fatal(err)
+	}
+	st := p.Store
+
+	for _, cfg := range []struct {
+		name    string
+		ops     types.OpSet
+		matches bool
+	}{
+		{"filtered", types.NewOpSet(types.OpStart), false},
+		{"matching", types.NewOpSet(types.OpRead, types.OpWrite), true},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			q := &storage.DataQuery{
+				SubjType: types.EntityProcess,
+				ObjType:  types.EntityFile,
+				ObjPred:  pred.NewCond(types.AttrName, pred.CmpEq, "%e%"),
+				Ops:      cfg.ops,
+				EvtPred:  pred.NewCond(types.EvtAttrAmount, pred.CmpGe, "60000"),
+			}
+			count := func() int { return countScan(b, st, q) }
+			if got := count(); (got > 0) != cfg.matches {
+				b.Fatalf("scan matched %d rows, want matches=%v", got, cfg.matches)
+			}
+			before := st.ScanStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = count()
+			}
+			b.StopTimer()
+			after := st.ScanStats()
+			if after.BlocksDecoded == before.BlocksDecoded {
+				b.Fatal("scan opened no cold block")
+			}
+			if after.HotBatches != before.HotBatches {
+				b.Fatal("scan touched hot data")
+			}
+			if cols := after.ValueColumnsDecoded - before.ValueColumnsDecoded; (cols > 0) != cfg.matches {
+				b.Fatalf("decoded %d value columns, want any=%v", cols, cfg.matches)
 			}
 		})
 	}

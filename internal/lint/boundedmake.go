@@ -28,7 +28,7 @@ var BoundedMake = &Analyzer{
 }
 
 // taintMethods are receiver-method names that read raw integers off the
-// wire in this repo's decoders (storage.decoder, storage.byteReader).
+// wire in this repo's decoders (storage.decoder and the like).
 var taintMethods = map[string]bool{
 	"uvarint": true, "svarint": true, "varint": true,
 	"u16": true, "u32": true, "u64": true, "byte": true,

@@ -74,6 +74,8 @@ func (c *Cluster) Stats() Stats {
 		st.Scan.BlocksConsidered += ss.BlocksConsidered
 		st.Scan.BlocksSkipped += ss.BlocksSkipped
 		st.Scan.BlocksDecoded += ss.BlocksDecoded
+		st.Scan.BlocksFiltered += ss.BlocksFiltered
+		st.Scan.ValueColumnsDecoded += ss.ValueColumnsDecoded
 		st.Scan.Thaws += ss.Thaws
 		st.Scan.HotBatches += ss.HotBatches
 		st.Scan.DictVerdictHits += ss.DictVerdictHits

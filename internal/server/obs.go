@@ -187,6 +187,8 @@ func (s *Server) storeMetrics(reg *obs.Registry) {
 	reg.CounterFunc("aiql_scan_blocks_considered_total", "Sealed-segment blocks considered by scans.", func() float64 { return float64(sc().BlocksConsidered) })
 	reg.CounterFunc("aiql_scan_blocks_skipped_total", "Blocks skipped by zone maps without decoding.", func() float64 { return float64(sc().BlocksSkipped) })
 	reg.CounterFunc("aiql_scan_blocks_decoded_total", "Blocks decoded and scanned.", func() float64 { return float64(sc().BlocksDecoded) })
+	reg.CounterFunc("aiql_scan_blocks_filtered_total", "Decoded blocks rejected on their packed op and dictionary-index columns alone.", func() float64 { return float64(sc().BlocksFiltered) })
+	reg.CounterFunc("aiql_scan_value_columns_decoded_total", "Value columns inflated from decoded blocks (at most six per block).", func() float64 { return float64(sc().ValueColumnsDecoded) })
 	reg.CounterFunc("aiql_scan_attr_zone_skips_total", "Blocks skipped by attribute zone maps.", func() float64 { return float64(sc().AttrZoneSkips) })
 	reg.CounterFunc("aiql_scan_thaws_total", "Cold partitions thawed for a scan.", func() float64 { return float64(sc().Thaws) })
 	reg.CounterFunc("aiql_scan_hot_batches_total", "Batches served from the hot in-memory tail.", func() float64 { return float64(sc().HotBatches) })

@@ -152,6 +152,13 @@ func TestMetricsBlockCounterInvariant(t *testing.T) {
 		t.Errorf("block counters violate the pruning invariant: decoded %v + skipped %v != considered %v",
 			decoded, skipped, considered)
 	}
+	// What happened inside the decoded blocks is counted beside the
+	// invariant, never inside it.
+	filtered := mustValue(t, exp, "aiql_scan_blocks_filtered_total")
+	columns := mustValue(t, exp, "aiql_scan_value_columns_decoded_total")
+	if filtered > decoded || columns > 6*(decoded-filtered) {
+		t.Errorf("decoded %v blocks, yet %v filtered and %v value columns inflated", decoded, filtered, columns)
+	}
 	if got := mustValue(t, exp, "aiql_segments_count"); got == 0 {
 		t.Error("aiql_segments_count = 0 after Compact")
 	}

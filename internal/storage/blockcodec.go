@@ -3,15 +3,16 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
 // Byte-oriented encoding primitives for the compressed (v3) segment block
-// format: bounds-checked varint reading, fixed-width bit-packing for
-// dictionary indexes and operation codes, and a small dependency-free
-// LZ codec for the final byte stream. Everything here decodes defensively —
-// a malformed input yields an error, never a panic or an unbounded
-// allocation — because segment blocks are checksummed but the checksum is
-// itself on-disk data the fuzzer mutates.
+// format: bounds-checked varint column reading and skipping, fixed-width
+// bit-packing for dictionary indexes and operation codes, and a small
+// dependency-free LZ codec for the final byte stream. Everything here
+// decodes defensively — a malformed input yields an error, never a panic or
+// an unbounded allocation — because segment blocks are checksummed but the
+// checksum is itself on-disk data the fuzzer mutates.
 
 // errCodec reports a structurally malformed encoded block; callers wrap it
 // into an ErrSegmentCorrupt via corruptf.
@@ -23,33 +24,81 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// byteReader is a bounds-checked sequential reader over one encoded block.
-// Errors latch: after the first malformed read every subsequent read
-// returns zero and the caller checks err once at the end.
-type byteReader struct {
-	buf []byte
-	off int
-	err bool
+// varintEnds has the high bit of every byte set: a varint's last byte is the
+// one whose high bit is clear, so ^word&varintEnds marks the codes that end
+// inside an 8-byte word.
+const varintEnds = 0x8080808080808080
+
+// readUvarints decodes len(out) uvarints from buf starting at off, storing
+// each value's bits in out, and returns the offset after the last one. It
+// loads a word, finds every code that ends inside it from the terminator
+// mask, and extracts those of up to four bytes — nearly every delta and
+// residual a block holds — from the register, so neither a branch on the
+// code's length nor a load sits between one code and the next. Longer
+// codes, and the last few bytes of buf, go through binary.Uvarint, which
+// also rejects overlong and overflowing codes. ok is false when buf ends
+// first or a code is malformed.
+func readUvarints(buf []byte, off int, out []int64) (next int, ok bool) {
+	for i := 0; i < len(out); {
+		if off+8 <= len(buf) {
+			w := binary.LittleEndian.Uint64(buf[off:])
+			ends := ^w & varintEnds
+			start := 0 // bit offset in w of the next undecoded code
+			for ends != 0 && i < len(out) {
+				last := bits.TrailingZeros64(ends) // bit 7 of the code's last byte
+				if last-start >= 32 {
+					break
+				}
+				x := w >> start & (1<<(last-start) - 1)
+				out[i] = int64(x&0x7F | x>>1&0x3F80 | x>>2&0x1FC000 | x>>3&0xFE00000)
+				i++
+				start = last + 1
+				ends &= ends - 1
+			}
+			if start != 0 {
+				off += start >> 3
+				continue
+			}
+		}
+		if off >= len(buf) {
+			return off, false
+		}
+		v, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			return off, false
+		}
+		out[i] = int64(v)
+		i++
+		off += n
+	}
+	return off, true
 }
 
-func (r *byteReader) uvarint() uint64 {
-	if r.err {
-		return 0
+// skipVarints returns the offset after the n varints starting at off without
+// decoding them: it counts terminator bytes a word at a time and finishes
+// bytewise inside the word that holds the n-th. Code values are not looked
+// at, so an overlong code passes here and is caught only if its column is
+// ever decoded. ok is false when buf ends before n codes do.
+func skipVarints(buf []byte, off, n int) (next int, ok bool) {
+	for off+8 <= len(buf) {
+		ends := bits.OnesCount64(^binary.LittleEndian.Uint64(buf[off:]) & varintEnds)
+		if ends >= n {
+			break
+		}
+		n -= ends
+		off += 8
 	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.err = true
-		return 0
+	for n > 0 {
+		if off >= len(buf) {
+			return off, false
+		}
+		if buf[off] < 0x80 {
+			n--
+		}
+		off++
 	}
-	r.off += n
-	return v
+	return off, true
 }
-
-func (r *byteReader) svarint() int64 { return unzigzag(r.uvarint()) }
-
-// done reports whether the reader consumed its buffer exactly, with no
-// malformed read along the way.
-func (r *byteReader) done() bool { return !r.err && r.off == len(r.buf) }
 
 // appendPacked appends vals (each offset by -base) as width-bit
 // little-endian codes. width 0 appends nothing: every value equals base.
@@ -74,40 +123,23 @@ func appendPacked(dst []byte, vals []uint32, base uint32, width int) []byte {
 	return dst
 }
 
-// unpack reads n width-bit codes into out, adding base back. Codes wider
-// than the [base, max] range the caller advertises are the caller's to
-// validate; unpack only guards the buffer bounds.
-func (r *byteReader) unpack(n int, base uint32, width int, out []uint32) {
-	if width == 0 {
-		for i := 0; i < n; i++ {
-			out[i] = base
+// packedAt returns the i-th width-bit code of a column written by
+// appendPacked, read straight from its bit offset. col must start at the
+// column's first byte and reach at least to the column's end; it may run on
+// into whatever follows (the probe loads a whole word where one is left and
+// masks the excess away). width 0 yields 0: every value equals the base.
+func packedAt(col []byte, i, width int) uint32 {
+	bit := i * width
+	p := bit >> 3
+	var w uint64
+	if p+8 <= len(col) {
+		w = binary.LittleEndian.Uint64(col[p:])
+	} else {
+		for k, b := range col[p:] {
+			w |= uint64(b) << (8 * k)
 		}
-		return
 	}
-	if r.err {
-		return
-	}
-	need := (n*width + 7) / 8
-	if r.off+need > len(r.buf) {
-		r.err = true
-		return
-	}
-	buf := r.buf[r.off : r.off+need]
-	r.off += need
-	var acc uint64
-	accBits := 0
-	p := 0
-	mask := uint64(1)<<width - 1
-	for i := 0; i < n; i++ {
-		for accBits < width {
-			acc |= uint64(buf[p]) << accBits
-			p++
-			accBits += 8
-		}
-		out[i] = base + uint32(acc&mask)
-		acc >>= width
-		accBits -= width
-	}
+	return uint32(w >> (bit & 7) & (1<<width - 1))
 }
 
 // LZ codec. Token stream: a control byte 0x00..0x7F introduces a literal
@@ -213,8 +245,14 @@ func lzDecode(dst, src []byte) error {
 			return errCodec
 		}
 		pos := d - int(dist)
-		for k := 0; k < length; k++ {
-			dst[d+k] = dst[pos+k]
+		if int(dist) >= length {
+			copy(dst[d:d+length], dst[pos:])
+		} else {
+			// The match overlaps its own output: bytes written here feed the
+			// ones after them.
+			for k := 0; k < length; k++ {
+				dst[d+k] = dst[pos+k]
+			}
 		}
 		d += length
 	}

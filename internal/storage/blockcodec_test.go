@@ -21,32 +21,52 @@ func TestZigzagRoundTrip(t *testing.T) {
 	}
 }
 
-func TestByteReaderVarints(t *testing.T) {
+func TestReadAndSkipVarints(t *testing.T) {
 	var buf []byte
-	want := []uint64{0, 1, 127, 128, 300, 1 << 21, math.MaxUint64}
+	want := []uint64{0, 1, 127, 128, 300, 16383, 16384, 1 << 21, math.MaxUint64, 5, 1 << 40, 0, 0, 77, 129, 2, 3}
+	var ends []int
 	for _, v := range want {
 		buf = binary.AppendUvarint(buf, v)
+		ends = append(ends, len(buf))
 	}
-	r := byteReader{buf: buf}
+	got := make([]int64, len(want))
+	next, ok := readUvarints(buf, 0, got)
+	if !ok || next != len(buf) {
+		t.Fatalf("readUvarints = (%d, %v), want (%d, true)", next, ok, len(buf))
+	}
 	for i, v := range want {
-		if got := r.uvarint(); got != v {
-			t.Fatalf("uvarint %d = %d, want %d", i, got, v)
+		if uint64(got[i]) != v {
+			t.Fatalf("uvarint %d = %d, want %d", i, uint64(got[i]), v)
 		}
 	}
-	if !r.done() {
-		t.Fatalf("reader not done after all values: off=%d err=%v", r.off, r.err)
+	// Skipping k codes from any code boundary lands on the boundary k later,
+	// whatever the alignment of the word loop.
+	starts := append([]int{0}, ends...)
+	for from := range want {
+		for k := 0; from+k <= len(want); k++ {
+			next, ok := skipVarints(buf, starts[from], k)
+			if !ok || next != starts[from+k] {
+				t.Fatalf("skip %d codes from code %d = (%d, %v), want %d", k, from, next, ok, starts[from+k])
+			}
+		}
 	}
-	// Reading past the end must set err, not panic, and done() must be false.
-	if got := r.uvarint(); got != 0 || !r.err {
-		t.Fatalf("read past end: got %d, err=%v", got, r.err)
+	// Running out of bytes is reported, never a panic: one code too many, a
+	// truncated multi-byte code, and a code past binary.Uvarint's limits.
+	if _, ok := readUvarints(buf, 0, make([]int64, len(want)+1)); ok {
+		t.Fatal("read past the end succeeded")
 	}
-	if r.done() {
-		t.Fatal("done() true after error")
+	if _, ok := skipVarints(buf, 0, len(want)+1); ok {
+		t.Fatal("skip past the end succeeded")
 	}
-	// A truncated multi-byte varint must error.
-	tr := byteReader{buf: []byte{0x80, 0x80}}
-	if got := tr.uvarint(); got != 0 || !tr.err {
-		t.Fatalf("truncated varint: got %d, err=%v", got, tr.err)
+	if _, ok := readUvarints([]byte{0x80, 0x80}, 0, make([]int64, 1)); ok {
+		t.Fatal("truncated varint decoded")
+	}
+	if _, ok := skipVarints([]byte{0x80, 0x80}, 0, 1); ok {
+		t.Fatal("truncated varint skipped")
+	}
+	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x01)
+	if _, ok := readUvarints(overlong, 0, make([]int64, 1)); ok {
+		t.Fatal("overlong varint decoded")
 	}
 }
 
@@ -69,32 +89,16 @@ func TestBitPackRoundTrip(t *testing.T) {
 			if len(enc) != wantLen {
 				t.Fatalf("width %d n %d: encoded %d bytes, want %d", width, n, len(enc), wantLen)
 			}
-			out := make([]uint32, n)
-			r := byteReader{buf: enc}
-			r.unpack(n, base, width, out)
-			if r.err {
-				t.Fatalf("width %d n %d: unpack errored", width, n)
-			}
-			if !r.done() {
-				t.Fatalf("width %d n %d: %d trailing bytes", width, n, len(enc)-r.off)
-			}
-			for i := range vals {
-				if out[i] != vals[i] {
-					t.Fatalf("width %d n %d: val %d = %d, want %d", width, n, i, out[i], vals[i])
+			// Probe the column alone and with bytes following it (the next
+			// column, as inside a block): the excess must be masked away.
+			for _, col := range [][]byte{enc, append(append([]byte(nil), enc...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)} {
+				for i := range vals {
+					if got := base + packedAt(col, i, width); got != vals[i] {
+						t.Fatalf("width %d n %d: val %d = %d, want %d", width, n, i, got, vals[i])
+					}
 				}
 			}
 		}
-	}
-}
-
-func TestBitPackTruncated(t *testing.T) {
-	vals := []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	enc := appendPacked(nil, vals, 0, 5)
-	r := byteReader{buf: enc[:len(enc)-1]}
-	out := make([]uint32, len(vals))
-	r.unpack(len(vals), 0, 5, out)
-	if !r.err {
-		t.Fatal("unpack of truncated buffer did not set err")
 	}
 }
 

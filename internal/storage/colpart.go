@@ -2,6 +2,8 @@ package storage
 
 import (
 	"context"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"aiql/internal/pred"
@@ -25,10 +27,12 @@ import (
 // Scans therefore stream the cold runs first and the hot events after, and
 // temporal order falls out for free.
 //
-// Cold rows stay columnar until a query proves it needs them: zone maps
-// prune blocks by time window, operation set, and dictionary id range; the
-// surviving blocks decode into reusable column scratch and run through the
-// vectorized predicate kernel; only actual matches materialize Events.
+// Cold rows stay encoded until a query proves it needs them: zone maps
+// prune blocks by time window, operation set, and dictionary id range; a
+// surviving block is filtered on its bit-packed op and dictionary-index
+// columns first, inflates only the value columns the window edge and the
+// event predicate read, and only actual matches decode the rest and
+// materialize Events (see scanCold).
 
 // coldRun is one sealed v2 segment partition serving as part of a
 // partition's cold prefix.
@@ -50,12 +54,17 @@ func (r *coldRun) decodeAll() ([]types.Event, map[types.EntityID][]int32, map[ty
 	var cols blockCols
 	rowBase := 0
 	for b := range m.zones {
-		if err := r.sf.decodeBlock(r.pi, m, b, rowBase, &cols); err != nil {
+		if err := r.sf.openBlock(r.pi, m, b, rowBase, &cols); err != nil {
+			return nil, nil, nil, err
+		}
+		if err := cols.need(allStoredCols); err != nil {
 			return nil, nil, nil, err
 		}
 		for i := 0; i < cols.n; i++ {
 			var ev types.Event
-			cols.event(i, m, &ev)
+			if _, _, err := cols.event(i, m, &ev); err != nil {
+				return nil, nil, nil, err
+			}
 			events = append(events, ev)
 		}
 		rowBase += cols.n
@@ -220,7 +229,7 @@ func dictIndexSet(cand map[types.EntityID]struct{}, m *segV2Meta) ([]uint32, boo
 			idx = append(idx, uint32(di))
 		}
 	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
+	slices.Sort(idx)
 	return idx, true
 }
 
@@ -230,12 +239,181 @@ func anyInRange(idx []uint32, lo, hi uint32) bool {
 	return i < len(idx) && idx[i] <= hi
 }
 
+// keepRange clears every bit of b outside rows [lo, hi).
+func keepRange(b pred.Bitmap, lo, hi int) {
+	for w := range b {
+		wlo, whi := w*64, w*64+64
+		if whi <= lo || wlo >= hi {
+			b[w] = 0
+			continue
+		}
+		if lo > wlo {
+			b[w] &= ^uint64(0) << (lo - wlo)
+		}
+		if hi < whi {
+			b[w] &= ^uint64(0) >> (whi - hi)
+		}
+	}
+}
+
+// coldScan is what one scanCold call threads through its blocks: the query,
+// the scan's scratch (one open block, the selection bitmaps, the arena that
+// matched rows materialize into) and the current run's metadata and row
+// filter.
+type coldScan struct {
+	sn       *Snapshot
+	q        *DataQuery
+	subjCand map[types.EntityID]struct{}
+	objCand  map[types.EntityID]struct{}
+
+	cols        blockCols
+	sel, evtSel pred.Bitmap
+	survivors   bool // some row of the open block is marked in sel
+	arena       eventArena
+
+	m *segV2Meta
+	f rowFilter // over m.dict, built when the run's first block opens
+}
+
+// open reads block b of run (first row rowBase) into s.cols — checksum and
+// decompression, no column decoded — and clears the selection.
+func (s *coldScan) open(run *coldRun, b, rowBase int) error {
+	z, stats := &s.m.zones[b], &s.sn.store.scanStats
+	stats.blocksDecoded.Add(1)
+	if run.sf.version >= 3 {
+		stats.compressedBytesRead.Add(int64(z.dataLen))
+		stats.compressedBytesDecode.Add(int64(z.rawLen))
+	}
+	if err := run.sf.openBlock(run.pi, s.m, b, rowBase, &s.cols); err != nil {
+		return err
+	}
+	if s.f.ents == nil {
+		s.f = s.sn.newRowFilter(s.q, s.subjCand, s.objCand, s.m.dict)
+	}
+	s.sel = s.sel[:(z.count+63)/64]
+	s.sel.Reset()
+	s.survivors = false
+	return nil
+}
+
+// mark selects row i of the open block, whose operation is op, if it passes
+// the row filter, reading its dictionary indexes in place.
+func (s *coldScan) mark(i int, op types.Op) error {
+	if !s.f.ops.Contains(op) {
+		return nil // spare the probes
+	}
+	c := &s.cols
+	sdi, ok := c.subj.at(i)
+	if !ok {
+		return c.corrupt("row %d: out-of-range dictionary index %d", i, sdi)
+	}
+	odi, ok := c.obj.at(i)
+	if !ok {
+		return c.corrupt("row %d: out-of-range dictionary index %d", i, odi)
+	}
+	if s.f.passes(op, sdi, odi) {
+		s.sel.Set(i)
+		s.survivors = true
+	}
+	return nil
+}
+
+// finish emits the matches among the rows mark selected in the open block,
+// decoding value columns only as far as each step needs them: none when no
+// row was selected, starts when the zone straddles a window edge, the
+// columns the event predicate reads when it vectorizes, and everything
+// once a row has passed every test. more is false when emit asked to stop.
+func (s *coldScan) finish(emit func(Match) bool) (more bool, err error) {
+	stats := &s.sn.store.scanStats
+	if !s.survivors {
+		stats.blocksFiltered.Add(1)
+		return true, nil
+	}
+	c, q, sel := &s.cols, s.q, s.sel
+	n, z := c.n, c.z
+	defer func() {
+		stats.valueColumnsDecoded.Add(int64(bits.OnesCount8(c.have & allStoredCols)))
+	}()
+	if !q.Window.Unbounded() && (z.minStart < q.Window.From || z.maxStart >= q.Window.To) {
+		if err := c.need(1 << colStarts); err != nil {
+			return false, err
+		}
+		// Starts are sorted within a block: clip the row range once instead
+		// of testing every row.
+		starts := c.vals[colStarts][:n]
+		rlo := sort.Search(n, func(i int) bool { return starts[i] >= q.Window.From })
+		rhi := sort.Search(n, func(i int) bool { return starts[i] >= q.Window.To })
+		keepRange(sel, rlo, rhi)
+		if sel.Count(n) == 0 {
+			return true, nil
+		}
+		c.clip(rlo, rhi)
+	}
+	evtVec := false
+	if q.EvtPred != nil && !q.ForceScan {
+		if s.evtSel == nil {
+			s.evtSel = pred.NewBitmap(segV2BlockRows)
+		}
+		// The predicate sees the clipped rows as rows 0…: its verdict for
+		// row i is bit i-c.lo.
+		evtSel := s.evtSel[:(c.NumRows()+63)/64]
+		evtVec = pred.BatchEval(q.EvtPred, c, evtSel)
+		if c.err != nil {
+			return false, c.err
+		}
+		if evtVec {
+			survivors := false
+			sel.ForEach(n, func(i int) bool {
+				if evtSel.Get(i - c.lo) {
+					survivors = true
+				} else {
+					sel[i/64] &^= 1 << (i % 64)
+				}
+				return true
+			})
+			if !survivors {
+				return true, nil
+			}
+		}
+	}
+	// Only the survivors materialize: nothing before the first or after the
+	// last of them needs decoding (short of the delta chains' prefixes).
+	first, last := 0, len(sel)-1
+	for sel[first] == 0 {
+		first++
+	}
+	for sel[last] == 0 {
+		last--
+	}
+	c.clip(first*64+bits.TrailingZeros64(sel[first]), last*64+bits.Len64(sel[last]))
+	if err := c.need(allStoredCols); err != nil {
+		return false, err
+	}
+	more = sel.ForEach(n, func(i int) bool {
+		var ev types.Event
+		var sdi, odi uint32
+		if sdi, odi, err = c.event(i, s.m, &ev); err != nil {
+			return false
+		}
+		if q.EvtPred != nil && !evtVec && !q.EvtPred.Eval(&ev) {
+			return true
+		}
+		return emit(Match{Event: s.arena.put(ev), Subj: s.f.ents[sdi], Obj: s.f.ents[odi]})
+	})
+	return more, err
+}
+
 // scanCold streams one partition's cold runs through emit in temporal
-// order. Blocks are pruned by zone map, decoded into reusable column
-// scratch, filtered by the vectorized kernel where the predicate allows,
-// and only matching rows materialize. emit returning false stops the scan
-// (not an error); the returned error is always segment corruption or a
-// decode failure.
+// order, cheapest evidence first. Per block: the zone map (no bytes read);
+// then the block's stored bytes are checksummed and inflated, and the row
+// filter — op set, subject and object verdicts, the same rowFilter the hot
+// shadow uses — runs over the bit-packed op and dictionary-index columns in
+// place (mark); a block with no survivor stops there. Otherwise finish
+// decodes the value columns the window edge and the event predicate read,
+// and the rest only for rows that passed everything. With a small candidate
+// set the rows tested are the candidates' posting positions instead of
+// every row. emit returning false stops the scan (not an error); the
+// returned error is always segment corruption or a decode failure.
 func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, subjCand, objCand map[types.EntityID]struct{}, emit func(Match) bool) error {
 	stats := &sn.store.scanStats
 	zoneMaps := !sn.opts.DisableZoneMaps
@@ -252,10 +430,6 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 		}
 	}
 
-	arena := &eventArena{}
-	var cols blockCols
-	var sel pred.Bitmap
-
 	// Attribute zone maps (v3 runs only): trigram bits every matching
 	// subject/object entity must exhibit. Valid in candidate-set mode too —
 	// candidate membership implies the predicate holds, which implies the
@@ -266,58 +440,17 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 		objTriMask = requiredTriMask(q.ObjPred)
 	}
 
-	// countDecoded records one block decode, with v3 compression traffic.
-	countDecoded := func(run *coldRun, z *segV2Zone) {
-		stats.blocksDecoded.Add(1)
-		if run.sf.version >= 3 {
-			stats.compressedBytesRead.Add(int64(z.dataLen))
-			stats.compressedBytesDecode.Add(int64(z.rawLen))
-		}
+	// outside reports a zone no row of which can be in the window or carry a
+	// wanted operation.
+	outside := func(z *segV2Zone) bool {
+		return (windowed && (z.maxStart < q.Window.From || z.minStart >= q.Window.To)) ||
+			z.ops.Intersect(q.Ops).Empty()
 	}
 
-	// checkRow mirrors the hot path's check() over column data; it
-	// materializes the event only after every filter passed. evtDone marks
-	// the event predicate as already applied by the vectorized kernel.
-	checkRow := func(m *segV2Meta, i int, evtDone bool) (Match, bool) {
-		if windowed && !q.Window.Contains(cols.starts[i]) {
-			return Match{}, false
-		}
-		if !q.Ops.Contains(cols.ops[i]) {
-			return Match{}, false
-		}
-		subjID, objID := m.dict[cols.subj[i]], m.dict[cols.obj[i]]
-		subj, obj := sn.entities[subjID], sn.entities[objID]
-		if subj == nil || obj == nil {
-			return Match{}, false
-		}
-		if q.SubjType != types.EntityInvalid && subj.Type != q.SubjType {
-			return Match{}, false
-		}
-		if q.ObjType != types.EntityInvalid && obj.Type != q.ObjType {
-			return Match{}, false
-		}
-		if subjCand != nil {
-			if _, ok := subjCand[subjID]; !ok {
-				return Match{}, false
-			}
-		} else if q.SubjPred != nil && !q.SubjPred.Eval(subj) {
-			return Match{}, false
-		}
-		if objCand != nil {
-			if _, ok := objCand[objID]; !ok {
-				return Match{}, false
-			}
-		} else if q.ObjPred != nil && !q.ObjPred.Eval(obj) {
-			return Match{}, false
-		}
-		var ev types.Event
-		cols.event(i, m, &ev)
-		if q.EvtPred != nil && !evtDone && !q.EvtPred.Eval(&ev) {
-			return Match{}, false
-		}
-		return Match{Event: arena.put(ev), Subj: subj, Obj: obj}, true
+	s := &coldScan{
+		sn: sn, q: q, subjCand: subjCand, objCand: objCand,
+		sel: pred.NewBitmap(segV2BlockRows),
 	}
-
 	for _, run := range p.cold {
 		if ctx.Err() != nil {
 			return nil
@@ -331,42 +464,52 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 		if err != nil {
 			return err
 		}
+		s.m, s.f = m, rowFilter{}
 
 		if usePostings {
+			// Positions ascend, so each block's candidates are consecutive
+			// and blocks open at most once each, in order.
 			positions := coldPostings(m, subjCand, objCand, fromSubject)
-			if len(positions) == 0 {
-				continue
-			}
-			// Positions are ascending, so blocks decode at most once each,
-			// in order.
-			rowBase, nextBase, b := 0, m.zones[0].count, 0
-			decoded := false
-			for k, pos := range positions {
-				if k&1023 == 0 && ctx.Err() != nil {
+			rowBase, b := 0, 0
+			for k := 0; k < len(positions); {
+				if ctx.Err() != nil {
 					return nil
 				}
-				for int(pos) >= nextBase {
+				for int(positions[k]) >= rowBase+m.zones[b].count {
+					rowBase += m.zones[b].count
 					b++
-					rowBase = nextBase
-					nextBase += m.zones[b].count
-					decoded = false
 				}
-				if !decoded {
-					stats.blocksConsidered.Add(1)
-					countDecoded(run, &m.zones[b])
-					if err := run.sf.decodeBlock(run.pi, m, b, rowBase, &cols); err != nil {
+				z := &m.zones[b]
+				first := k
+				for k < len(positions) && int(positions[k]) < rowBase+z.count {
+					k++
+				}
+				stats.blocksConsidered.Add(1)
+				if zoneMaps && outside(z) {
+					stats.blocksSkipped.Add(1)
+					continue
+				}
+				if err := s.open(run, b, rowBase); err != nil {
+					return err
+				}
+				for _, pos := range positions[first:k] {
+					i := int(pos) - rowBase
+					op, ok := s.cols.opAt(i)
+					if !ok {
+						return s.cols.corrupt("row %d: operation %d outside zone op set", i, op)
+					}
+					if err := s.mark(i, op); err != nil {
 						return err
 					}
-					decoded = true
 				}
-				if match, ok := checkRow(m, int(pos)-rowBase, false); ok && !emit(match) {
-					return nil
+				if more, err := s.finish(emit); err != nil || !more {
+					return err
 				}
 			}
 			continue
 		}
 
-		// Range path: zone-prune, decode, vectorize.
+		// Range path: every row of every block the zone maps cannot exclude.
 		subjIdx, subjIdxOK := []uint32(nil), false
 		objIdx, objIdxOK := []uint32(nil), false
 		if zoneMaps && !q.ForceScan {
@@ -386,22 +529,14 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 				return nil
 			}
 			z := &m.zones[b]
+			blockBase := rowBase
+			rowBase += z.count
 			stats.blocksConsidered.Add(1)
 			if zoneMaps {
-				if windowed && (z.maxStart < q.Window.From || z.minStart >= q.Window.To) {
-					stats.blocksSkipped.Add(1)
-					rowBase += z.count
-					continue
-				}
-				if z.ops.Intersect(q.Ops).Empty() {
-					stats.blocksSkipped.Add(1)
-					rowBase += z.count
-					continue
-				}
-				if (subjIdxOK && !anyInRange(subjIdx, z.minSubj, z.maxSubj)) ||
+				if outside(z) ||
+					(subjIdxOK && !anyInRange(subjIdx, z.minSubj, z.maxSubj)) ||
 					(objIdxOK && !anyInRange(objIdx, z.minObj, z.maxObj)) {
 					stats.blocksSkipped.Add(1)
-					rowBase += z.count
 					continue
 				}
 				if run.sf.version >= 3 &&
@@ -409,37 +544,23 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 						(objTriMask != 0 && z.objTri&objTriMask != objTriMask)) {
 					stats.blocksSkipped.Add(1)
 					stats.attrZoneSkips.Add(1)
-					rowBase += z.count
 					continue
 				}
 			}
-			countDecoded(run, z)
-			if err := run.sf.decodeBlock(run.pi, m, b, rowBase, &cols); err != nil {
+			if err := s.open(run, b, blockBase); err != nil {
 				return err
 			}
-			rowBase += z.count
-
-			evtVec := false
-			if q.EvtPred != nil && !q.ForceScan {
-				if cap(sel) == 0 {
-					sel = pred.NewBitmap(segV2BlockRows)
-				}
-				evtVec = pred.BatchEval(q.EvtPred, &cols, sel)
+			ops, err := s.cols.opColumn()
+			if err != nil {
+				return err
 			}
-			// Starts are sorted within a block: clip the row range to the
-			// window once instead of testing every row.
-			rlo, rhi := 0, cols.n
-			if windowed {
-				rlo = sort.Search(cols.n, func(i int) bool { return cols.starts[i] >= q.Window.From })
-				rhi = sort.Search(cols.n, func(i int) bool { return cols.starts[i] >= q.Window.To })
+			for i, op := range ops {
+				if err := s.mark(i, op); err != nil {
+					return err
+				}
 			}
-			for i := rlo; i < rhi; i++ {
-				if evtVec && !sel.Get(i) {
-					continue
-				}
-				if match, ok := checkRow(m, i, evtVec); ok && !emit(match) {
-					return nil
-				}
+			if more, err := s.finish(emit); err != nil || !more {
+				return err
 			}
 		}
 	}
@@ -465,7 +586,7 @@ func coldPostings(m *segV2Meta, subjCand, objCand map[types.EntityID]struct{}, f
 			positions = append(positions, m.objectPostings(di)...)
 		}
 	}
-	sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
+	slices.Sort(positions)
 	return positions
 }
 

@@ -31,10 +31,10 @@ import (
 //
 // The payoff is scanHot: instead of per-event interface calls through
 // Pred.Eval and two entity-map lookups per row, entity predicates are
-// evaluated once per referenced dictionary entry (entities are immutable,
-// so the verdict cannot change within a scan) into verdict bitmaps, event
-// predicates run through the vectorized kernel in 1024-row batches, and the
-// per-row residue is an op-set test plus two bit probes.
+// evaluated once per referenced dictionary entry (rowFilter, shared with
+// the cold scan), event predicates run through the vectorized kernel in
+// 1024-row batches, and the per-row residue is an op-set test plus two bit
+// probes.
 
 // hotShadowMinRows is the smallest hot row range worth shadowing: below it
 // the per-event path wins on build cost alone.
@@ -212,39 +212,79 @@ func (c *shadowChunk) Int64Column(attr string) ([]int64, bool) {
 // OpColumn implements pred.ColumnSource.
 func (c *shadowChunk) OpColumn() ([]types.Op, bool) { return c.sh.ops[c.lo:c.hi], true }
 
-// entityVerdicts evaluates one side's entity checks once per dictionary
-// entry referenced in rows [lo, hi), mirroring scanPartition's check()
-// exactly: the entity must exist, match the type filter, and pass the
-// candidate-set membership test (when a candidate set exists) or the
-// predicate (when it does not). ents is filled with the resolved entity for
-// every referenced slot so matching rows need no map lookup.
-func (sn *Snapshot) entityVerdicts(sh *hotShadow, col []uint32, lo, hi int, t types.EntityType, p pred.Pred, cand map[types.EntityID]struct{}, ents []*types.Entity) pred.Bitmap {
-	nd := len(sh.dict)
-	used := pred.NewBitmap(nd)
-	for i := lo; i < hi; i++ {
-		used.Set(int(col[i]))
+// entityPasses is the entity half of a data query's row test: the entity
+// must exist, match the type filter, and pass the candidate-set membership
+// test (when a candidate set exists) or the predicate (when it does not).
+func entityPasses(e *types.Entity, t types.EntityType, p pred.Pred, cand map[types.EntityID]struct{}) bool {
+	if e == nil || (t != types.EntityInvalid && e.Type != t) {
+		return false
 	}
-	verdict := pred.NewBitmap(nd)
-	used.ForEach(nd, func(di int) bool {
-		e := sn.entities[sh.dict[di]]
+	if cand != nil {
+		_, ok := cand[e.ID]
+		return ok
+	}
+	return p == nil || p.Eval(e)
+}
+
+// dictVerdicts answers entityPasses for one side of a pattern once per
+// dictionary entry: entities are immutable, so a verdict cannot change
+// within a scan, and rows pay a bit probe instead of a map lookup and a
+// predicate call.
+type dictVerdicts struct {
+	typ        types.EntityType
+	p          pred.Pred
+	cand       map[types.EntityID]struct{}
+	seen, pass pred.Bitmap
+}
+
+// rowFilter is the row test every columnar scan runs — hot shadow chunks and
+// cold blocks alike: the op set, then the subject and object verdicts of the
+// row's dictionary entries. ents holds the resolved entity of every entry a
+// verdict was asked about, so matching rows need no map lookup either.
+type rowFilter struct {
+	ops       types.OpSet
+	subj, obj dictVerdicts
+	dict      []types.EntityID
+	entities  map[types.EntityID]*types.Entity
+	ents      []*types.Entity
+}
+
+// newRowFilter builds the filter of q over one dictionary (a hot shadow's,
+// or a cold run's).
+func (sn *Snapshot) newRowFilter(q *DataQuery, subjCand, objCand map[types.EntityID]struct{}, dict []types.EntityID) rowFilter {
+	nd := len(dict)
+	return rowFilter{
+		ops:      q.Ops,
+		subj:     dictVerdicts{typ: q.SubjType, p: q.SubjPred, cand: subjCand, seen: pred.NewBitmap(nd), pass: pred.NewBitmap(nd)},
+		obj:      dictVerdicts{typ: q.ObjType, p: q.ObjPred, cand: objCand, seen: pred.NewBitmap(nd), pass: pred.NewBitmap(nd)},
+		dict:     dict,
+		entities: sn.entities,
+		ents:     make([]*types.Entity, nd),
+	}
+}
+
+// verdict returns v's answer for dictionary entry di, computing it on first
+// sight.
+func (f *rowFilter) verdict(v *dictVerdicts, di uint32) bool {
+	w, bit := di/64, uint64(1)<<(di%64)
+	if v.seen[w]&bit == 0 {
+		v.seen[w] |= bit
+		e := f.ents[di]
 		if e == nil {
-			return true
+			e = f.entities[f.dict[di]]
+			f.ents[di] = e
 		}
-		ents[di] = e
-		if t != types.EntityInvalid && e.Type != t {
-			return true
+		if entityPasses(e, v.typ, v.p, v.cand) {
+			v.pass[w] |= bit
 		}
-		if cand != nil {
-			if _, ok := cand[sh.dict[di]]; !ok {
-				return true
-			}
-		} else if p != nil && !p.Eval(e) {
-			return true
-		}
-		verdict.Set(di)
-		return true
-	})
-	return verdict
+	}
+	return v.pass[w]&bit != 0
+}
+
+// passes reports whether a row with the given operation and subject/object
+// dictionary indexes survives the filter.
+func (f *rowFilter) passes(op types.Op, sdi, odi uint32) bool {
+	return f.ops.Contains(op) && f.verdict(&f.subj, sdi) && f.verdict(&f.obj, odi)
 }
 
 // scanHot scans rows [lo, hi) of a hot partition through its columnar
@@ -260,9 +300,7 @@ func (sn *Snapshot) scanHot(ctx context.Context, p *partView, q *DataQuery, subj
 	}
 	stats := &sn.store.scanStats
 
-	ents := make([]*types.Entity, len(sh.dict))
-	subjV := sn.entityVerdicts(sh, sh.subj, lo, hi, q.SubjType, q.SubjPred, subjCand, ents)
-	objV := sn.entityVerdicts(sh, sh.obj, lo, hi, q.ObjType, q.ObjPred, objCand, ents)
+	f := sn.newRowFilter(q, subjCand, objCand, sh.dict)
 	stats.dictVerdictHits.Add(int64(hi - lo))
 
 	var sel pred.Bitmap
@@ -288,18 +326,15 @@ func (sn *Snapshot) scanHot(ctx context.Context, p *partView, q *DataQuery, subj
 			if evtVec && !sel.Get(i-clo) {
 				continue
 			}
-			if !q.Ops.Contains(sh.ops[i]) {
-				continue
-			}
 			sdi, odi := sh.subj[i], sh.obj[i]
-			if !subjV.Get(int(sdi)) || !objV.Get(int(odi)) {
+			if !f.passes(sh.ops[i], sdi, odi) {
 				continue
 			}
 			ev := &p.events[i]
 			if q.EvtPred != nil && !evtVec && !q.EvtPred.Eval(ev) {
 				continue
 			}
-			if !emit(Match{Event: ev, Subj: ents[sdi], Obj: ents[odi]}) {
+			if !emit(Match{Event: ev, Subj: f.ents[sdi], Obj: f.ents[odi]}) {
 				return true
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -814,198 +815,415 @@ func (sf *segmentV2File) decodeMeta(pi *segV2Part) (*segV2Meta, error) {
 	return m, nil
 }
 
-// blockCols is a decoded column block, reused across blocks by one scan.
-// Starts are absolute (delta already applied); subject/object are
-// dictionary indexes; agents is the partition's constant agent id so the
-// block satisfies pred.ColumnSource for every numeric event attribute.
+// Value columns of a block, in stored order; colAgents is synthesized (the
+// partition's constant agent id) so a block serves every numeric event
+// attribute pred.ColumnSource can be asked for.
+const (
+	colStarts = iota
+	colEnds
+	colIDs
+	colSeqs
+	colAmounts
+	colFails
+	nStoredCols
+	colAgents = nStoredCols
+
+	allStoredCols = 1<<nStoredCols - 1
+)
+
+// packedCol is one dictionary-index column of an open block, probed by row
+// without unpacking: width-bit codes over base, promised by the zone map to
+// land in [lo, hi].
+type packedCol struct {
+	buf    []byte // from the column's first byte to the end of the block
+	width  int
+	base   uint32
+	lo, hi uint32
+}
+
+// at returns row i's dictionary index; ok is false when it breaks the
+// zone's promise.
+func (c *packedCol) at(i int) (idx uint32, ok bool) {
+	idx = c.base + packedAt(c.buf, i, c.width)
+	return idx, idx >= c.lo && idx <= c.hi
+}
+
+// blockCols is one open column block, reused across blocks by one scan.
+// openBlock verifies the block's bytes and locates its columns; after that
+// each column inflates only when something reads it. The dictionary-index
+// and op columns are probed in place by bit offset (subj.at, obj.at, opAt;
+// opColumn unpacks the ops once for whole-block passes). The value columns
+// decode on first use through need — Int64Column asks for the one column a
+// vectorized predicate reads, materializing a row asks for all of them —
+// and a v3 block steps over the varint columns (and rows) in front of what
+// it wants without decoding them. clip narrows the rows of interest to
+// [lo, hi) as the scan learns them — the part of the block inside the time
+// window, then the span of the rows that passed every predicate: columns
+// decoded afterwards hold only those rows (delta chains — starts, ids, seqs
+// — from row 0 up to hi), still at their absolute row index, and as a
+// pred.ColumnSource the block presents rows lo..hi-1 as its rows
+// 0..hi-lo-1. Every check a column's values owe the zone map runs when
+// those values are decoded or probed.
+//
+// Starts are absolute (delta already applied); subject/object probes yield
+// dictionary indexes.
 type blockCols struct {
-	n       int
-	starts  []int64
-	ends    []int64
-	ids     []int64
-	seqs    []int64
-	amounts []int64
-	fails   []int64
-	agents  []int64
-	subj    []uint32
-	obj     []uint32
-	ops     []types.Op
+	path  string
+	key   partKey
+	b     int
+	z     *segV2Zone
+	fixed bool   // v2: fixed-width columns at arithmetic offsets
+	n     int    // rows stored
+	raw   []byte // the block's encoding: inflated (v3) or mapped (v2)
 
-	// v3 decode scratch: decompression target and bit-unpack buffer, reused
-	// across blocks like the columns themselves.
-	enc         []byte
-	packScratch []uint32
+	lo, hi int // rows of interest; [0, n) until clip narrows them
+
+	subj, obj packedCol
+	opsBuf    []byte
+	opsWidth  int
+	ops       []types.Op
+	haveOps   bool
+
+	// Value columns. have marks the decoded ones. A v3 block learns where
+	// its varint columns start as it walks them: colOff[k] is known for
+	// k <= offKnown, and column colFails must end exactly at varEnd, where
+	// the bit-packed tail begins.
+	vals     [colAgents + 1][]int64
+	have     uint8
+	colOff   [nStoredCols + 1]int
+	offKnown int
+	varEnd   int
+
+	// err latches a decode failure met inside Int64Column/OpColumn, whose
+	// pred.ColumnSource signatures cannot return one.
+	err error
+
+	enc []byte // decompression scratch
 }
 
-func (c *blockCols) reset(n int, agent int) {
-	if cap(c.starts) < n {
-		c.starts = make([]int64, n)
-		c.ends = make([]int64, n)
-		c.ids = make([]int64, n)
-		c.seqs = make([]int64, n)
-		c.amounts = make([]int64, n)
-		c.fails = make([]int64, n)
-		c.agents = make([]int64, n)
-		c.subj = make([]uint32, n)
-		c.obj = make([]uint32, n)
-		c.ops = make([]types.Op, n)
-	}
-	c.n = n
-	c.starts = c.starts[:n]
-	c.ends = c.ends[:n]
-	c.ids = c.ids[:n]
-	c.seqs = c.seqs[:n]
-	c.amounts = c.amounts[:n]
-	c.fails = c.fails[:n]
-	c.agents = c.agents[:n]
-	c.subj = c.subj[:n]
-	c.obj = c.obj[:n]
-	c.ops = c.ops[:n]
-	for i := 0; i < n; i++ {
-		c.agents[i] = int64(agent)
-	}
+func (c *blockCols) corrupt(format string, args ...any) error {
+	return corruptf(c.path, "partition (%d,%d) block %d: %s", c.key.agent, c.key.day, c.b, fmt.Sprintf(format, args...))
 }
 
-// NumRows implements pred.ColumnSource.
-func (c *blockCols) NumRows() int { return c.n }
-
-// Int64Column implements pred.ColumnSource.
-func (c *blockCols) Int64Column(attr string) ([]int64, bool) {
-	switch attr {
-	case types.EvtAttrAmount:
-		return c.amounts, true
-	case types.EvtAttrFailCode:
-		return c.fails, true
-	case types.EvtAttrSeq:
-		return c.seqs, true
-	case types.EvtAttrStart:
-		return c.starts, true
-	case types.EvtAttrEnd:
-		return c.ends, true
-	case types.AttrAgentID:
-		return c.agents, true
-	case types.AttrID:
-		return c.ids, true
-	}
-	return nil, false
-}
-
-// OpColumn implements pred.ColumnSource.
-func (c *blockCols) OpColumn() ([]types.Op, bool) { return c.ops, true }
-
-// event materializes row i into ev. The caller resolves subject/object
-// through the partition dictionary.
-func (c *blockCols) event(i int, m *segV2Meta, ev *types.Event) {
-	ev.ID = types.EventID(c.ids[i])
-	ev.AgentID = int(c.agents[i])
-	ev.Subject = m.dict[c.subj[i]]
-	ev.Object = m.dict[c.obj[i]]
-	ev.Op = c.ops[i]
-	ev.Start = c.starts[i]
-	ev.End = c.ends[i]
-	ev.Seq = uint64(c.seqs[i])
-	ev.Amount = c.amounts[i]
-	ev.FailCode = int(c.fails[i])
-}
-
-// blockRange returns the partition-relative row range [lo, hi) of block b.
-func blockRange(m *segV2Meta, b int) (int, int) {
-	lo := 0
-	for i := 0; i < b; i++ {
-		lo += m.zones[i].count
-	}
-	return lo, lo + m.zones[b].count
-}
-
-// decodeBlock verifies and decodes block b of a partition into cols. It
-// checks everything the zone map promised about the block — checksum,
-// delta monotonicity within the zone's time range, dictionary indexes in
-// the advertised range, valid operation codes in the advertised set — so a
-// zone map inconsistent with its block is a typed corruption error, not a
-// silently wrong prune.
-func (sf *segmentV2File) decodeBlock(pi *segV2Part, m *segV2Meta, b int, rowBase int, cols *blockCols) error {
+// openBlock points cols at block b of a partition (whose first row is
+// partition row rowBase) without decoding any column. What always runs: the
+// checksum over the stored bytes, decompression to exactly the zone's raw
+// length (v3), and the arithmetic that places every column — fixed offsets
+// for v2, the bit-packed tail counted back from the raw length for v3, which
+// must leave room for six varints per row in front of it.
+func (sf *segmentV2File) openBlock(pi *segV2Part, m *segV2Meta, b, rowBase int, cols *blockCols) error {
 	if err := sf.ensureMapped(); err != nil {
 		return err
 	}
-	if sf.version >= 3 {
-		return sf.decodeBlockV3(pi, m, b, cols)
-	}
-	at := func(format string, args ...any) error {
-		return corruptf(sf.path, "partition (%d,%d) block %d: %s", pi.key.agent, pi.key.day, b, fmt.Sprintf(format, args...))
-	}
 	z := &m.zones[b]
 	n := z.count
-	off := pi.dataOff + uint64(rowBase)*segV2RowBytes
-	length := uint64(n) * segV2RowBytes
-	if off+length > uint64(len(sf.data)) {
-		return at("exceeds mapped size %d", len(sf.data))
+	cols.path, cols.key, cols.b, cols.z = sf.path, pi.key, b, z
+	cols.n, cols.lo, cols.hi = n, 0, n
+	cols.have, cols.haveOps, cols.err = 0, false, nil
+	cols.subj = packedCol{lo: z.minSubj, hi: z.maxSubj}
+	cols.obj = packedCol{lo: z.minObj, hi: z.maxObj}
+
+	if sf.version < 3 {
+		off := pi.dataOff + uint64(rowBase)*segV2RowBytes
+		length := uint64(n) * segV2RowBytes
+		if off+length > uint64(len(sf.data)) {
+			return cols.corrupt("exceeds mapped size %d", len(sf.data))
+		}
+		raw := sf.data[off : off+length]
+		if crc32.Checksum(raw, castagnoli) != z.crc {
+			return cols.corrupt("checksum mismatch")
+		}
+		cols.fixed, cols.raw = true, raw
+		cols.colOff = [...]int{0, 4 * n, 12 * n, 20 * n, 28 * n, 36 * n, 44 * n}
+		cols.subj.buf, cols.subj.width = raw[44*n:], 32
+		cols.obj.buf, cols.obj.width = raw[48*n:], 32
+		cols.opsBuf, cols.opsWidth = raw[52*n:], 8
+		return nil
 	}
-	raw := sf.data[off : off+length]
-	if crc32.Checksum(raw, castagnoli) != z.crc {
-		return at("checksum mismatch")
+
+	off := pi.dataOff + z.dataOff
+	end := off + uint64(z.dataLen)
+	if end > uint64(len(sf.data)) {
+		return cols.corrupt("exceeds mapped size %d", len(sf.data))
 	}
-	cols.reset(n, pi.key.agent)
-	p := 0
-	prev := int64(-1)
-	span := z.maxStart - z.minStart
-	for i := 0; i < n; i++ {
-		delta := int64(binary.LittleEndian.Uint32(raw[p:]))
-		p += 4
+	stored := sf.data[off:end]
+	if crc32.Checksum(stored, castagnoli) != z.crc {
+		return cols.corrupt("checksum mismatch")
+	}
+	payload := stored[1:]
+	var raw []byte
+	switch stored[0] {
+	case 0:
+		if len(payload) != int(z.rawLen) {
+			return cols.corrupt("raw block length %d, want %d", len(payload), z.rawLen)
+		}
+		raw = payload
+	case 1:
+		if cap(cols.enc) < int(z.rawLen) {
+			cols.enc = make([]byte, z.rawLen)
+		}
+		raw = cols.enc[:z.rawLen]
+		if err := lzDecode(raw, payload); err != nil {
+			return cols.corrupt("block codec: %v", err)
+		}
+	default:
+		return cols.corrupt("unknown block encoding %d", stored[0])
+	}
+	if uint16(z.ops) == 0 {
+		return cols.corrupt("empty op set for %d rows", n)
+	}
+	cols.subj.base, cols.subj.width = z.minSubj, bits.Len32(z.maxSubj-z.minSubj)
+	cols.obj.base, cols.obj.width = z.minObj, bits.Len32(z.maxObj-z.minObj)
+	cols.opsWidth = opWidth(z.ops)
+	opsOff := len(raw) - (n*cols.opsWidth+7)/8
+	objOff := opsOff - (n*cols.obj.width+7)/8
+	subjOff := objOff - (n*cols.subj.width+7)/8
+	if subjOff < nStoredCols*n {
+		return cols.corrupt("malformed block encoding: %d bytes cannot hold %d rows", len(raw), n)
+	}
+	cols.fixed, cols.raw = false, raw
+	cols.subj.buf, cols.obj.buf, cols.opsBuf = raw[subjOff:], raw[objOff:], raw[opsOff:]
+	cols.varEnd, cols.offKnown = subjOff, 0
+	cols.colOff[0] = 0
+	return nil
+}
+
+// opAt returns row i's operation; ok is false when it is outside the zone's
+// op set.
+func (c *blockCols) opAt(i int) (op types.Op, ok bool) {
+	code := packedAt(c.opsBuf, i, c.opsWidth)
+	return types.Op(code), code <= 15 && c.z.ops.Contains(types.Op(code))
+}
+
+// opColumn unpacks (once) and returns the whole op column.
+func (c *blockCols) opColumn() ([]types.Op, error) {
+	if c.haveOps {
+		return c.ops[:c.n], nil
+	}
+	if c.ops == nil {
+		c.ops = make([]types.Op, segV2BlockRows)
+	}
+	ops := c.ops[:c.n]
+	for i := range ops {
+		op, ok := c.opAt(i)
+		if !ok {
+			return nil, c.corrupt("row %d: operation %d outside zone op set", i, op)
+		}
+		ops[i] = op
+	}
+	c.haveOps = true
+	return ops, nil
+}
+
+// clip narrows the rows of interest to [lo, hi), a sub-range of the current
+// one — so columns decoded before the call still cover it.
+func (c *blockCols) clip(lo, hi int) { c.lo, c.hi = lo, hi }
+
+// need decodes rows [lo, hi) of the value columns in mask (bits 1<<colStarts
+// …) that are not decoded yet.
+func (c *blockCols) need(mask uint8) error {
+	if c.err != nil {
+		return c.err
+	}
+	if !c.fixed && mask&(1<<colEnds) != 0 {
+		mask |= 1 << colStarts // v3 ends are stored relative to their start
+	}
+	for k := 0; k <= colAgents; k++ {
+		if mask&^c.have&(1<<k) == 0 {
+			continue
+		}
+		if c.vals[k] == nil {
+			c.vals[k] = make([]int64, segV2BlockRows)
+		}
+		// Starts are checked, and v3 ids and seqs summed, from the block's
+		// first row.
+		lo := c.lo
+		if k == colStarts || (!c.fixed && (k == colIDs || k == colSeqs)) {
+			lo = 0
+		}
+		var err error
+		switch {
+		case k == colAgents:
+			for i := lo; i < c.hi; i++ {
+				c.vals[k][i] = int64(c.key.agent)
+			}
+		case c.fixed:
+			err = c.decodeFixed(k, lo)
+		default:
+			err = c.decodeVarints(k, lo)
+		}
+		if err != nil {
+			c.err = err
+			return err
+		}
+		c.have |= 1 << k
+	}
+	return nil
+}
+
+// decodeFixed decodes rows [lo, hi) of stored column k of a v2 block.
+func (c *blockCols) decodeFixed(k, lo int) error {
+	out, raw := c.vals[k][lo:c.hi], c.raw[c.colOff[k]:]
+	if k != colStarts {
+		for i := range out {
+			out[i] = int64(binary.LittleEndian.Uint64(raw[8*(lo+i):]))
+		}
+		return nil
+	}
+	z := c.z
+	prev, span := int64(-1), z.maxStart-z.minStart
+	for i := range out {
+		delta := int64(binary.LittleEndian.Uint32(raw[4*i:]))
 		if delta > span {
-			return at("row %d: start outside zone time range", i)
+			return c.corrupt("row %d: start outside zone time range", i)
 		}
 		start := z.minStart + delta
 		if start < prev {
-			return at("row %d: starts not sorted", i)
+			return c.corrupt("row %d: starts not sorted", i)
 		}
 		prev = start
-		cols.starts[i] = start
-	}
-	for i := 0; i < n; i++ {
-		cols.ends[i] = int64(binary.LittleEndian.Uint64(raw[p:]))
-		p += 8
-	}
-	for i := 0; i < n; i++ {
-		cols.ids[i] = int64(binary.LittleEndian.Uint64(raw[p:]))
-		p += 8
-	}
-	for i := 0; i < n; i++ {
-		cols.seqs[i] = int64(binary.LittleEndian.Uint64(raw[p:]))
-		p += 8
-	}
-	for i := 0; i < n; i++ {
-		cols.amounts[i] = int64(binary.LittleEndian.Uint64(raw[p:]))
-		p += 8
-	}
-	for i := 0; i < n; i++ {
-		cols.fails[i] = int64(binary.LittleEndian.Uint64(raw[p:]))
-		p += 8
-	}
-	for i := 0; i < n; i++ {
-		s := binary.LittleEndian.Uint32(raw[p:])
-		p += 4
-		if s < z.minSubj || s > z.maxSubj {
-			return at("row %d: out-of-range dictionary index %d", i, s)
-		}
-		cols.subj[i] = s
-	}
-	for i := 0; i < n; i++ {
-		o := binary.LittleEndian.Uint32(raw[p:])
-		p += 4
-		if o < z.minObj || o > z.maxObj {
-			return at("row %d: out-of-range dictionary index %d", i, o)
-		}
-		cols.obj[i] = o
-	}
-	for i := 0; i < n; i++ {
-		op := types.Op(raw[p])
-		p++
-		if !z.ops.Contains(op) {
-			return at("row %d: operation %d outside zone op set", i, op)
-		}
-		cols.ops[i] = op
+		out[i] = start
 	}
 	return nil
+}
+
+// decodeVarints decodes rows [lo, hi) of stored column k of a v3 block:
+// step over the undecoded columns and rows in front of them, read the codes,
+// undo the column's residual.
+func (c *blockCols) decodeVarints(k, lo int) error {
+	buf := c.raw[:c.varEnd]
+	for c.offKnown < k {
+		next, ok := skipVarints(buf, c.colOff[c.offKnown], c.n)
+		if !ok {
+			return c.corrupt("malformed block encoding: value columns truncated")
+		}
+		c.offKnown++
+		c.colOff[c.offKnown] = next
+	}
+	out := c.vals[k][lo:c.hi]
+	off, ok := skipVarints(buf, c.colOff[k], lo)
+	if ok {
+		off, ok = readUvarints(buf, off, out)
+	}
+	if ok && (k == c.offKnown || k == colFails) {
+		// Find where the column ends: the next column starts there, and the
+		// last one must end exactly where the bit-packed tail begins.
+		if off, ok = skipVarints(buf, off, c.n-c.hi); ok {
+			if k == colFails && off != c.varEnd {
+				return c.corrupt("malformed block encoding: value columns end at %d, want %d", off, c.varEnd)
+			}
+			if k == c.offKnown {
+				c.offKnown++
+				c.colOff[c.offKnown] = off
+			}
+		}
+	}
+	if !ok {
+		return c.corrupt("malformed block encoding: value column %d", k)
+	}
+	switch k {
+	case colStarts:
+		z := c.z
+		span, cur := uint64(z.maxStart-z.minStart), z.minStart
+		for i, d := range out {
+			if uint64(d) > span {
+				return c.corrupt("row %d: start outside zone time range", i)
+			}
+			cur += d
+			if cur > z.maxStart || cur < z.minStart {
+				return c.corrupt("row %d: start outside zone time range", i)
+			}
+			out[i] = cur
+		}
+	case colEnds:
+		starts := c.vals[colStarts][lo:c.hi]
+		for i, u := range out {
+			out[i] = starts[i] + unzigzag(uint64(u))
+		}
+	case colIDs, colSeqs:
+		prev := int64(0)
+		for i, u := range out {
+			prev += unzigzag(uint64(u))
+			out[i] = prev
+		}
+	default:
+		for i, u := range out {
+			out[i] = unzigzag(uint64(u))
+		}
+	}
+	return nil
+}
+
+// NumRows implements pred.ColumnSource: the rows of interest.
+func (c *blockCols) NumRows() int { return c.hi - c.lo }
+
+// Int64Column implements pred.ColumnSource, decoding the column on first
+// use. A decode failure reports the column as unavailable and latches in
+// c.err for the scan to return.
+func (c *blockCols) Int64Column(attr string) ([]int64, bool) {
+	var k int
+	switch attr {
+	case types.EvtAttrAmount:
+		k = colAmounts
+	case types.EvtAttrFailCode:
+		k = colFails
+	case types.EvtAttrSeq:
+		k = colSeqs
+	case types.EvtAttrStart:
+		k = colStarts
+	case types.EvtAttrEnd:
+		k = colEnds
+	case types.AttrAgentID:
+		k = colAgents
+	case types.AttrID:
+		k = colIDs
+	default:
+		return nil, false
+	}
+	if c.need(1<<k) != nil {
+		return nil, false
+	}
+	return c.vals[k][c.lo:c.hi], true
+}
+
+// OpColumn implements pred.ColumnSource.
+func (c *blockCols) OpColumn() ([]types.Op, bool) {
+	ops, err := c.opColumn()
+	if err != nil {
+		c.err = err
+		return nil, false
+	}
+	return ops[c.lo:c.hi], true
+}
+
+// event materializes row i (one of the rows of interest) into ev, resolving
+// subject and object through the partition dictionary, and returns their
+// dictionary indexes. Every stored column must be decoded
+// (need(allStoredCols)).
+func (c *blockCols) event(i int, m *segV2Meta, ev *types.Event) (sdi, odi uint32, err error) {
+	sdi, ok := c.subj.at(i)
+	if !ok {
+		return 0, 0, c.corrupt("row %d: out-of-range dictionary index %d", i, sdi)
+	}
+	odi, ok = c.obj.at(i)
+	if !ok {
+		return 0, 0, c.corrupt("row %d: out-of-range dictionary index %d", i, odi)
+	}
+	op, ok := c.opAt(i)
+	if !ok {
+		return 0, 0, c.corrupt("row %d: operation %d outside zone op set", i, op)
+	}
+	ev.ID = types.EventID(c.vals[colIDs][i])
+	ev.AgentID = c.key.agent
+	ev.Subject = m.dict[sdi]
+	ev.Object = m.dict[odi]
+	ev.Op = op
+	ev.Start = c.vals[colStarts][i]
+	ev.End = c.vals[colEnds][i]
+	ev.Seq = uint64(c.vals[colSeqs][i])
+	ev.Amount = c.vals[colAmounts][i]
+	ev.FailCode = int(c.vals[colFails][i])
+	return sdi, odi, nil
 }
 
 // loadEntities reads, verifies and decodes the entity block via the file

@@ -315,106 +315,3 @@ func encodeV3Block(dst []byte, block []types.Event, z *segV2Zone, slot map[types
 	}
 	return appendPacked(dst, idx, 0, opWidth(z.ops))
 }
-
-// decodeBlockV3 verifies and decodes block b of a v3 partition into cols:
-// checksum over the stored bytes, exact raw length after decompression,
-// exact consumption by the column decoders, and every v2 zone promise
-// (start monotonicity and range, dictionary-index range, op-set membership)
-// re-checked on the decoded values.
-func (sf *segmentV2File) decodeBlockV3(pi *segV2Part, m *segV2Meta, b int, cols *blockCols) error {
-	at := func(format string, args ...any) error {
-		return corruptf(sf.path, "partition (%d,%d) block %d: %s", pi.key.agent, pi.key.day, b, fmt.Sprintf(format, args...))
-	}
-	z := &m.zones[b]
-	off := pi.dataOff + z.dataOff
-	end := off + uint64(z.dataLen)
-	if end > uint64(len(sf.data)) {
-		return at("exceeds mapped size %d", len(sf.data))
-	}
-	stored := sf.data[off:end]
-	if crc32.Checksum(stored, castagnoli) != z.crc {
-		return at("checksum mismatch")
-	}
-	payload := stored[1:]
-	var raw []byte
-	switch stored[0] {
-	case 0:
-		if len(payload) != int(z.rawLen) {
-			return at("raw block length %d, want %d", len(payload), z.rawLen)
-		}
-		raw = payload
-	case 1:
-		if cap(cols.enc) < int(z.rawLen) {
-			cols.enc = make([]byte, z.rawLen)
-		}
-		raw = cols.enc[:z.rawLen]
-		if err := lzDecode(raw, payload); err != nil {
-			return at("block codec: %v", err)
-		}
-	default:
-		return at("unknown block encoding %d", stored[0])
-	}
-	if uint16(z.ops) == 0 {
-		return at("empty op set for %d rows", z.count)
-	}
-
-	n := z.count
-	cols.reset(n, pi.key.agent)
-	r := byteReader{buf: raw}
-	span := uint64(z.maxStart - z.minStart)
-	cur := z.minStart
-	for i := 0; i < n; i++ {
-		d := r.uvarint()
-		if d > span {
-			return at("row %d: start outside zone time range", i)
-		}
-		cur += int64(d)
-		if cur > z.maxStart || cur < z.minStart {
-			return at("row %d: start outside zone time range", i)
-		}
-		cols.starts[i] = cur
-	}
-	for i := 0; i < n; i++ {
-		cols.ends[i] = cols.starts[i] + r.svarint()
-	}
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		prev += r.svarint()
-		cols.ids[i] = prev
-	}
-	prev = 0
-	for i := 0; i < n; i++ {
-		prev += r.svarint()
-		cols.seqs[i] = prev
-	}
-	for i := 0; i < n; i++ {
-		cols.amounts[i] = r.svarint()
-	}
-	for i := 0; i < n; i++ {
-		cols.fails[i] = r.svarint()
-	}
-	r.unpack(n, z.minSubj, bits.Len32(z.maxSubj-z.minSubj), cols.subj)
-	r.unpack(n, z.minObj, bits.Len32(z.maxObj-z.minObj), cols.obj)
-	if cap(cols.packScratch) < n {
-		cols.packScratch = make([]uint32, n)
-	}
-	opsRaw := cols.packScratch[:n]
-	r.unpack(n, 0, opWidth(z.ops), opsRaw)
-	if !r.done() {
-		return at("malformed block encoding")
-	}
-	for i := 0; i < n; i++ {
-		if s := cols.subj[i]; s < z.minSubj || s > z.maxSubj {
-			return at("row %d: out-of-range dictionary index %d", i, s)
-		}
-		if o := cols.obj[i]; o < z.minObj || o > z.maxObj {
-			return at("row %d: out-of-range dictionary index %d", i, o)
-		}
-		op := types.Op(opsRaw[i])
-		if opsRaw[i] > 15 || !z.ops.Contains(op) {
-			return at("row %d: operation %d outside zone op set", i, opsRaw[i])
-		}
-		cols.ops[i] = op
-	}
-	return nil
-}

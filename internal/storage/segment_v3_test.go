@@ -3,8 +3,11 @@ package storage
 import (
 	"context"
 	"errors"
+	"hash/crc32"
+	"math/bits"
 	"math/rand"
 	"os"
+	"sort"
 	"testing"
 
 	"aiql/internal/pred"
@@ -170,6 +173,228 @@ func TestSegmentV3CorruptionTyped(t *testing.T) {
 	}
 }
 
+// TestColdScanChecksumBeforeFilter: a query whose row filter rejects every
+// row inflates no value column — and a flipped bit in one of those columns
+// must still fail the scan, because the checksum over the stored bytes runs
+// before anything is filtered.
+func TestColdScanChecksumBeforeFilter(t *testing.T) {
+	entities, events := v2TestData(2500)
+	dir := t.TempDir()
+	sf, err := writeSegmentV3(dir, 1, uint64(len(events)), entities, events, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := sf.path
+	sf.unmap()
+	// No event has a process for an object: every opened block is rejected
+	// on its packed columns. Zone maps are off so nothing is pruned unread.
+	q := &DataQuery{Ops: types.AllOps(), ObjType: types.EntityProcess}
+	scan := func() (ScanStats, error) {
+		seg, err := openSegmentV3(path)
+		if err != nil {
+			return ScanStats{}, err
+		}
+		defer seg.unmap()
+		st := New(Options{DisableZoneMaps: true})
+		st.Ingest(&types.Dataset{Entities: entities})
+		if err := seg.install(st); err != nil {
+			return ScanStats{}, err
+		}
+		qc := *q
+		c := st.Scan(context.Background(), &qc)
+		defer c.Close()
+		if n := len(Drain(c)); n != 0 {
+			t.Fatalf("scan returned %d matches, want 0", n)
+		}
+		return st.ScanStats(), c.Err()
+	}
+
+	ss, err := scan()
+	if err != nil {
+		t.Fatalf("pristine scan: %v", err)
+	}
+	if ss.BlocksDecoded != 3 || ss.BlocksFiltered != 3 || ss.ValueColumnsDecoded != 0 {
+		t.Fatalf("pristine scan should open and filter 3 blocks without inflating a value column: %+v", ss)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe := readV2Layout(t, raw).entries[0]
+	// A few bytes into the first block's payload: inside the starts column,
+	// whether the block was stored compressed or raw.
+	raw[pe.dataOff+6] ^= 0x04
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ss, err = scan()
+	if !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("scan over a damaged, never-inflated column: err = %v, want ErrSegmentCorrupt", err)
+	}
+	if ss.BlocksFiltered != 0 || ss.ValueColumnsDecoded != 0 {
+		t.Fatalf("damage was not caught at open: %+v", ss)
+	}
+}
+
+// rawV3Block encodes events (one partition, sorted) as a single v3 block and
+// wraps it, stored raw and correctly checksummed, in just enough segment for
+// openBlock — the way to hand the decoder bytes that are wrong yet pass
+// their checksum. mutate edits the encoding before it is sealed.
+func rawV3Block(events []types.Event, mutate func(raw []byte, varEnd int) []byte) (*segmentV2File, *segV2Part, *segV2Meta) {
+	var dict []types.EntityID
+	slot := make(map[types.EntityID]uint32)
+	for i := range events {
+		for _, id := range []types.EntityID{events[i].Subject, events[i].Object} {
+			if _, ok := slot[id]; !ok {
+				slot[id] = 0
+				dict = append(dict, id)
+			}
+		}
+	}
+	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
+	for i, id := range dict {
+		slot[id] = uint32(i)
+	}
+	z := segV2Zone{
+		count: len(events), minStart: events[0].Start, maxStart: events[len(events)-1].Start,
+		minSubj: ^uint32(0), minObj: ^uint32(0),
+	}
+	for i := range events {
+		z.ops = z.ops.Add(events[i].Op)
+		z.minSubj, z.maxSubj = min(z.minSubj, slot[events[i].Subject]), max(z.maxSubj, slot[events[i].Subject])
+		z.minObj, z.maxObj = min(z.minObj, slot[events[i].Object]), max(z.maxObj, slot[events[i].Object])
+	}
+	raw := encodeV3Block(nil, events, &z, slot)
+	n := len(events)
+	packed := (n*bits.Len32(z.maxSubj-z.minSubj)+7)/8 + (n*bits.Len32(z.maxObj-z.minObj)+7)/8 + (n*opWidth(z.ops)+7)/8
+	if mutate != nil {
+		raw = mutate(raw, len(raw)-packed)
+	}
+	stored := append([]byte{0}, raw...)
+	z.dataLen, z.rawLen = uint32(len(stored)), uint32(len(raw))
+	z.crc = crc32.Checksum(stored, castagnoli)
+	sf := &segmentV2File{path: "hand-built", version: 3, data: stored}
+	sf.mapOnce.Do(func() {}) // data is already in place
+	pi := &segV2Part{segV2PartInfo: segV2PartInfo{key: partKey{agent: events[0].AgentID}, nEvents: n, nBlocks: 1}}
+	return sf, pi, &segV2Meta{dict: dict, zones: []segV2Zone{z}}
+}
+
+// TestLazyDecodeMalformedColumns feeds the decoder checksummed blocks whose
+// encoding is wrong in the ways only a decode can notice, and pins both
+// halves of the lazy contract: the damage is a typed error, never a panic —
+// and it surfaces when the damaged column is asked for, not before.
+func TestLazyDecodeMalformedColumns(t *testing.T) {
+	_, events := v2TestData(700)
+	for i := range events {
+		events[i].FailCode = i%5 - 2
+		events[i].Amount = int64(i) * 9973 % 70_000
+	}
+
+	t.Run("pristine", func(t *testing.T) {
+		sf, pi, m := rawV3Block(events, nil)
+		var cols blockCols
+		if err := sf.openBlock(pi, m, 0, 0, &cols); err != nil {
+			t.Fatal(err)
+		}
+		// Out of order and piecemeal, to walk the column-offset memo.
+		for _, mask := range []uint8{1 << colAmounts, 1 << colEnds, 1 << colFails, allStoredCols} {
+			if err := cols.need(mask); err != nil {
+				t.Fatalf("need(%06b): %v", mask, err)
+			}
+		}
+		for i := range events {
+			var ev types.Event
+			if _, _, err := cols.event(i, m, &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev != events[i] {
+				t.Fatalf("row %d: %+v, want %+v", i, ev, events[i])
+			}
+		}
+	})
+
+	t.Run("truncated-varint-columns", func(t *testing.T) {
+		// Turn the tail of the varint section into one endless code: the
+		// skip-scan toward any later column runs out of terminators.
+		sf, pi, m := rawV3Block(events, func(raw []byte, varEnd int) []byte {
+			for i := varEnd / 2; i < varEnd; i++ {
+				raw[i] |= 0x80
+			}
+			return raw
+		})
+		var cols blockCols
+		if err := sf.openBlock(pi, m, 0, 0, &cols); err != nil {
+			t.Fatalf("open: %v (the damage is inside columns nothing has read yet)", err)
+		}
+		if err := cols.need(1 << colStarts); err != nil {
+			t.Fatalf("the intact first column must still decode: %v", err)
+		}
+		for _, k := range []int{colAmounts, colFails} {
+			var cols blockCols
+			if err := sf.openBlock(pi, m, 0, 0, &cols); err != nil {
+				t.Fatal(err)
+			}
+			if err := cols.need(1 << k); !errors.Is(err, ErrSegmentCorrupt) {
+				t.Fatalf("need(column %d) = %v, want ErrSegmentCorrupt", k, err)
+			}
+			// The failure latches: the block is not half-usable afterwards.
+			if _, ok := cols.Int64Column(types.EvtAttrStart); ok || cols.err == nil {
+				t.Fatal("a failed block still served a column")
+			}
+		}
+	})
+
+	t.Run("surplus-code", func(t *testing.T) {
+		// One code too many in front of the packed tail: every column still
+		// holds n well-formed codes, but the last one no longer ends where
+		// the tail begins.
+		sf, pi, m := rawV3Block(events, func(raw []byte, varEnd int) []byte {
+			return append(raw[:varEnd:varEnd], append([]byte{0x00}, raw[varEnd:]...)...)
+		})
+		var cols blockCols
+		if err := sf.openBlock(pi, m, 0, 0, &cols); err != nil {
+			t.Fatal(err)
+		}
+		if err := cols.need(1 << colAmounts); err != nil {
+			t.Fatalf("need(amounts): %v", err)
+		}
+		if err := cols.need(1 << colFails); !errors.Is(err, ErrSegmentCorrupt) {
+			t.Fatalf("need(fails) = %v, want ErrSegmentCorrupt", err)
+		}
+	})
+
+	t.Run("no-room-for-packed-tail", func(t *testing.T) {
+		sf, pi, m := rawV3Block(events, func(raw []byte, varEnd int) []byte {
+			return raw[:len(events)*nStoredCols-1]
+		})
+		var cols blockCols
+		if err := sf.openBlock(pi, m, 0, 0, &cols); !errors.Is(err, ErrSegmentCorrupt) {
+			t.Fatalf("open = %v, want ErrSegmentCorrupt", err)
+		}
+	})
+
+	t.Run("dictionary-index-out-of-zone", func(t *testing.T) {
+		// Probes check what they read: shrink the zone's promise after
+		// encoding and the rows beyond it are refused.
+		sf, pi, m := rawV3Block(events, nil)
+		var cols blockCols
+		if err := sf.openBlock(pi, m, 0, 0, &cols); err != nil {
+			t.Fatal(err)
+		}
+		cols.subj.hi--
+		bad := 0
+		for i := range events {
+			if _, ok := cols.subj.at(i); !ok {
+				bad++
+			}
+		}
+		if bad != len(events)/10 {
+			t.Fatalf("%d rows refused, want %d", bad, len(events)/10)
+		}
+	})
+}
+
 // attrZoneData builds a block-segregated dataset for trigram pruning: a
 // candidate pool larger than the dictionary-index map limit (so the
 // membership pruner stands down), events whose first three blocks reference
@@ -301,6 +526,65 @@ func TestMixedV2V3SegmentsAnswerIdentically(t *testing.T) {
 	assertStoresEqual(t, re.Store, memStoreOf(batches), "mixed v2+v3 store")
 }
 
+// lazyDecodeAgrees reopens every cold block of st, clips it to a row range
+// derived from clip, decodes only the value columns in need, and compares
+// them — and the packed-column probes — with the run's full decode.
+func lazyDecodeAgrees(t *testing.T, st *Store, need uint8, clip int) error {
+	sn := st.Snapshot()
+	defer sn.Close()
+	var cols blockCols
+	for _, p := range sn.parts {
+		for _, run := range p.cold {
+			full, _, _, err := run.decodeAll()
+			if err != nil {
+				return err
+			}
+			m, err := run.meta()
+			if err != nil {
+				return err
+			}
+			rowBase := 0
+			for b := range m.zones {
+				if err := run.sf.openBlock(run.pi, m, b, rowBase, &cols); err != nil {
+					return err
+				}
+				want := full[rowBase : rowBase+cols.n]
+				rowBase += cols.n
+				lo := clip % cols.n
+				hi := lo + 1 + (clip/7)%(cols.n-lo)
+				cols.clip(lo, hi)
+				if err := cols.need(need); err != nil {
+					return err
+				}
+				for k := 0; k < nStoredCols; k++ {
+					if need&(1<<k) == 0 {
+						continue
+					}
+					for i := lo; i < hi; i++ {
+						ev := &want[i]
+						wantVal := [nStoredCols]int64{ev.Start, ev.End, int64(ev.ID), int64(ev.Seq), ev.Amount, int64(ev.FailCode)}[k]
+						if got := cols.vals[k][i]; got != wantVal {
+							t.Fatalf("block %d column %d row %d (rows [%d,%d), need %06b): %d, want %d", b, k, i, lo, hi, need, got, wantVal)
+						}
+					}
+				}
+				for i := lo; i < hi; i++ {
+					sdi, sok := cols.subj.at(i)
+					odi, ook := cols.obj.at(i)
+					op, opok := cols.opAt(i)
+					if !sok || !ook || !opok {
+						return cols.corrupt("row %d: packed column outside zone promise", i)
+					}
+					if m.dict[sdi] != want[i].Subject || m.dict[odi] != want[i].Object || op != want[i].Op {
+						t.Fatalf("block %d row %d: packed probes disagree with the full decode", b, i)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // dsForSegTest adapts v2TestData into a Dataset spread over two agents and
 // days so compaction produces multiple partitions.
 func dsForSegTest(t *testing.T) *types.Dataset {
@@ -319,13 +603,17 @@ func dsForSegTest(t *testing.T) *types.Dataset {
 // FuzzSegmentV3 is the v3 counterpart of FuzzSegmentV2: a generated dataset
 // must survive write → open → cold scan byte-for-byte, and a one-byte
 // mutation anywhere in the file must produce either identical results or a
-// typed ErrSegmentCorrupt — never a panic and never silent wrong rows.
+// typed ErrSegmentCorrupt — never a panic and never silent wrong rows. need
+// and clip then drive the lazy decoder directly: every block is reopened,
+// clipped to a row range drawn from clip, asked for the value columns in
+// need only, and held to the full decode of the same run.
 func FuzzSegmentV3(f *testing.F) {
-	f.Add(int64(1), uint16(10), -1, byte(0))
-	f.Add(int64(2), uint16(300), 60, byte(0xFF))
-	f.Add(int64(3), uint16(1500), 200, byte(0x01))
-	f.Add(int64(4), uint16(0), 0, byte(0x80))
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, mutOff int, mutByte byte) {
+	f.Add(int64(1), uint16(10), -1, byte(0), uint8(0), uint16(0))
+	f.Add(int64(2), uint16(300), 60, byte(0xFF), uint8(1<<colAmounts), uint16(7))
+	f.Add(int64(3), uint16(1500), 200, byte(0x01), uint8(1<<colEnds|1<<colSeqs), uint16(999))
+	f.Add(int64(4), uint16(0), 0, byte(0x80), uint8(allStoredCols), uint16(12345))
+	f.Add(int64(5), uint16(2099), -1, byte(0), uint8(1<<colFails), uint16(40000))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, mutOff int, mutByte byte, need uint8, clip uint16) {
 		rng := rand.New(rand.NewSource(seed))
 		entities, events := v2TestData(int(n)%2100 + 1)
 		for i := range events {
@@ -387,7 +675,7 @@ func FuzzSegmentV3(f *testing.F) {
 					t.Fatalf("match %d: %+v, want %+v", i, got[i].Event, wantMatches[i].Event)
 				}
 			}
-			return nil
+			return lazyDecodeAgrees(t, st, need&allStoredCols, int(clip))
 		}()
 		if err != nil {
 			if !mutated {

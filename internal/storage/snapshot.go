@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -66,7 +67,7 @@ func (p *partView) postingsInRange(subjCand, objCand map[types.EntityID]struct{}
 			}
 		}
 	}
-	sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
+	slices.Sort(positions)
 	return positions
 }
 
@@ -223,6 +224,8 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 			span.Add("blocks_considered", after.BlocksConsidered-before.BlocksConsidered)
 			span.Add("blocks_skipped", after.BlocksSkipped-before.BlocksSkipped)
 			span.Add("blocks_decoded", after.BlocksDecoded-before.BlocksDecoded)
+			span.Add("blocks_filtered", after.BlocksFiltered-before.BlocksFiltered)
+			span.Add("value_columns_decoded", after.ValueColumnsDecoded-before.ValueColumnsDecoded)
 			span.Add("attr_zone_skips", after.AttrZoneSkips-before.AttrZoneSkips)
 			span.Add("hot_batches", after.HotBatches-before.HotBatches)
 			span.Add("dict_verdict_hits", after.DictVerdictHits-before.DictVerdictHits)
@@ -455,27 +458,7 @@ func (sn *Snapshot) scanPartition(ctx context.Context, p *partView, q *DataQuery
 		}
 		subj := sn.entities[ev.Subject]
 		obj := sn.entities[ev.Object]
-		if subj == nil || obj == nil {
-			return Match{}, false
-		}
-		if q.SubjType != types.EntityInvalid && subj.Type != q.SubjType {
-			return Match{}, false
-		}
-		if q.ObjType != types.EntityInvalid && obj.Type != q.ObjType {
-			return Match{}, false
-		}
-		if subjCand != nil {
-			if _, ok := subjCand[ev.Subject]; !ok {
-				return Match{}, false
-			}
-		} else if q.SubjPred != nil && !q.SubjPred.Eval(subj) {
-			return Match{}, false
-		}
-		if objCand != nil {
-			if _, ok := objCand[ev.Object]; !ok {
-				return Match{}, false
-			}
-		} else if q.ObjPred != nil && !q.ObjPred.Eval(obj) {
+		if !entityPasses(subj, q.SubjType, q.SubjPred, subjCand) || !entityPasses(obj, q.ObjType, q.ObjPred, objCand) {
 			return Match{}, false
 		}
 		if q.EvtPred != nil && !q.EvtPred.Eval(ev) {

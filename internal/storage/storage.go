@@ -202,6 +202,8 @@ type scanCounters struct {
 	blocksConsidered      atomic.Int64
 	blocksSkipped         atomic.Int64
 	blocksDecoded         atomic.Int64
+	blocksFiltered        atomic.Int64
+	valueColumnsDecoded   atomic.Int64
 	thaws                 atomic.Int64
 	hotBatches            atomic.Int64
 	dictVerdictHits       atomic.Int64
@@ -213,15 +215,20 @@ type scanCounters struct {
 // ScanStats is a point-in-time copy of the scan counters: how many column
 // blocks queries considered, how many the zone maps pruned without touching
 // (AttrZoneSkips counting the subset pruned by attribute trigram filters),
-// how many actually decoded, how many partitions had to thaw back to the
-// hot representation, how many hot row batches went through the vectorized
-// kernel, how many hot rows had their entity predicates answered from
-// dictionary verdict bitmaps, and how many stored vs. decoded bytes v3
-// block decompression moved.
+// how many were opened (BlocksDecoded: stored bytes read, checksummed and
+// inflated), how many of those were rejected on their packed op and
+// dictionary-index columns alone (BlocksFiltered) and how many value columns
+// the rest inflated (ValueColumnsDecoded, at most six per block), how many
+// partitions had to thaw back to the hot representation, how many hot row
+// batches went through the vectorized kernel, how many hot rows had their
+// entity predicates answered from dictionary verdict bitmaps, and how many
+// stored vs. decoded bytes v3 block decompression moved.
 type ScanStats struct {
 	BlocksConsidered      int64 `json:"blocks_considered"`
 	BlocksSkipped         int64 `json:"blocks_skipped"`
 	BlocksDecoded         int64 `json:"blocks_decoded"`
+	BlocksFiltered        int64 `json:"blocks_filtered"`
+	ValueColumnsDecoded   int64 `json:"value_columns_decoded"`
 	Thaws                 int64 `json:"thaws"`
 	HotBatches            int64 `json:"hot_batches"`
 	DictVerdictHits       int64 `json:"dict_verdict_hits"`
@@ -236,6 +243,8 @@ func (s *Store) ScanStats() ScanStats {
 		BlocksConsidered:      s.scanStats.blocksConsidered.Load(),
 		BlocksSkipped:         s.scanStats.blocksSkipped.Load(),
 		BlocksDecoded:         s.scanStats.blocksDecoded.Load(),
+		BlocksFiltered:        s.scanStats.blocksFiltered.Load(),
+		ValueColumnsDecoded:   s.scanStats.valueColumnsDecoded.Load(),
 		Thaws:                 s.scanStats.thaws.Load(),
 		HotBatches:            s.scanStats.hotBatches.Load(),
 		DictVerdictHits:       s.scanStats.dictVerdictHits.Load(),
