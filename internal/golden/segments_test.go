@@ -14,24 +14,19 @@ import (
 )
 
 // buildSegmentedDir ingests the reference scenario into dir in two halves,
-// compacting each into a segment: the first under firstLegacy (v1 row
-// format when true), the second under secondLegacy. The directory ends with
-// two segments of the requested format mix and an empty WAL.
-func buildSegmentedDir(t *testing.T, dir string, firstLegacy, secondLegacy bool) {
+// compacting each into a segment, so the directory ends with two segments
+// covering the same (agent, day) partitions and an empty WAL.
+func buildSegmentedDir(t *testing.T, dir string) {
 	t.Helper()
 	ds := gen.Scenario(gen.SmallConfig())
 	batches := bench.SplitBatches(ds, 4)
-	phase := func(legacy bool, bs []*types.Dataset) {
-		t.Helper()
-		opts := storage.PersistOptions{
+	for _, bs := range [][]*types.Dataset{batches[:2], batches[2:]} {
+		p, err := storage.OpenPersistent(dir, storage.PersistOptions{
 			SyncEveryBatch: true, FlushInterval: -1, CompactInterval: -1,
-			LegacySegmentV1: legacy,
-		}
-		p, err := storage.OpenPersistent(dir, opts)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
 		if err := p.WarmUp(); err != nil {
 			t.Fatal(err)
 		}
@@ -43,77 +38,66 @@ func buildSegmentedDir(t *testing.T, dir string, firstLegacy, secondLegacy bool)
 		if err := p.Compact(); err != nil {
 			t.Fatal(err)
 		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	phase(firstLegacy, batches[:2])
-	phase(secondLegacy, batches[2:])
 }
 
-// TestSegmentFormatsAnswerGoldenCorpus reopens stores recovered purely from
-// v1 segments, purely from v2 segments, and from one of each, and requires
-// every one of them to answer the full golden corpus exactly like the
-// uninterrupted in-memory reference.
+// TestSegmentFormatsAnswerGoldenCorpus reopens a store recovered purely from
+// two segments and requires it to answer the full golden corpus exactly like
+// the uninterrupted in-memory reference. Half the scenario's (agent, day)
+// partitions span both segments, which drives the install hand-off: the
+// second segment's run appends to the cold prefix the first one started.
+//
+// The subtest keeps the name "v2-only" from when the v1 row format existed
+// beside it: v2 names the columnar family, whose current member is the only
+// format the compactor writes.
 func TestSegmentFormatsAnswerGoldenCorpus(t *testing.T) {
 	if testing.Short() {
-		t.Skip("short mode: segment-format corpus run")
+		t.Skip("short mode: multi-segment corpus run")
 	}
-	configs := []struct {
-		name                      string
-		firstLegacy, secondLegacy bool
-	}{
-		{"v1-only", true, true},
-		{"v2-only", false, false},
-		{"mixed-v1-v2", true, false},
-	}
-	ref := goldenEngine()
-	for _, cfg := range configs {
-		t.Run(cfg.name, func(t *testing.T) {
-			dir := t.TempDir()
-			buildSegmentedDir(t, dir, cfg.firstLegacy, cfg.secondLegacy)
-			re, err := storage.OpenPersistent(dir, storage.PersistOptions{
-				SyncEveryBatch: true, FlushInterval: -1, CompactInterval: -1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			if err := re.WarmUp(); err != nil {
-				t.Fatal(err)
-			}
-			wantV2 := 0
-			if !cfg.firstLegacy {
-				wantV2++
-			}
-			if !cfg.secondLegacy {
-				wantV2++
-			}
-			if st := re.DurabilityStats(); st.Segments != 2 || st.SegmentsV2 != wantV2 {
-				t.Fatalf("segments = %d (%d v2), want 2 (%d v2)", st.Segments, st.SegmentsV2, wantV2)
-			}
-			eng := engine.New(re.Store, engine.Options{})
-			for _, q := range allQueries() {
-				wantRes, err := ref.Query(q.Src)
-				if err != nil {
-					t.Fatalf("%s on reference store: %v", q.ID, err)
-				}
-				gotRes, err := eng.Query(q.Src)
-				if err != nil {
-					t.Fatalf("%s on %s store: %v", q.ID, cfg.name, err)
-				}
-				if !equalStrings(gotRes.Columns, wantRes.Columns) {
-					t.Errorf("%s: columns %v, want %v", q.ID, gotRes.Columns, wantRes.Columns)
-					continue
-				}
-				if !equalRows(sortedRows(gotRes.Rows), sortedRows(wantRes.Rows)) {
-					t.Errorf("%s: %s store returned %d rows, reference %d — result sets differ",
-						q.ID, cfg.name, len(gotRes.Rows), len(wantRes.Rows))
-				}
-			}
+	t.Run("v2-only", func(t *testing.T) {
+		dir := t.TempDir()
+		buildSegmentedDir(t, dir)
+		re, err := storage.OpenPersistent(dir, storage.PersistOptions{
+			SyncEveryBatch: true, FlushInterval: -1, CompactInterval: -1,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if err := re.WarmUp(); err != nil {
+			t.Fatal(err)
+		}
+		if st := re.DurabilityStats(); st.Segments != 2 || st.WALRecords != 0 {
+			t.Fatalf("segments = %d, WAL records = %d; want 2 segments and an empty WAL", st.Segments, st.WALRecords)
+		}
+		ref := goldenEngine()
+		eng := engine.New(re.Store, engine.Options{})
+		for _, q := range allQueries() {
+			wantRes, err := ref.Query(q.Src)
+			if err != nil {
+				t.Fatalf("%s on reference store: %v", q.ID, err)
+			}
+			gotRes, err := eng.Query(q.Src)
+			if err != nil {
+				t.Fatalf("%s on segment store: %v", q.ID, err)
+			}
+			if !equalStrings(gotRes.Columns, wantRes.Columns) {
+				t.Errorf("%s: columns %v, want %v", q.ID, gotRes.Columns, wantRes.Columns)
+				continue
+			}
+			if !equalRows(sortedRows(gotRes.Rows), sortedRows(wantRes.Rows)) {
+				t.Errorf("%s: segment store returned %d rows, reference %d — result sets differ",
+					q.ID, len(gotRes.Rows), len(wantRes.Rows))
+			}
+		}
+	})
 }
 
 // TestZoneMapPruningDifferential runs the shared random-query distribution
-// against the same v2-segment directory with zone-map pruning enabled and
+// against the same segment directory with zone-map pruning enabled and
 // disabled. Every query must return the identical row set, and the pruning
 // run's counters must prove blocks were actually skipped — the two halves
 // of "pruning is free": no rows lost, real work saved.
@@ -122,7 +106,7 @@ func TestZoneMapPruningDifferential(t *testing.T) {
 		t.Skip("short mode: pruning differential run")
 	}
 	dir := t.TempDir()
-	buildSegmentedDir(t, dir, false, false)
+	buildSegmentedDir(t, dir)
 
 	// The shared random distribution covers the semantic space at day
 	// granularity; partition selection alone handles day windows, so a set

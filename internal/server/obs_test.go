@@ -159,8 +159,13 @@ func TestMetricsBlockCounterInvariant(t *testing.T) {
 	if filtered > decoded || columns > 6*(decoded-filtered) {
 		t.Errorf("decoded %v blocks, yet %v filtered and %v value columns inflated", decoded, filtered, columns)
 	}
-	if got := mustValue(t, exp, "aiql_segments_count"); got == 0 {
+	segs := mustValue(t, exp, "aiql_segments_count")
+	if segs == 0 {
 		t.Error("aiql_segments_count = 0 after Compact")
+	}
+	// One on-disk format: every segment is a v3 segment.
+	if v3 := mustValue(t, exp, "aiql_segments_v3_count"); v3 != segs {
+		t.Errorf("aiql_segments_v3_count = %v, aiql_segments_count = %v; want equal", v3, segs)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"math/bits"
 )
 
-// Byte-oriented encoding primitives for the compressed (v3) segment block
+// Byte-oriented encoding primitives for the compressed segment block
 // format: bounds-checked varint column reading and skipping, fixed-width
 // bit-packing for dictionary indexes and operation codes, and a small
 // dependency-free LZ codec for the final byte stream. Everything here
@@ -147,7 +147,7 @@ func packedAt(col []byte, i, width int) uint32 {
 // (ctrl&0x7F)+lzMinMatch, followed by the uvarint distance (>= 1) back from
 // the current output position. Matches may overlap their own output
 // (run-length encoding falls out for free). There is no window limit — a
-// block's raw form is bounded by segV3BlockRows rows, far under any
+// block's raw form is bounded by segBlockRows rows, far under any
 // practical distance.
 const lzMinMatch = 4
 

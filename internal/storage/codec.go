@@ -12,13 +12,14 @@ import (
 // the same polynomial for its records.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Binary codec for entities, events and ingest batches — the payload
-// format shared by WAL records and segment files. Events are fixed-width
-// (eventWireBytes); entities are length-prefixed because attributes are
-// variable. All integers little-endian. The codec is deliberately not
-// self-describing: WAL records and segment blocks carry checksums and
-// counts around it, so a decode error here always means corruption that
-// the outer layer failed to catch, not a format negotiation problem.
+// Binary codec for entities, events and ingest batches — the WAL record
+// payload, whose entity encoding segment files reuse. Events are
+// fixed-width (eventWireBytes); entities are length-prefixed because
+// attributes are variable. All integers little-endian. The codec is
+// deliberately not self-describing: WAL records and segment entity blocks
+// carry checksums and counts around it, so a decode error here always means
+// corruption that the outer layer failed to catch, not a format negotiation
+// problem.
 
 const eventWireBytes = 9*8 + 1 // 9 fixed 64-bit fields + op byte
 
@@ -211,51 +212,4 @@ func decodeBatch(payload []byte) ([]types.Entity, []types.Event, error) {
 		return nil, nil, fmt.Errorf("storage: %d trailing bytes after batch", len(payload)-d.off)
 	}
 	return entities, events, nil
-}
-
-// appendPostings serializes one posting-list map (entity id -> sorted
-// event positions).
-func appendPostings(buf []byte, lists map[types.EntityID][]int32) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(lists)))
-	for id, positions := range lists {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(positions)))
-		for _, p := range positions {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
-		}
-	}
-	return buf
-}
-
-func (d *decoder) postings(maxPos int) map[types.EntityID][]int32 {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	// Each posting list costs at least an id (u64) plus a count (u32);
-	// a corrupt list count must error, never size an allocation.
-	if int(n) > (len(d.b)-d.off)/12+1 {
-		d.fail()
-		return nil
-	}
-	lists := make(map[types.EntityID][]int32, n)
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		id := types.EntityID(d.u64())
-		k := d.u32()
-		if d.err != nil || int(k) > (len(d.b)-d.off)/4+1 {
-			d.fail()
-			return nil
-		}
-		positions := make([]int32, 0, k)
-		for j := uint32(0); j < k && d.err == nil; j++ {
-			p := int32(d.u32())
-			if p < 0 || int(p) >= maxPos {
-				d.fail()
-				return nil
-			}
-			positions = append(positions, p)
-		}
-		lists[id] = positions
-	}
-	return lists
 }

@@ -49,7 +49,7 @@ func coldPropDataset(seed int64) *types.Dataset {
 }
 
 // compactInto ingests ds into a fresh durable store under dir and folds it
-// into one v3 segment.
+// into one segment.
 func compactInto(t *testing.T, dir string, ds *types.Dataset) {
 	t.Helper()
 	p, err := storage.OpenPersistent(dir, storage.PersistOptions{FlushInterval: -1, CompactInterval: -1})
@@ -80,8 +80,8 @@ func reopenCold(t *testing.T, dir string, opts storage.Options) *storage.Persist
 	if err := p.WarmUp(); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.DurabilityStats(); st.Segments == 0 || st.SegmentsV3 != st.Segments {
-		t.Fatalf("store is not all-v3 cold: %+v", st)
+	if st := p.DurabilityStats(); st.Segments == 0 {
+		t.Fatalf("store has no segments to serve cold: %+v", st)
 	}
 	return p
 }

@@ -12,10 +12,9 @@ import (
 )
 
 // Cold partitions: a partition whose sealed history lives in mmap'ed
-// columnar (v2/v3) segments instead of decoded []Event arrays. A coldRun is
-// one segment partition; a partition's cold prefix is an ordered list of
-// runs that are strictly older than every hot (in-memory) event in the
-// partition:
+// segments instead of decoded []Event arrays. A coldRun is one segment
+// partition; a partition's cold prefix is an ordered list of runs that are
+// strictly older than every hot (in-memory) event in the partition:
 //
 //	run[0] < run[1] < … < run[k] < hot events        (by (Start, Seq))
 //
@@ -28,20 +27,20 @@ import (
 // temporal order falls out for free.
 //
 // Cold rows stay encoded until a query proves it needs them: zone maps
-// prune blocks by time window, operation set, and dictionary id range; a
-// surviving block is filtered on its bit-packed op and dictionary-index
-// columns first, inflates only the value columns the window edge and the
-// event predicate read, and only actual matches decode the rest and
-// materialize Events (see scanCold).
+// prune blocks by time window, operation set, dictionary id range and
+// attribute trigrams; a surviving block is filtered on its bit-packed op and
+// dictionary-index columns first, inflates only the value columns the window
+// edge and the event predicate read, and only actual matches decode the rest
+// and materialize Events (see scanCold).
 
-// coldRun is one sealed v2 segment partition serving as part of a
-// partition's cold prefix.
+// coldRun is one sealed segment partition serving as part of a partition's
+// cold prefix.
 type coldRun struct {
-	sf *segmentV2File
-	pi *segV2Part
+	sf *segmentFile
+	pi *segPart
 }
 
-func (r *coldRun) meta() (*segV2Meta, error) { return r.sf.loadMeta(r.pi) }
+func (r *coldRun) meta() (*segMeta, error) { return r.sf.loadMeta(r.pi) }
 
 // decodeAll fully decodes a run into the hot representation: events in
 // order plus posting lists, ready for installPartition or a thaw merge.
@@ -52,9 +51,8 @@ func (r *coldRun) decodeAll() ([]types.Event, map[types.EntityID][]int32, map[ty
 	}
 	events := make([]types.Event, 0, r.pi.nEvents)
 	var cols blockCols
-	rowBase := 0
 	for b := range m.zones {
-		if err := r.sf.openBlock(r.pi, m, b, rowBase, &cols); err != nil {
+		if err := r.sf.openBlock(r.pi, m, b, &cols); err != nil {
 			return nil, nil, nil, err
 		}
 		if err := cols.need(allStoredCols); err != nil {
@@ -67,7 +65,6 @@ func (r *coldRun) decodeAll() ([]types.Event, map[types.EntityID][]int32, map[ty
 			}
 			events = append(events, ev)
 		}
-		rowBase += cols.n
 	}
 	bySubject := make(map[types.EntityID][]int32, len(m.dict))
 	byObject := make(map[types.EntityID][]int32, len(m.dict))
@@ -101,12 +98,12 @@ type coldPart struct {
 	bad error
 }
 
-// installColdRun registers one sealed v2 partition with the store. The fast
+// installColdRun registers one sealed partition with the store. The fast
 // path is a pointer hand-off — no event decoded. When the cold invariant
 // cannot hold (the partition already has hot events, or the run overlaps
 // the existing cold prefix), the run decodes and installs through the
 // normal merge path instead.
-func (s *Store) installColdRun(sf *segmentV2File, pi *segV2Part) error {
+func (s *Store) installColdRun(sf *segmentFile, pi *segPart) error {
 	run := &coldRun{sf: sf, pi: pi}
 	s.mu.Lock()
 	p, ok := s.parts[pi.key]
@@ -218,7 +215,7 @@ func (a *eventArena) put(ev types.Event) *types.Event {
 // indexes of one run; ids absent from the dictionary drop out. Returns
 // (nil, false) when the set is unbounded (nil) or too large to be worth
 // mapping.
-func dictIndexSet(cand map[types.EntityID]struct{}, m *segV2Meta) ([]uint32, bool) {
+func dictIndexSet(cand map[types.EntityID]struct{}, m *segMeta) ([]uint32, bool) {
 	const mapLimit = 1024
 	if cand == nil || len(cand) > mapLimit {
 		return nil, false
@@ -271,20 +268,18 @@ type coldScan struct {
 	survivors   bool // some row of the open block is marked in sel
 	arena       eventArena
 
-	m *segV2Meta
+	m *segMeta
 	f rowFilter // over m.dict, built when the run's first block opens
 }
 
-// open reads block b of run (first row rowBase) into s.cols — checksum and
-// decompression, no column decoded — and clears the selection.
-func (s *coldScan) open(run *coldRun, b, rowBase int) error {
+// open reads block b of run into s.cols — checksum and decompression, no
+// column decoded — and clears the selection.
+func (s *coldScan) open(run *coldRun, b int) error {
 	z, stats := &s.m.zones[b], &s.sn.store.scanStats
 	stats.blocksDecoded.Add(1)
-	if run.sf.version >= 3 {
-		stats.compressedBytesRead.Add(int64(z.dataLen))
-		stats.compressedBytesDecode.Add(int64(z.rawLen))
-	}
-	if err := run.sf.openBlock(run.pi, s.m, b, rowBase, &s.cols); err != nil {
+	stats.compressedBytesRead.Add(int64(z.dataLen))
+	stats.compressedBytesDecode.Add(int64(z.rawLen))
+	if err := run.sf.openBlock(run.pi, s.m, b, &s.cols); err != nil {
 		return err
 	}
 	if s.f.ents == nil {
@@ -352,7 +347,7 @@ func (s *coldScan) finish(emit func(Match) bool) (more bool, err error) {
 	evtVec := false
 	if q.EvtPred != nil && !q.ForceScan {
 		if s.evtSel == nil {
-			s.evtSel = pred.NewBitmap(segV2BlockRows)
+			s.evtSel = pred.NewBitmap(segBlockRows)
 		}
 		// The predicate sees the clipped rows as rows 0…: its verdict for
 		// row i is bit i-c.lo.
@@ -430,10 +425,10 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 		}
 	}
 
-	// Attribute zone maps (v3 runs only): trigram bits every matching
-	// subject/object entity must exhibit. Valid in candidate-set mode too —
-	// candidate membership implies the predicate holds, which implies the
-	// entity carries the required substrings. Zero masks never prune.
+	// Attribute zone maps: trigram bits every matching subject/object entity
+	// must exhibit. Valid in candidate-set mode too — candidate membership
+	// implies the predicate holds, which implies the entity carries the
+	// required substrings. Zero masks never prune.
 	var subjTriMask, objTriMask uint64
 	if zoneMaps && !q.ForceScan {
 		subjTriMask = requiredTriMask(q.SubjPred)
@@ -442,14 +437,14 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 
 	// outside reports a zone no row of which can be in the window or carry a
 	// wanted operation.
-	outside := func(z *segV2Zone) bool {
+	outside := func(z *segZone) bool {
 		return (windowed && (z.maxStart < q.Window.From || z.minStart >= q.Window.To)) ||
 			z.ops.Intersect(q.Ops).Empty()
 	}
 
 	s := &coldScan{
 		sn: sn, q: q, subjCand: subjCand, objCand: objCand,
-		sel: pred.NewBitmap(segV2BlockRows),
+		sel: pred.NewBitmap(segBlockRows),
 	}
 	for _, run := range p.cold {
 		if ctx.Err() != nil {
@@ -489,7 +484,7 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 					stats.blocksSkipped.Add(1)
 					continue
 				}
-				if err := s.open(run, b, rowBase); err != nil {
+				if err := s.open(run, b); err != nil {
 					return err
 				}
 				for _, pos := range positions[first:k] {
@@ -523,14 +518,11 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 				continue
 			}
 		}
-		rowBase := 0
 		for b := range m.zones {
 			if ctx.Err() != nil {
 				return nil
 			}
 			z := &m.zones[b]
-			blockBase := rowBase
-			rowBase += z.count
 			stats.blocksConsidered.Add(1)
 			if zoneMaps {
 				if outside(z) ||
@@ -539,15 +531,14 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 					stats.blocksSkipped.Add(1)
 					continue
 				}
-				if run.sf.version >= 3 &&
-					((subjTriMask != 0 && z.subjTri&subjTriMask != subjTriMask) ||
-						(objTriMask != 0 && z.objTri&objTriMask != objTriMask)) {
+				if (subjTriMask != 0 && z.subjTri&subjTriMask != subjTriMask) ||
+					(objTriMask != 0 && z.objTri&objTriMask != objTriMask) {
 					stats.blocksSkipped.Add(1)
 					stats.attrZoneSkips.Add(1)
 					continue
 				}
 			}
-			if err := s.open(run, b, blockBase); err != nil {
+			if err := s.open(run, b); err != nil {
 				return err
 			}
 			ops, err := s.cols.opColumn()
@@ -569,7 +560,7 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 
 // coldPostings gathers candidate positions from a run's posting lists,
 // merged ascending.
-func coldPostings(m *segV2Meta, subjCand, objCand map[types.EntityID]struct{}, fromSubject bool) []uint32 {
+func coldPostings(m *segMeta, subjCand, objCand map[types.EntityID]struct{}, fromSubject bool) []uint32 {
 	cand := subjCand
 	if !fromSubject {
 		cand = objCand

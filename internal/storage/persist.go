@@ -35,15 +35,6 @@ type PersistOptions struct {
 	// CompactThresholdBytes triggers a compaction as soon as the WAL
 	// exceeds this size, without waiting for the interval (default 16 MiB).
 	CompactThresholdBytes int64
-	// LegacySegmentV1 makes the compactor emit v1 (row-encoded) segments
-	// instead of the current columnar format — an escape hatch for rolling
-	// back to a build that predates the columnar readers. Segments of every
-	// version are always readable regardless of these settings.
-	LegacySegmentV1 bool
-	// LegacySegmentV2 makes the compactor emit uncompressed v2 columnar
-	// segments instead of the default v3 (compressed blocks + attribute
-	// zone maps) — the rollback hatch for builds predating the v3 reader.
-	LegacySegmentV2 bool
 	// WAL passes through to the log (file rotation size).
 	WAL wal.Options
 }
@@ -185,15 +176,16 @@ func OpenPersistent(dir string, opts PersistOptions) (*Persistent, error) {
 		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".seg") {
 			continue
 		}
-		sf, err := openSegmentAny(filepath.Join(segDir, name))
+		sf, err := openSegment(filepath.Join(segDir, name))
 		if err != nil {
 			// Segments are fsynced before their WAL range is deleted;
-			// a segment that does not parse is real corruption.
+			// a segment that does not parse — a retired format included —
+			// is real corruption, never something to skip.
 			return nil, err
 		}
 		p.segs = append(p.segs, &segEntry{seg: sf})
-		if _, last := sf.seqRange(); last > p.coveredSeq {
-			p.coveredSeq = last
+		if sf.lastSeq > p.coveredSeq {
+			p.coveredSeq = sf.lastSeq
 		}
 	}
 	// Entities load eagerly, in segment sequence order, BEFORE the WAL
@@ -204,9 +196,7 @@ func OpenPersistent(dir string, opts PersistOptions) (*Persistent, error) {
 	// payloads — the bulk — still load lazily. Entity blocks are
 	// dimension-table sized.
 	sort.Slice(p.segs, func(i, j int) bool {
-		fi, _ := p.segs[i].seg.seqRange()
-		fj, _ := p.segs[j].seg.seqRange()
-		return fi < fj
+		return p.segs[i].seg.firstSeq < p.segs[j].seg.firstSeq
 	})
 	for _, e := range p.segs {
 		if err := p.loadSegmentEntities(e.seg); err != nil {
@@ -303,17 +293,15 @@ func OpenPersistent(dir string, opts PersistOptions) (*Persistent, error) {
 func (p *Persistent) Dir() string { return p.dir }
 
 // WarmUp makes every segment's event partitions queryable (entities were
-// installed at open, where ordering matters). v1 segments decode fully, in
-// parallel — their partitions are order-independent. v2 segments install as
-// memory-mapped cold runs, sequentially in WAL order (the cold fast path
-// needs runs oldest-first) — near-free, since no event is decoded until a
-// scan touches its block. Idempotent and implied by the first mutation;
-// servers call it before accepting queries so v1 recovery cost is paid at
-// startup, not on the first analyst's request.
+// installed at open, where ordering matters). Segments install as
+// memory-mapped cold runs, in firstSeq order (the cold fast path needs runs
+// oldest-first) — near-free, since no event is decoded until a scan touches
+// its block. Idempotent and implied by the first mutation; servers call it
+// before accepting queries.
 func (p *Persistent) WarmUp() error {
 	p.loadOnce.Do(func() {
 		p.segMu.Lock()
-		var segs []segment
+		var segs []*segmentFile
 		for _, e := range p.segs {
 			if !e.loaded {
 				e.loaded = true
@@ -321,30 +309,8 @@ func (p *Persistent) WarmUp() error {
 			}
 		}
 		p.segMu.Unlock()
-		var wg sync.WaitGroup
-		errs := make([]error, len(segs)+1)
-		for i, sf := range segs {
-			if sf.formatVersion() >= 2 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, sf segment) {
-				defer wg.Done()
-				errs[i] = sf.install(p.Store)
-			}(i, sf)
-		}
 		for _, sf := range segs {
-			if sf.formatVersion() < 2 {
-				continue
-			}
 			if err := sf.install(p.Store); err != nil {
-				errs[len(segs)] = err
-				break
-			}
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
 				p.loadErr = err
 				return
 			}
@@ -362,7 +328,7 @@ func (p *Persistent) WarmUp() error {
 // first-write-wins, so install order decides which attributes a re-used
 // entity id keeps, and recovery must decide it the way the live process
 // did.
-func (p *Persistent) loadSegmentEntities(sf segment) error {
+func (p *Persistent) loadSegmentEntities(sf *segmentFile) error {
 	entities, err := sf.readEntities()
 	if err != nil {
 		return err
@@ -381,7 +347,7 @@ func (p *Persistent) loadSegmentEntities(sf segment) error {
 // arrived through Ingest); segments found at open install on WarmUp.
 // Guarded by segMu.
 type segEntry struct {
-	seg    segment
+	seg    *segmentFile
 	loaded bool
 }
 
@@ -515,19 +481,11 @@ func (p *Persistent) Compact() error {
 		return err
 	}
 
-	var sf segment
-	switch {
-	case p.opts.LegacySegmentV1:
-		sf, err = writeSegment(filepath.Join(p.dir, "seg"), covered+1, last, entities, events)
-	case p.opts.LegacySegmentV2:
-		sf, err = writeSegmentV2(filepath.Join(p.dir, "seg"), covered+1, last, entities, events)
-	default:
-		// The store's Entity lookup resolves ids the batch itself does not
-		// carry (events referencing entities sealed earlier) for the v3
-		// attribute zone maps; the store keeps all entities in memory, and
-		// Compact does not hold the store lock here.
-		sf, err = writeSegmentV3(filepath.Join(p.dir, "seg"), covered+1, last, entities, events, p.Entity)
-	}
+	// The store's Entity lookup resolves ids the batch itself does not carry
+	// (events referencing entities sealed earlier) for the attribute zone
+	// maps; the store keeps all entities in memory, and Compact does not
+	// hold the store lock here.
+	sf, err := writeSegment(filepath.Join(p.dir, "seg"), covered+1, last, entities, events, p.Entity)
 	if err != nil {
 		return err
 	}
@@ -554,71 +512,6 @@ func (p *Persistent) Compact() error {
 		return err
 	}
 	return p.log.RemoveThrough(last)
-}
-
-// RewriteLegacySegments rewrites every v1 row segment into the current
-// columnar format in place — same file name, atomic rename — returning how
-// many were rewritten. The in-memory store is untouched (v1 partitions
-// already warmed stay hot); the payoff comes at the next open, which maps
-// the columnar files and recovers without decoding a single event. Every
-// step is crash-safe: until a rename lands the v1 file is intact and a
-// half-written temp is swept at the next open; after it, the new file
-// carries exactly the same WAL range, entities, events, and postings, so
-// recovery replays nothing twice.
-func (p *Persistent) RewriteLegacySegments() (int, error) {
-	if err := p.WarmUp(); err != nil {
-		return 0, err
-	}
-	p.compactMu.Lock()
-	defer p.compactMu.Unlock()
-	p.segMu.Lock()
-	entries := append([]*segEntry(nil), p.segs...)
-	p.segMu.Unlock()
-	n := 0
-	for _, e := range entries {
-		v1, ok := e.seg.(*segmentFile)
-		if !ok {
-			continue
-		}
-		entities, err := v1.readEntities()
-		if err != nil {
-			return n, err
-		}
-		var events []types.Event
-		f, err := os.Open(v1.path)
-		if err != nil {
-			return n, fmt.Errorf("storage: segment: %w", err)
-		}
-		for i := range v1.parts {
-			evs, _, _, err := v1.loadPartition(f, &v1.parts[i])
-			if err != nil {
-				f.Close()
-				return n, err
-			}
-			events = append(events, evs...)
-		}
-		f.Close()
-		if err := p.crash("rewrite-collected"); err != nil {
-			return n, err
-		}
-		var sf2 segment
-		if p.opts.LegacySegmentV2 {
-			sf2, err = writeSegmentV2(filepath.Dir(v1.path), v1.firstSeq, v1.lastSeq, entities, events)
-		} else {
-			sf2, err = writeSegmentV3(filepath.Dir(v1.path), v1.firstSeq, v1.lastSeq, entities, events, p.Entity)
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := p.crash("rewrite-renamed"); err != nil {
-			return n, err
-		}
-		p.segMu.Lock()
-		e.seg = sf2
-		p.segMu.Unlock()
-		n++
-	}
-	return n, nil
 }
 
 func (p *Persistent) crash(point string) error {
@@ -695,11 +588,10 @@ type DurabilityStats struct {
 	WALRecords int   `json:"wal_records"`
 	WALBytes   int64 `json:"wal_bytes"`
 	// Segments is the number of immutable segment files; SegmentEvents
-	// the events they hold; SegmentsV2 how many are columnar (v2 or newer;
-	// the rest are legacy v1 row segments); SegmentsV3 how many of those
-	// additionally carry compressed blocks and attribute zone maps.
+	// the events they hold. SegmentsV3 counts the segments in the current
+	// format (AIQLSEG3) — every one, since no other format opens; it stays
+	// because monitoring keys on it.
 	Segments      int `json:"segments"`
-	SegmentsV2    int `json:"segments_v2"`
 	SegmentsV3    int `json:"segments_v3"`
 	SegmentEvents int `json:"segment_events"`
 	// CoveredSeq and LastSeq bound the recovery replay: records in
@@ -724,15 +616,9 @@ type DurabilityStats struct {
 func (p *Persistent) DurabilityStats() DurabilityStats {
 	records, bytes := p.log.Depth()
 	p.segMu.Lock()
-	segs, segsV2, segsV3, events := len(p.segs), 0, 0, 0
+	segs, events := len(p.segs), 0
 	for _, e := range p.segs {
 		events += e.seg.events()
-		if e.seg.formatVersion() >= 2 {
-			segsV2++
-		}
-		if e.seg.formatVersion() >= 3 {
-			segsV3++
-		}
 	}
 	covered := p.coveredSeq
 	p.segMu.Unlock()
@@ -740,8 +626,7 @@ func (p *Persistent) DurabilityStats() DurabilityStats {
 		WALRecords:    records,
 		WALBytes:      bytes,
 		Segments:      segs,
-		SegmentsV2:    segsV2,
-		SegmentsV3:    segsV3,
+		SegmentsV3:    segs,
 		SegmentEvents: events,
 		CoveredSeq:    covered,
 		LastSeq:       p.log.LastSeq(),

@@ -53,9 +53,9 @@ type Options struct {
 	// spatial/temporal constraints (the partitions still exist; only the
 	// pruning is turned off).
 	DisablePruning bool
-	// DisableZoneMaps turns off per-block zone-map pruning on cold (v2
-	// segment) partitions: every block in a selected partition is decoded
-	// and filtered row by row. Results are identical; only the work done
+	// DisableZoneMaps turns off per-block zone-map pruning on cold
+	// (segment-backed) partitions: every block in a selected partition is
+	// decoded and filtered row by row. Results are identical; only the work done
 	// differs — the pruning differential test runs on exactly this toggle.
 	DisableZoneMaps bool
 	// DisableHotColumnar turns off the hot partitions' columnar shadow:
@@ -95,7 +95,7 @@ type partition struct {
 	byObject  map[types.EntityID][]int32
 
 	// cold, when non-nil, is the partition's sealed columnar prefix: rows
-	// that live in mmap'ed v2 segments, strictly older than every event in
+	// that live in mmap'ed segments, strictly older than every event in
 	// the hot array above. See colpart.go.
 	cold *coldPart
 
@@ -222,7 +222,7 @@ type scanCounters struct {
 // partitions had to thaw back to the hot representation, how many hot row
 // batches went through the vectorized kernel, how many hot rows had their
 // entity predicates answered from dictionary verdict bitmaps, and how many
-// stored vs. decoded bytes v3 block decompression moved.
+// stored vs. decoded bytes block decompression moved.
 type ScanStats struct {
 	BlocksConsidered      int64 `json:"blocks_considered"`
 	BlocksSkipped         int64 `json:"blocks_skipped"`
