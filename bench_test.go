@@ -477,10 +477,10 @@ func BenchmarkHotScanLike(b *testing.B) {
 			}
 			b.StopTimer()
 			ss := st.ScanStats()
-			if cfg.name == "columnar" && ss.HotBatches == 0 {
+			if cfg.name == "columnar" && ss[storage.HotBatches] == 0 {
 				b.Fatal("columnar run never used the batch path")
 			}
-			if cfg.name == "scalar" && ss.HotBatches != 0 {
+			if cfg.name == "scalar" && ss[storage.HotBatches] != 0 {
 				b.Fatal("scalar run used the batch path")
 			}
 		})
@@ -550,13 +550,13 @@ func BenchmarkColdScanLike(b *testing.B) {
 			}
 			b.StopTimer()
 			after := st.ScanStats()
-			if after.BlocksDecoded == before.BlocksDecoded {
+			if after[storage.BlocksDecoded] == before[storage.BlocksDecoded] {
 				b.Fatal("scan opened no cold block")
 			}
-			if after.HotBatches != before.HotBatches {
+			if after[storage.HotBatches] != before[storage.HotBatches] {
 				b.Fatal("scan touched hot data")
 			}
-			if cols := after.ValueColumnsDecoded - before.ValueColumnsDecoded; (cols > 0) != cfg.matches {
+			if cols := after[storage.ValueColumnsDecoded] - before[storage.ValueColumnsDecoded]; (cols > 0) != cfg.matches {
 				b.Fatalf("decoded %d value columns, want any=%v", cols, cfg.matches)
 			}
 		})

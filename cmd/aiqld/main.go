@@ -8,7 +8,8 @@
 //	aiqld -generate -addr :8080          # generate the scenario in-process
 //
 //	curl -s localhost:7381/healthz
-//	curl -s localhost:7381/stats | jq .
+//	curl -s localhost:7381/metrics               # every counter, Prometheus text
+//	curl -s localhost:7381/stats | jq .          # the same registry as flat JSON
 //	curl -s localhost:7381/query -d '
 //	    agentid = 1
 //	    proc p read file f["%id_rsa"] as evt
@@ -83,7 +84,7 @@ func main() {
 		catchupFrom   = flag.String("catchup-from", "", "peer worker base URL to pull missed replicated batches from at startup (worker role with -data-dir); see docs/CLUSTER.md")
 		catchupShards = flag.String("catchup-shards", "", "comma-separated shard indexes to catch up from -catchup-from (default: all shards the peer holds)")
 		placement     = flag.String("placement", "semantics-aware", "event placement across workers: semantics-aware ((agent, day) home shards + worker pruning) or arrival-order (round-robin, no pruning)")
-		shard         = flag.Int("shard", -1, "this worker's shard index, for /stats and logs (worker role)")
+		shard         = flag.Int("shard", -1, "this worker's shard index, reported in its /scan replies (worker role)")
 		data          = flag.String("data", "", "JSON-lines trace to load (from aiqlgen)")
 		generate      = flag.Bool("generate", false, "generate the evaluation scenario in-process instead of loading a file")
 		hosts         = flag.Int("hosts", 15, "hosts for -generate")
@@ -143,7 +144,7 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "aiqld (%s) listening on %s (POST /query, POST /ingest, GET /stats, GET /metrics, GET /readyz)\n", *role, ln.Addr())
+	fmt.Fprintf(os.Stderr, "aiqld (%s) listening on %s (POST /query, POST /ingest, GET /metrics, GET /stats = /metrics as JSON, GET /readyz)\n", *role, ln.Addr())
 
 	var srv *server.Server
 	var durable *storage.Persistent

@@ -165,6 +165,22 @@ func queryBody(t *testing.T, base, q string) string {
 	return string(body)
 }
 
+// getStats fetches the daemon's /stats: its metrics registry as one flat
+// JSON object keyed by exposition sample key.
+func getStats(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats map[string]float64
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
+
 // TestRecoverySIGKILL is the restart-recovery acceptance test: a durable
 // daemon is seeded, fed an extra batch over /ingest, killed with SIGKILL
 // (no shutdown hook runs), and restarted on the same directory. The
@@ -234,18 +250,10 @@ func TestRecoverySIGKILL(t *testing.T) {
 	}
 
 	// /stats must expose the durability counters.
-	sresp, err := http.Get(base2 + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := io.ReadAll(sresp.Body)
-	sresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"durability"`, `"wal_records"`, `"segments"`, `"replayed"`, `"live_cursors"`} {
-		if !strings.Contains(string(stats), key) {
-			t.Errorf("/stats missing %s after recovery:\n%s", key, stats)
+	stats := getStats(t, base2)
+	for _, key := range []string{"aiql_wal_records_count", "aiql_segments_count", "aiql_wal_replayed_count", "aiql_live_cursors_count"} {
+		if _, ok := stats[key]; !ok {
+			t.Errorf("/stats missing %s after recovery: %v", key, stats)
 		}
 	}
 }
@@ -567,24 +575,11 @@ func TestFailoverSIGKILL(t *testing.T) {
 	}
 
 	// The success must have come through the failover path, not luck.
-	resp, err := http.Get(coord + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	stats := getStats(t, coord)
+	if got := stats["aiql_cluster_replicas_count"]; got != 2 {
+		t.Errorf("coordinator reports %v replicas, want 2", got)
 	}
-	var stats struct {
-		Cluster struct {
-			Replicas  int    `json:"replicas"`
-			Failovers uint64 `json:"failovers"`
-		} `json:"cluster"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Cluster.Replicas != 2 {
-		t.Errorf("coordinator reports %d replicas, want 2", stats.Cluster.Replicas)
-	}
-	if stats.Cluster.Failovers == 0 {
+	if stats["aiql_cluster_failovers_total"] == 0 {
 		t.Error("failovers counter is zero; the post-kill query did not use the replica")
 	}
 }

@@ -406,20 +406,19 @@ func (c *Coordinator) ingestWorker(ctx context.Context, worker int, ds *types.Da
 
 // Stats is a snapshot of the coordinator's scatter/gather counters.
 type Stats struct {
-	Workers        int    `json:"workers"`
-	Placement      string `json:"placement"`
-	Replicas       int    `json:"replicas"`
-	Scans          uint64 `json:"scans"`
-	WorkerRequests uint64 `json:"worker_requests"`
-	WorkersPruned  uint64 `json:"workers_pruned"`
-	WorkerFailures uint64 `json:"worker_failures"`
-	IngestBatches  uint64 `json:"ingest_batches"`
+	Workers        int
+	Replicas       int
+	Scans          uint64
+	WorkerRequests uint64
+	WorkersPruned  uint64
+	WorkerFailures uint64
+	IngestBatches  uint64
 	// Failovers counts scans a replica served after the primary failed;
 	// DegradedIngests counts shard batches that landed on only one of
 	// their two copies; IngestRetries counts re-posted ingest requests.
-	Failovers       uint64 `json:"failovers"`
-	DegradedIngests uint64 `json:"degraded_ingests"`
-	IngestRetries   uint64 `json:"ingest_retries"`
+	Failovers       uint64
+	DegradedIngests uint64
+	IngestRetries   uint64
 }
 
 // Stats returns the coordinator's cumulative counters. WorkersPruned counts
@@ -428,7 +427,6 @@ type Stats struct {
 func (c *Coordinator) Stats() Stats {
 	return Stats{
 		Workers:         len(c.workers),
-		Placement:       c.placement.String(),
 		Replicas:        c.replicas,
 		Scans:           c.scans.Load(),
 		WorkerRequests:  c.requests.Load(),

@@ -286,7 +286,7 @@ func sortRuleInfos(infos []stream.RuleInfo) {
 	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 }
 
-// StreamingStats is the coordinator-side streaming block for /stats.
+// StreamingStats reports the coordinator's merge-layer streaming counters.
 func (c *Coordinator) StreamingStats() stream.Stats {
 	c.rulesMu.Lock()
 	rules := len(c.rules)

@@ -99,17 +99,17 @@ func TestHotColdScanDifferential(t *testing.T) {
 	}
 
 	hs := hot.ScanStats()
-	if hs.HotBatches == 0 || hs.DictVerdictHits == 0 {
+	if hs[storage.HotBatches] == 0 || hs[storage.DictVerdictHits] == 0 {
 		t.Fatalf("hot-columnar store never used the batch path: %+v", hs)
 	}
-	if ss := scalar.ScanStats(); ss.HotBatches != 0 {
+	if ss := scalar.ScanStats(); ss[storage.HotBatches] != 0 {
 		t.Fatalf("hot-scalar store used the batch path: %+v", ss)
 	}
 	cs := p.Store.ScanStats()
-	if cs.CompressedBytesRead == 0 || cs.CompressedBytesDecode == 0 {
+	if cs[storage.CompressedBytesRead] == 0 || cs[storage.CompressedBytesDecoded] == 0 {
 		t.Fatalf("cold store never decoded compressed blocks: %+v", cs)
 	}
-	if cs.BlocksSkipped == 0 {
+	if cs[storage.BlocksSkipped] == 0 {
 		t.Fatalf("cold store pruned nothing across the whole distribution: %+v", cs)
 	}
 }

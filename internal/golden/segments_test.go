@@ -160,14 +160,14 @@ func TestZoneMapPruningDifferential(t *testing.T) {
 			t.Errorf("query %d: pruning changed the result set\n%s", i, srcs[i])
 		}
 	}
-	if prunedStats.BlocksSkipped == 0 {
+	if prunedStats[storage.BlocksSkipped] == 0 {
 		t.Fatal("pruning run skipped no blocks — zone maps are not engaged")
 	}
-	if exhaustiveStats.BlocksSkipped != 0 {
-		t.Fatalf("pruning-disabled run skipped %d blocks, want 0", exhaustiveStats.BlocksSkipped)
+	if exhaustiveStats[storage.BlocksSkipped] != 0 {
+		t.Fatalf("pruning-disabled run skipped %d blocks, want 0", exhaustiveStats[storage.BlocksSkipped])
 	}
-	if prunedStats.BlocksDecoded >= exhaustiveStats.BlocksDecoded {
+	if prunedStats[storage.BlocksDecoded] >= exhaustiveStats[storage.BlocksDecoded] {
 		t.Fatalf("pruned run decoded %d blocks, exhaustive %d — pruning saved nothing",
-			prunedStats.BlocksDecoded, exhaustiveStats.BlocksDecoded)
+			prunedStats[storage.BlocksDecoded], exhaustiveStats[storage.BlocksDecoded])
 	}
 }

@@ -52,38 +52,21 @@ type Cluster struct {
 }
 
 // Stats is the cluster's partition-elimination accounting: how many
-// scatter/gather scans ran, how many segment nodes they touched versus
-// proved empty by placement, and the block-level zone-map counters
-// aggregated across every segment's local store.
+// scatter/gather scans ran, and how many segment nodes they touched versus
+// proved empty by placement.
 type Stats struct {
-	Scans              uint64            `json:"scans"`
-	SegmentsScanned    uint64            `json:"segments_scanned"`
-	SegmentsEliminated uint64            `json:"segments_eliminated"`
-	Scan               storage.ScanStats `json:"scan"`
+	Scans              uint64
+	SegmentsScanned    uint64
+	SegmentsEliminated uint64
 }
 
 // Stats returns the cluster's cumulative elimination counters.
 func (c *Cluster) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Scans:              c.scans.Load(),
 		SegmentsScanned:    c.segmentsScanned.Load(),
 		SegmentsEliminated: c.segmentsEliminated.Load(),
 	}
-	for _, s := range c.segs {
-		ss := s.ScanStats()
-		st.Scan.BlocksConsidered += ss.BlocksConsidered
-		st.Scan.BlocksSkipped += ss.BlocksSkipped
-		st.Scan.BlocksDecoded += ss.BlocksDecoded
-		st.Scan.BlocksFiltered += ss.BlocksFiltered
-		st.Scan.ValueColumnsDecoded += ss.ValueColumnsDecoded
-		st.Scan.Thaws += ss.Thaws
-		st.Scan.HotBatches += ss.HotBatches
-		st.Scan.DictVerdictHits += ss.DictVerdictHits
-		st.Scan.AttrZoneSkips += ss.AttrZoneSkips
-		st.Scan.CompressedBytesRead += ss.CompressedBytesRead
-		st.Scan.CompressedBytesDecode += ss.CompressedBytesDecode
-	}
-	return st
 }
 
 // New creates a cluster of n segments (the paper's deployment used 5).

@@ -16,9 +16,10 @@ import (
 // Prometheus text exposition format (version 0.0.4). It is hand-rolled on
 // the standard library: counters and gauges are atomics, histograms are
 // fixed cumulative buckets, and *Func variants read their value at scrape
-// time — the "second, labeled export path" over the stats structs the
-// subsystems already maintain (storage.ScanStats, DurabilityStats, cache
-// and streaming counters).
+// time — the export path over the stats the subsystems maintain
+// (storage.ScanStats, DurabilityStats, cache and streaming counters). A
+// server's registry is the one definition of what it exports: /metrics
+// serves WriteTo's text, /stats the same samples as JSON.
 //
 // Metric names are validated at registration: snake_case, with the unit
 // suffix conventions the obsreg analyzer also enforces statically —

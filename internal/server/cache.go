@@ -7,14 +7,12 @@ import (
 	"aiql/internal/engine"
 )
 
-// CacheStats is a point-in-time snapshot of one cache's counters, surfaced
-// verbatim at /stats.
+// CacheStats is a point-in-time snapshot of one cache's counters.
 type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Size      int    `json:"size"`
-	Capacity  int    `json:"capacity"`
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
+	Size      int
 }
 
 // lru is a mutex-guarded bounded LRU map; both caches are thin typed
@@ -96,7 +94,6 @@ func (c *lru[K, V]) snapshot() CacheStats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Size = len(c.items)
-	s.Capacity = c.cap
 	return s
 }
 

@@ -29,8 +29,8 @@ func TestResultCacheLRUEviction(t *testing.T) {
 		t.Error("c should be present")
 	}
 	s := rc.Stats()
-	if s.Size != 2 || s.Capacity != 2 || s.Evictions != 1 {
-		t.Errorf("stats = %+v, want size 2, capacity 2, evictions 1", s)
+	if s.Size != 2 || s.Evictions != 1 {
+		t.Errorf("stats = %+v, want size 2, evictions 1", s)
 	}
 }
 

@@ -1,13 +1,16 @@
 // Server-side observability plane: the trace middleware that gives every
-// request an ID, the /metrics registry exporting the subsystems' existing
-// counters in Prometheus text form, and the /debug inspection endpoints.
+// request an ID, the metrics registry exporting the subsystems' counters (as
+// Prometheus text at /metrics and as JSON at /stats), and the /debug
+// inspection endpoints.
 package server
 
 import (
+	"bytes"
 	"net/http"
 	"strconv"
 
 	"aiql/internal/obs"
+	"aiql/internal/storage"
 	"aiql/internal/stream"
 )
 
@@ -119,8 +122,27 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// buildMetrics constructs the /metrics registry: a second, labeled export
-// path over the stats the subsystems already maintain (every *Func series
+// handleStats serves the metrics registry as one flat JSON object: each key
+// is a sample's exposition key (name plus sorted labels, as obs.Sample.Key
+// renders it), each value the sample's number. It is the registry's own text
+// rendering parsed back, so /stats and /metrics cannot disagree.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	var text bytes.Buffer
+	_, _ = s.metrics.WriteTo(&text)
+	exp, err := obs.ParseExposition(&text)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	out := make(map[string]float64, len(exp.Samples))
+	for _, sm := range exp.Samples {
+		out[sm.Key()] = sm.Value
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// buildMetrics constructs the registry: the one definition of what the
+// server exports, over the stats the subsystems maintain (every *Func series
 // reads the live counter at scrape time), plus the request-latency
 // histograms the server owns. Called once from Handler, after construction
 // settled the server's mode, so the registry only carries families that can
@@ -172,9 +194,8 @@ func (s *Server) cacheMetrics(reg *obs.Registry, name string, stats func() Cache
 }
 
 // storeMetrics exports the local store's state and its block-level scan
-// counters. The scan counters obey the pruning invariant
-// blocks_decoded + blocks_skipped == blocks_considered, which the
-// exposition tests assert after a golden-corpus run.
+// counters, one aiql_scan_<name>_total family per storage.ScanCounters
+// entry.
 func (s *Server) storeMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("aiql_store_events_count", "Events held by the store.", func() float64 { return float64(s.store.EventCount()) })
 	reg.GaugeFunc("aiql_store_partitions_count", "Live (agent, day) partitions.", func() float64 { return float64(s.store.PartitionCount()) })
@@ -183,18 +204,9 @@ func (s *Server) storeMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("aiql_live_cursors_count", "Scan cursors currently open.", func() float64 { return float64(s.store.LiveCursors()) })
 	reg.CounterFunc("aiql_scans_served_total", "Worker /scan requests served.", func() float64 { return float64(s.scans.Load()) })
 
-	sc := s.store.ScanStats
-	reg.CounterFunc("aiql_scan_blocks_considered_total", "Sealed-segment blocks considered by scans.", func() float64 { return float64(sc().BlocksConsidered) })
-	reg.CounterFunc("aiql_scan_blocks_skipped_total", "Blocks skipped by zone maps without decoding.", func() float64 { return float64(sc().BlocksSkipped) })
-	reg.CounterFunc("aiql_scan_blocks_decoded_total", "Blocks decoded and scanned.", func() float64 { return float64(sc().BlocksDecoded) })
-	reg.CounterFunc("aiql_scan_blocks_filtered_total", "Decoded blocks rejected on their packed op and dictionary-index columns alone.", func() float64 { return float64(sc().BlocksFiltered) })
-	reg.CounterFunc("aiql_scan_value_columns_decoded_total", "Value columns inflated from decoded blocks (at most six per block).", func() float64 { return float64(sc().ValueColumnsDecoded) })
-	reg.CounterFunc("aiql_scan_attr_zone_skips_total", "Blocks skipped by attribute zone maps.", func() float64 { return float64(sc().AttrZoneSkips) })
-	reg.CounterFunc("aiql_scan_thaws_total", "Cold partitions thawed for a scan.", func() float64 { return float64(sc().Thaws) })
-	reg.CounterFunc("aiql_scan_hot_batches_total", "Batches served from the hot in-memory tail.", func() float64 { return float64(sc().HotBatches) })
-	reg.CounterFunc("aiql_scan_dict_verdict_hits_total", "Dictionary-verdict short-circuits.", func() float64 { return float64(sc().DictVerdictHits) })
-	reg.CounterFunc("aiql_scan_compressed_bytes_read_total", "Compressed block bytes read from sealed segments.", func() float64 { return float64(sc().CompressedBytesRead) })
-	reg.CounterFunc("aiql_scan_compressed_bytes_decoded_total", "Bytes produced by block decompression.", func() float64 { return float64(sc().CompressedBytesDecode) })
+	for i, c := range storage.ScanCounters {
+		reg.CounterFunc("aiql_scan_"+c.Name+"_total", c.Help, func() float64 { return float64(s.store.ScanStats()[i]) })
+	}
 
 	rs := s.store.ReplStats
 	reg.CounterFunc("aiql_repl_applied_total", "Replication-tagged batches applied.", func() float64 { return float64(rs().Applied) })
@@ -218,7 +230,7 @@ func (s *Server) durabilityMetrics(reg *obs.Registry) {
 	reg.CounterFunc("aiql_wal_fsyncs_total", "WAL fsync calls.", func() float64 { return float64(ds().WALFsyncs) })
 	reg.CounterFunc("aiql_wal_fsync_seconds_total", "Cumulative seconds spent in WAL fsync.", func() float64 { return float64(ds().WALFsyncNanos) / 1e9 })
 	reg.GaugeFunc("aiql_segments_count", "Immutable segment files.", func() float64 { return float64(ds().Segments) })
-	reg.GaugeFunc("aiql_segments_v3_count", "Segments with compressed blocks and attribute zone maps (v3).", func() float64 { return float64(ds().SegmentsV3) })
+	reg.GaugeFunc("aiql_segments_v3_count", "Segments with compressed blocks and attribute zone maps (v3).", func() float64 { return float64(ds().Segments) })
 	reg.GaugeFunc("aiql_segment_events_count", "Events held in sealed segments.", func() float64 { return float64(ds().SegmentEvents) })
 	reg.CounterFunc("aiql_compactions_total", "WAL-to-segment compactions.", func() float64 { return float64(ds().Compactions) })
 	reg.CounterFunc("aiql_compaction_seconds_total", "Cumulative seconds spent compacting.", func() float64 { return float64(ds().CompactionNanos) / 1e9 })

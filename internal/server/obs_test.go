@@ -230,6 +230,124 @@ func TestMetricsUnderStreamLoad(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+
+	// A deleted rule keeps its share of the join-state counters: a join
+	// rule with a one-second window sees a straggler a minute behind its
+	// watermark expire on arrival, and deleting the rule must not take the
+	// eviction back out of aiql_stream_state_evicted_total.
+	join := registerRule(t, ts, stream.RuleSpec{
+		Query:    "proc p1 write file f as evt1\nproc p2 read file f as evt2\nwith evt1 before evt2\nreturn p1, p2, f",
+		WindowMs: 1000,
+	})
+	ingestLines(t, ts, `{"kind":"entity","id":900001,"type":"proc","agentid":1,"attrs":{"exe_name":"/usr/bin/dropper","pid":"9"}}
+{"kind":"entity","id":900002,"type":"file","agentid":1,"attrs":{"name":"/tmp/payload"}}
+{"kind":"event","id":900003,"agentid":1,"subject":900001,"object":900002,"op":"write","start":1488412860000,"seq":900003}
+`)
+	ingestLines(t, ts, `{"kind":"event","id":900004,"agentid":1,"subject":900001,"object":900002,"op":"write","start":1488412800000,"seq":900004}
+`)
+	evicted := mustValue(t, scrapeMetrics(t, ts.URL), "aiql_stream_state_evicted_total")
+	if evicted == 0 {
+		t.Fatal("aiql_stream_state_evicted_total = 0 after a straggler outside the join window")
+	}
+	dreq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/rules/"+join.ID, nil)
+	dresp, err := http.DefaultClient.Do(dreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE /rules/%s returned %d", join.ID, dresp.StatusCode)
+	}
+	if got := mustValue(t, scrapeMetrics(t, ts.URL), "aiql_stream_state_evicted_total"); got < evicted {
+		t.Fatalf("aiql_stream_state_evicted_total went backwards on rule delete: %v -> %v", evicted, got)
+	}
+}
+
+// TestStatsRendersMetricsRegistry pins /stats as a rendering of the /metrics
+// registry on every server role: at quiescence the two carry the same
+// sample keys with equal values. Only the series that tick between the two
+// requests are left out: uptime, and the request counter the /stats request
+// itself bumps.
+func TestStatsRendersMetricsRegistry(t *testing.T) {
+	ticking := func(key string) bool {
+		return key == "aiql_uptime_seconds" || strings.HasPrefix(key, "aiql_http_requests_total")
+	}
+	roles := map[string]*httptest.Server{}
+	roles["single"], _ = newTestServer(t, server.Options{})
+
+	p, err := storage.OpenPersistent(t.TempDir(), storage.PersistOptions{
+		SyncEveryBatch:  true,
+		FlushInterval:   -1,
+		CompactInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	durable, err := server.NewPersistent(p, engine.New(p.Store, engine.Options{}), server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dts := httptest.NewServer(durable.Handler())
+	t.Cleanup(dts.Close)
+	ingestLines(t, dts, markerBatch)
+	roles["durable"] = dts
+
+	workers := make([]*httptest.Server, 2)
+	urls := make([]string, 2)
+	for i := range workers {
+		st := storage.New(storage.Options{})
+		ws := server.New(st, engine.New(st, engine.Options{}), server.Options{})
+		ws.SetShard(i)
+		workers[i] = httptest.NewServer(ws.Handler())
+		t.Cleanup(workers[i].Close)
+		urls[i] = workers[i].URL
+	}
+	coord, err := cluster.New(urls, cluster.Options{Placement: mpp.SemanticsAware, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(server.NewCoordinator(coord, engine.New(coord, engine.Options{}), server.Options{}).Handler())
+	t.Cleanup(cts.Close)
+	// Through the coordinator, so the workers carry replication watermarks
+	// (the one labeled gauge family) and the coordinator its ingest counters.
+	ingestLines(t, cts, markerBatch)
+	roles["coordinator"] = cts
+	roles["worker"] = workers[0]
+
+	for role, ts := range roles {
+		postQuery(t, ts, keyReadQuery)
+		stats := getStats(t, ts)
+		exp := scrapeMetrics(t, ts.URL)
+		metrics := map[string]float64{}
+		for _, s := range exp.Samples {
+			if k := s.Key(); !ticking(k) {
+				metrics[k] = s.Value
+			}
+		}
+		watermarks := 0
+		for k := range stats {
+			if ticking(k) {
+				delete(stats, k)
+			}
+			if strings.HasPrefix(k, "aiql_repl_watermark_count{") {
+				watermarks++
+			}
+		}
+		if len(stats) != len(metrics) {
+			t.Errorf("%s: /stats has %d keys, /metrics %d samples", role, len(stats), len(metrics))
+		}
+		for k, v := range metrics {
+			if sv, ok := stats[k]; !ok {
+				t.Errorf("%s: /metrics sample %s missing from /stats", role, k)
+			} else if sv != v {
+				t.Errorf("%s: %s = %v in /stats, %v in /metrics", role, k, sv, v)
+			}
+		}
+		if role == "worker" && watermarks == 0 {
+			t.Errorf("worker /stats has no labeled replication watermark")
+		}
+	}
 }
 
 // TestMetricsFailoverScrape is the failover-scrape check CI runs alongside

@@ -82,11 +82,9 @@ func TestTaggedIngestHTTPDedup(t *testing.T) {
 	}
 
 	stats := getStats(t, ts)
-	if stats.Replication == nil {
-		t.Fatal("/stats has no replication block")
-	}
-	if stats.Replication.Applied != 1 || stats.Replication.Duplicates != 1 {
-		t.Fatalf("replication stats %+v, want applied=1 duplicates=1", stats.Replication)
+	applied, dups := mustStat(t, stats, "aiql_repl_applied_total"), mustStat(t, stats, "aiql_repl_duplicates_total")
+	if applied != 1 || dups != 1 {
+		t.Fatalf("replication stats applied=%v duplicates=%v, want 1 and 1", applied, dups)
 	}
 
 	// Malformed headers are rejected, not silently treated as untagged.

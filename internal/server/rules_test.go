@@ -270,21 +270,11 @@ func TestSubscribeSSE(t *testing.T) {
 func TestStatsStreamingBlock(t *testing.T) {
 	ts, _ := newTestServer(t, server.Options{})
 	registerRule(t, ts, stream.RuleSpec{Query: `proc p read file f["%id_rsa"] return p, f`, Backfill: true})
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Streaming *stream.Stats `json:"streaming"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Streaming == nil {
-		t.Fatal("/stats has no streaming block")
-	}
-	if doc.Streaming.Rules != 1 || doc.Streaming.Emitted == 0 || doc.Streaming.Backfills != 1 {
-		t.Errorf("streaming stats %+v", doc.Streaming)
+	st := getStats(t, ts)
+	rules := mustStat(t, st, "aiql_stream_rules_count")
+	emitted := mustStat(t, st, "aiql_stream_emitted_total")
+	backfills := mustStat(t, st, "aiql_stream_backfills_total")
+	if rules != 1 || emitted == 0 || backfills != 1 {
+		t.Errorf("streaming stats: rules %v, emitted %v, backfills %v; want 1, >0, 1", rules, emitted, backfills)
 	}
 }

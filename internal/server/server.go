@@ -14,7 +14,8 @@
 //	POST /rules          register a standing AIQL rule (continuous query)
 //	GET  /rules          list standing rules; DELETE /rules/{id} unregisters
 //	GET  /subscribe/{id} live NDJSON/SSE stream of a rule's matches
-//	GET  /stats          store statistics, cache and streaming counters
+//	GET  /metrics        every counter, in the Prometheus text format
+//	GET  /stats          the same registry as one flat JSON object
 //	GET  /healthz        liveness probe
 //
 // A server runs in one of two modes. Store-backed (New): queries execute
@@ -22,7 +23,8 @@
 // process as a worker shard. Coordinator (NewCoordinator): queries execute
 // through a cluster.Coordinator that scatters each data query to worker
 // aiqld processes and gathers their streams; /ingest scatters batches by
-// placement; /stats reports the cluster counters. See docs/CLUSTER.md.
+// placement; /metrics and /stats report the cluster counters. See
+// docs/CLUSTER.md.
 //
 // Two caches sit in front of the engine. The plan cache maps normalized
 // query text to its compiled plan, so repeated investigations skip the
@@ -173,7 +175,7 @@ func New(st *storage.Store, eng *engine.Engine, opts Options) *Server {
 // NewCoordinator creates a service that executes queries through a cluster
 // coordinator instead of a local store: /query runs plans whose data
 // queries scatter to the workers, /ingest scatters event batches by
-// placement, /stats reports the cluster's scatter/gather counters. The
+// placement, /metrics reports the cluster's scatter/gather counters. The
 // engine must have been built over coord. There is no result cache in this
 // mode — the coordinator cannot observe worker-local ingests, so it has no
 // generation to key cached results by; the plan cache still applies.
@@ -193,9 +195,9 @@ func NewCoordinator(coord *cluster.Coordinator, eng *engine.Engine, opts Options
 	}
 }
 
-// SetShard labels this server as worker shard i for /scan and /stats
-// responses (informational; the coordinator's worker order is
-// authoritative for placement).
+// SetShard labels this server as worker shard i for /scan responses
+// (informational; the coordinator's worker order is authoritative for
+// placement).
 func (s *Server) SetShard(i int) { s.shard = i }
 
 // NewPersistent creates a service over a disk-backed store: queries run
@@ -290,19 +292,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.queries.Add(1)
 	ctx := r.Context()
 	tr := obs.FromContext(ctx)
-	iq := s.inflight.Register(tr, engine.Normalize(src))
+	// The normalized text is the query's identity everywhere below: the
+	// in-flight registry, both cache keys and the slow log.
+	key := engine.Normalize(src)
+	iq := s.inflight.Register(tr, key)
 	defer iq.Done()
 	start := obs.Now()
 	var resp *QueryResponse
 	if s.coord != nil {
-		resp, err = s.executeCluster(ctx, src)
+		resp, err = s.executeCluster(ctx, key, src)
 	} else {
-		resp, err = s.execute(ctx, src)
+		resp, err = s.execute(ctx, key, src)
 	}
 	dur := obs.Since(start)
 	s.queryDur.Observe(dur.Seconds())
 	if err != nil {
-		s.recordQuery(ctx, tr, src, dur, 0, false, err)
+		s.recordQuery(ctx, tr, key, dur, 0, false, err)
 		if ctx.Err() != nil {
 			// The client disconnected and the engine aborted; nobody is
 			// listening for a reply.
@@ -324,7 +329,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp.ElapsedMs = float64(dur.Microseconds()) / 1000
 	resp.TraceID = tr.ID()
 	iq.AddRows(resp.RowCount)
-	s.recordQuery(ctx, tr, src, dur, resp.RowCount, resp.ResultCached, nil)
+	s.recordQuery(ctx, tr, key, dur, resp.RowCount, resp.ResultCached, nil)
 	if wantTrace || r.URL.Query().Get("trace") == "1" {
 		resp.Trace = tr.Snapshot()
 	}
@@ -335,12 +340,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// recordQuery feeds a completed query to the slow log and the request log.
-func (s *Server) recordQuery(ctx context.Context, tr *obs.Trace, src string, dur time.Duration, rows int, cached bool, err error) {
+// recordQuery feeds a completed query, identified by its normalized text,
+// to the slow log and the request log.
+func (s *Server) recordQuery(ctx context.Context, tr *obs.Trace, key string, dur time.Duration, rows int, cached bool, err error) {
 	durMs := float64(dur.Microseconds()) / 1000
 	e := &obs.SlowEntry{
 		TraceID: tr.ID(),
-		Query:   engine.Normalize(src),
+		Query:   key,
 		Start:   obs.FormatStart(tr.Start()),
 		DurMs:   durMs,
 		Rows:    rows,
@@ -365,9 +371,8 @@ func (s *Server) recordQuery(ctx context.Context, tr *obs.Trace, src string, dur
 // request. The snapshot generation keys the result cache, so the old
 // "did an ingest race with my execution?" re-check is gone: a result
 // computed from a snapshot is correct for that generation by construction.
-func (s *Server) execute(ctx context.Context, src string) (*QueryResponse, error) {
+func (s *Server) execute(ctx context.Context, key, src string) (*QueryResponse, error) {
 	tr := obs.FromContext(ctx)
-	key := engine.Normalize(src)
 	// Cache-hit hot path: a generation read is a shared RLock, so repeated
 	// queries never pay snapshot acquisition (an exclusive lock plus
 	// copy-on-write flagging) just to discover the answer is cached.
@@ -424,9 +429,9 @@ func (s *Server) preparedPlan(key, src string) (*engine.PreparedQuery, bool, err
 // coordinator. No result cache: worker stores can be ingested into without
 // the coordinator noticing, so there is no generation that could validate
 // a cached result.
-func (s *Server) executeCluster(ctx context.Context, src string) (*QueryResponse, error) {
+func (s *Server) executeCluster(ctx context.Context, key, src string) (*QueryResponse, error) {
 	plan := obs.FromContext(ctx).Span("plan")
-	pq, planCached, err := s.preparedPlan(engine.Normalize(src), src)
+	pq, planCached, err := s.preparedPlan(key, src)
 	plan.Set("cached", strconv.FormatBool(planCached))
 	plan.End()
 	if err != nil {
@@ -773,100 +778,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Generation: s.store.Generation(),
 		Duplicate:  duplicate,
 	})
-}
-
-// StatsResponse is the JSON reply to /stats.
-type StatsResponse struct {
-	Role          string     `json:"role"`
-	Events        int        `json:"events"`
-	Partitions    int        `json:"partitions"`
-	Agents        []int      `json:"agents"`
-	Days          []int      `json:"days"`
-	Generation    uint64     `json:"generation"`
-	LiveSnapshots int        `json:"live_snapshots"`
-	LiveCursors   int        `json:"live_cursors"`
-	QueriesServed uint64     `json:"queries_served"`
-	IngestBatches uint64     `json:"ingest_batches"`
-	ScansServed   uint64     `json:"scans_served"`
-	UptimeSeconds float64    `json:"uptime_seconds"`
-	PlanCache     CacheStats `json:"plan_cache"`
-	ResultCache   CacheStats `json:"result_cache"`
-	// Shard is this worker's shard index; nil when the server is not a
-	// cluster worker.
-	Shard *int `json:"shard,omitempty"`
-	// Cluster carries the coordinator's scatter/gather counters
-	// (coordinator mode only).
-	Cluster *cluster.Stats `json:"cluster,omitempty"`
-	// Workers lists the worker base URLs in shard order (coordinator mode
-	// only).
-	Workers []string `json:"workers,omitempty"`
-	// Durability carries the WAL depth, segment counts and recovery
-	// counters when the store is disk-backed (aiqld -data-dir).
-	Durability *storage.DurabilityStats `json:"durability,omitempty"`
-	// Scan carries the store's block-level scan counters: zone-map skips
-	// versus decodes over sealed columnar segments, and cold-partition
-	// thaws. Absent on coordinators, which hold no data themselves.
-	Scan *storage.ScanStats `json:"scan,omitempty"`
-	// Streaming carries the continuous-query counters: registered rules,
-	// live subscribers, emissions, slow-consumer drops and join-state
-	// bounds. On a coordinator the numbers are the merge layer's.
-	Streaming *stream.Stats `json:"streaming,omitempty"`
-	// Replication carries the store's replicated-ingest applied/duplicate
-	// counters and per-(epoch, shard) applied-state (store-backed modes);
-	// on a coordinator the replication counters live in Cluster.
-	Replication *storage.ReplStats `json:"replication,omitempty"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if s.coord != nil {
-		cs := s.coord.Stats()
-		ss := s.coord.StreamingStats()
-		ss.Subscribers = int(s.subscribers.Load())
-		writeJSON(w, http.StatusOK, &StatsResponse{
-			Role:          "coordinator",
-			QueriesServed: s.queries.Load(),
-			IngestBatches: s.ingests.Load(),
-			UptimeSeconds: time.Since(s.started).Seconds(),
-			PlanCache:     s.plans.Stats(),
-			ResultCache:   s.results.Stats(),
-			Cluster:       &cs,
-			Workers:       s.coord.Workers(),
-			Streaming:     &ss,
-		})
-		return
-	}
-	resp := &StatsResponse{
-		Role:          "single",
-		Events:        s.store.EventCount(),
-		Partitions:    s.store.PartitionCount(),
-		Agents:        s.store.Agents(),
-		Days:          s.store.Days(),
-		Generation:    s.store.Generation(),
-		LiveSnapshots: s.store.LiveSnapshots(),
-		LiveCursors:   s.store.LiveCursors(),
-		QueriesServed: s.queries.Load(),
-		IngestBatches: s.ingests.Load(),
-		ScansServed:   s.scans.Load(),
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		PlanCache:     s.plans.Stats(),
-		ResultCache:   s.results.Stats(),
-	}
-	if s.shard >= 0 {
-		resp.Role = "worker"
-		shard := s.shard
-		resp.Shard = &shard
-	}
-	if s.durable != nil {
-		ds := s.durable.DurabilityStats()
-		resp.Durability = &ds
-	}
-	sc := s.store.ScanStats()
-	resp.Scan = &sc
-	ss := s.matcher.Stats()
-	resp.Streaming = &ss
-	rs := s.store.ReplStats()
-	resp.Replication = &rs
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -65,18 +65,33 @@ func postQuery(t *testing.T, ts *httptest.Server, src string) *server.QueryRespo
 	return &out
 }
 
-func getStats(t *testing.T, ts *httptest.Server) *server.StatsResponse {
+// getStats fetches /stats: the metrics registry as a flat JSON object keyed
+// by exposition sample key.
+func getStats(t *testing.T, ts *httptest.Server) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out server.StatsResponse
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/stats returned %d", resp.StatusCode)
+	}
+	var out map[string]float64
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	return &out
+	return out
+}
+
+// mustStat returns one /stats value, failing the test if the key is absent.
+func mustStat(t *testing.T, stats map[string]float64, key string) float64 {
+	t.Helper()
+	v, ok := stats[key]
+	if !ok {
+		t.Fatalf("/stats has no %s", key)
+	}
+	return v
 }
 
 func TestHealthz(t *testing.T) {
@@ -161,11 +176,12 @@ func TestPlanCacheHitCounting(t *testing.T) {
 	}
 
 	st := getStats(t, ts)
-	if st.PlanCache.Hits != 1 || st.PlanCache.Misses != 1 {
-		t.Fatalf("plan cache counters = %+v, want 1 hit / 1 miss", st.PlanCache)
+	hits, misses := mustStat(t, st, "aiql_plan_cache_hits_total"), mustStat(t, st, "aiql_plan_cache_misses_total")
+	if hits != 1 || misses != 1 {
+		t.Fatalf("plan cache counters = %v hits / %v misses, want 1 / 1", hits, misses)
 	}
-	if st.QueriesServed != 2 {
-		t.Fatalf("queries_served = %d, want 2", st.QueriesServed)
+	if got := mustStat(t, st, "aiql_queries_total"); got != 2 {
+		t.Fatalf("aiql_queries_total = %v, want 2", got)
 	}
 }
 
@@ -269,14 +285,14 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 
 	st := getStats(t, ts)
-	if st.QueriesServed != workers*perWorker {
-		t.Fatalf("queries_served = %d, want %d", st.QueriesServed, workers*perWorker)
+	if got := mustStat(t, st, "aiql_queries_total"); got != workers*perWorker {
+		t.Fatalf("aiql_queries_total = %v, want %d", got, workers*perWorker)
 	}
-	total := st.ResultCache.Hits + st.ResultCache.Misses
-	if total != uint64(workers*perWorker) {
-		t.Fatalf("result cache hits+misses = %d, want %d", total, workers*perWorker)
+	hits := mustStat(t, st, "aiql_result_cache_hits_total")
+	if total := hits + mustStat(t, st, "aiql_result_cache_misses_total"); total != workers*perWorker {
+		t.Fatalf("result cache hits+misses = %v, want %d", total, workers*perWorker)
 	}
-	if st.ResultCache.Hits == 0 {
+	if hits == 0 {
 		t.Fatal("no result-cache hits across 80 repeated queries")
 	}
 }
@@ -326,21 +342,9 @@ func TestDurableServerIngestSurvivesReopen(t *testing.T) {
 		t.Fatalf("query before reopen returned %d rows, want 1", len(before.Rows))
 	}
 
-	// /stats carries the durability block.
-	sresp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats server.StatsResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	sresp.Body.Close()
-	if stats.Durability == nil {
-		t.Fatal("/stats has no durability block on a durable server")
-	}
-	if stats.Durability.WALRecords != 1 {
-		t.Fatalf("WAL depth = %d records, want 1", stats.Durability.WALRecords)
+	// /stats carries the durability counters.
+	if got := mustStat(t, getStats(t, ts), "aiql_wal_records_count"); got != 1 {
+		t.Fatalf("WAL depth = %v records, want 1", got)
 	}
 
 	// "Crash": every batch was fsynced already, so Close adds nothing on

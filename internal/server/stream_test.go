@@ -116,8 +116,7 @@ func TestNoSnapshotLeaks(t *testing.T) {
 	if n := st.LiveSnapshots(); n != 0 {
 		t.Fatalf("%d snapshots still live after requests finished", n)
 	}
-	stats := getStats(t, ts)
-	if stats.LiveSnapshots != 0 {
-		t.Fatalf("/stats reports %d live snapshots", stats.LiveSnapshots)
+	if n := mustStat(t, getStats(t, ts), "aiql_live_snapshots_count"); n != 0 {
+		t.Fatalf("/stats reports %v live snapshots", n)
 	}
 }

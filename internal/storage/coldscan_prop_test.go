@@ -314,16 +314,16 @@ func TestColdScanMatchesFullDecode(t *testing.T) {
 			}
 			// The distribution must actually reach the branches it is for.
 			after := p.Store.ScanStats()
-			if after.HotBatches != before.HotBatches {
+			if after[storage.HotBatches] != before[storage.HotBatches] {
 				t.Fatalf("scans touched hot data: %+v", after)
 			}
-			if after.BlocksFiltered == before.BlocksFiltered || after.ValueColumnsDecoded == before.ValueColumnsDecoded {
+			if after[storage.BlocksFiltered] == before[storage.BlocksFiltered] || after[storage.ValueColumnsDecoded] == before[storage.ValueColumnsDecoded] {
 				t.Fatalf("opts %+v: packed filter or lazy decode never engaged: %+v", opts, after)
 			}
-			if opened := after.BlocksDecoded - before.BlocksDecoded; after.ValueColumnsDecoded-before.ValueColumnsDecoded >= 6*opened {
-				t.Fatalf("opts %+v: %d value columns for %d opened blocks — nothing was left encoded", opts, after.ValueColumnsDecoded-before.ValueColumnsDecoded, opened)
+			if opened := after[storage.BlocksDecoded] - before[storage.BlocksDecoded]; after[storage.ValueColumnsDecoded]-before[storage.ValueColumnsDecoded] >= 6*opened {
+				t.Fatalf("opts %+v: %d value columns for %d opened blocks — nothing was left encoded", opts, after[storage.ValueColumnsDecoded]-before[storage.ValueColumnsDecoded], opened)
 			}
-			if got, want := after.BlocksDecoded+after.BlocksSkipped, after.BlocksConsidered; got != want {
+			if got, want := after[storage.BlocksDecoded]+after[storage.BlocksSkipped], after[storage.BlocksConsidered]; got != want {
 				t.Fatalf("opts %+v: decoded+skipped = %d, considered = %d", opts, got, want)
 			}
 			if err := p.Close(); err != nil {

@@ -184,7 +184,7 @@ func (s *Store) thawLocked(p *partition) {
 		p.byObject[ev.Object] = append(p.byObject[ev.Object], pos)
 	}
 	// Cold rows already counted in eventCount at install; they only moved.
-	s.scanStats.thaws.Add(1)
+	s.scanStats[Thaws].Add(1)
 }
 
 // ColdError reports a latched cold-decode failure (nil when healthy). The
@@ -276,9 +276,9 @@ type coldScan struct {
 // column decoded — and clears the selection.
 func (s *coldScan) open(run *coldRun, b int) error {
 	z, stats := &s.m.zones[b], &s.sn.store.scanStats
-	stats.blocksDecoded.Add(1)
-	stats.compressedBytesRead.Add(int64(z.dataLen))
-	stats.compressedBytesDecode.Add(int64(z.rawLen))
+	stats[BlocksDecoded].Add(1)
+	stats[CompressedBytesRead].Add(int64(z.dataLen))
+	stats[CompressedBytesDecoded].Add(int64(z.rawLen))
 	if err := run.sf.openBlock(run.pi, s.m, b, &s.cols); err != nil {
 		return err
 	}
@@ -321,13 +321,13 @@ func (s *coldScan) mark(i int, op types.Op) error {
 func (s *coldScan) finish(emit func(Match) bool) (more bool, err error) {
 	stats := &s.sn.store.scanStats
 	if !s.survivors {
-		stats.blocksFiltered.Add(1)
+		stats[BlocksFiltered].Add(1)
 		return true, nil
 	}
 	c, q, sel := &s.cols, s.q, s.sel
 	n, z := c.n, c.z
 	defer func() {
-		stats.valueColumnsDecoded.Add(int64(bits.OnesCount8(c.have & allStoredCols)))
+		stats[ValueColumnsDecoded].Add(int64(bits.OnesCount8(c.have & allStoredCols)))
 	}()
 	if !q.Window.Unbounded() && (z.minStart < q.Window.From || z.maxStart >= q.Window.To) {
 		if err := c.need(1 << colStarts); err != nil {
@@ -451,8 +451,8 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 			return nil
 		}
 		if zoneMaps && windowed && (run.pi.maxStart < q.Window.From || run.pi.minStart >= q.Window.To) {
-			stats.blocksConsidered.Add(int64(run.pi.nBlocks))
-			stats.blocksSkipped.Add(int64(run.pi.nBlocks))
+			stats[BlocksConsidered].Add(int64(run.pi.nBlocks))
+			stats[BlocksSkipped].Add(int64(run.pi.nBlocks))
 			continue
 		}
 		m, err := run.meta()
@@ -479,9 +479,9 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 				for k < len(positions) && int(positions[k]) < rowBase+z.count {
 					k++
 				}
-				stats.blocksConsidered.Add(1)
+				stats[BlocksConsidered].Add(1)
 				if zoneMaps && outside(z) {
-					stats.blocksSkipped.Add(1)
+					stats[BlocksSkipped].Add(1)
 					continue
 				}
 				if err := s.open(run, b); err != nil {
@@ -513,8 +513,8 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 			// A candidate set with no dictionary hits matches nothing in
 			// this run.
 			if (subjIdxOK && len(subjIdx) == 0) || (objIdxOK && len(objIdx) == 0) {
-				stats.blocksConsidered.Add(int64(run.pi.nBlocks))
-				stats.blocksSkipped.Add(int64(run.pi.nBlocks))
+				stats[BlocksConsidered].Add(int64(run.pi.nBlocks))
+				stats[BlocksSkipped].Add(int64(run.pi.nBlocks))
 				continue
 			}
 		}
@@ -523,18 +523,18 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 				return nil
 			}
 			z := &m.zones[b]
-			stats.blocksConsidered.Add(1)
+			stats[BlocksConsidered].Add(1)
 			if zoneMaps {
 				if outside(z) ||
 					(subjIdxOK && !anyInRange(subjIdx, z.minSubj, z.maxSubj)) ||
 					(objIdxOK && !anyInRange(objIdx, z.minObj, z.maxObj)) {
-					stats.blocksSkipped.Add(1)
+					stats[BlocksSkipped].Add(1)
 					continue
 				}
 				if (subjTriMask != 0 && z.subjTri&subjTriMask != subjTriMask) ||
 					(objTriMask != 0 && z.objTri&objTriMask != objTriMask) {
-					stats.blocksSkipped.Add(1)
-					stats.attrZoneSkips.Add(1)
+					stats[BlocksSkipped].Add(1)
+					stats[AttrZoneSkips].Add(1)
 					continue
 				}
 			}

@@ -301,7 +301,7 @@ func (sn *Snapshot) scanHot(ctx context.Context, p *partView, q *DataQuery, subj
 	stats := &sn.store.scanStats
 
 	f := sn.newRowFilter(q, subjCand, objCand, sh.dict)
-	stats.dictVerdictHits.Add(int64(hi - lo))
+	stats[DictVerdictHits].Add(int64(hi - lo))
 
 	var sel pred.Bitmap
 	if q.EvtPred != nil {
@@ -315,7 +315,7 @@ func (sn *Snapshot) scanHot(ctx context.Context, p *partView, q *DataQuery, subj
 		if ctx.Err() != nil {
 			return true
 		}
-		stats.hotBatches.Add(1)
+		stats[HotBatches].Add(1)
 		evtVec := false
 		if q.EvtPred != nil {
 			chunk := shadowChunk{sh: sh, lo: clo, hi: chi}

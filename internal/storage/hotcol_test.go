@@ -128,10 +128,10 @@ func TestHotColumnarDifferential(t *testing.T) {
 	}
 
 	hs, ss := hot.ScanStats(), scalar.ScanStats()
-	if hs.HotBatches == 0 || hs.DictVerdictHits == 0 {
+	if hs[HotBatches] == 0 || hs[DictVerdictHits] == 0 {
 		t.Fatalf("hot store never used the batch path: %+v", hs)
 	}
-	if ss.HotBatches != 0 || ss.DictVerdictHits != 0 {
+	if ss[HotBatches] != 0 || ss[DictVerdictHits] != 0 {
 		t.Fatalf("DisableHotColumnar store used the batch path: %+v", ss)
 	}
 }

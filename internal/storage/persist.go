@@ -94,7 +94,6 @@ type Persistent struct {
 
 	loadOnce sync.Once
 	loadErr  error
-	loaded   atomic.Bool
 
 	dirty atomic.Bool // appended but not yet synced
 	// syncErr latches the first failed fsync permanently: after a failed
@@ -318,7 +317,6 @@ func (p *Persistent) WarmUp() error {
 		p.Store.mu.Lock()
 		p.Store.generation++
 		p.Store.mu.Unlock()
-		p.loaded.Store(true)
 	})
 	return p.loadErr
 }
@@ -581,35 +579,30 @@ func (p *Persistent) Close() error {
 	return err
 }
 
-// DurabilityStats is the /stats view of the persistence machinery.
+// DurabilityStats is a snapshot of the persistence counters.
 type DurabilityStats struct {
 	// WALRecords and WALBytes are the log's current depth — batches not
 	// yet folded into segments (including not-yet-synced ones).
-	WALRecords int   `json:"wal_records"`
-	WALBytes   int64 `json:"wal_bytes"`
+	WALRecords int
+	WALBytes   int64
 	// Segments is the number of immutable segment files; SegmentEvents
-	// the events they hold. SegmentsV3 counts the segments in the current
-	// format (AIQLSEG3) — every one, since no other format opens; it stays
-	// because monitoring keys on it.
-	Segments      int `json:"segments"`
-	SegmentsV3    int `json:"segments_v3"`
-	SegmentEvents int `json:"segment_events"`
+	// the events they hold.
+	Segments      int
+	SegmentEvents int
 	// CoveredSeq and LastSeq bound the recovery replay: records in
 	// (CoveredSeq, LastSeq] replay from the WAL on restart.
-	CoveredSeq uint64 `json:"covered_seq"`
-	LastSeq    uint64 `json:"last_seq"`
-	// Loaded reports whether segment payloads have been warmed into
-	// memory; Replayed counts WAL records applied by the last open.
-	Loaded      bool   `json:"loaded"`
-	Replayed    uint64 `json:"replayed"`
-	Compactions uint64 `json:"compactions"`
+	CoveredSeq uint64
+	LastSeq    uint64
+	// Replayed counts WAL records applied by the last open.
+	Replayed    uint64
+	Compactions uint64
 	// CompactionNanos is the cumulative wall time spent producing segments;
 	// WALFsyncs and WALFsyncNanos count the log's fsync calls and their
 	// cumulative duration. Together they put numbers on the durability
 	// machinery's two costs: the per-commit fsync and the periodic fold.
-	CompactionNanos int64  `json:"compaction_nanos"`
-	WALFsyncs       uint64 `json:"wal_fsyncs"`
-	WALFsyncNanos   int64  `json:"wal_fsync_nanos"`
+	CompactionNanos int64
+	WALFsyncs       uint64
+	WALFsyncNanos   int64
 }
 
 // DurabilityStats reports the persistence counters.
@@ -626,11 +619,9 @@ func (p *Persistent) DurabilityStats() DurabilityStats {
 		WALRecords:    records,
 		WALBytes:      bytes,
 		Segments:      segs,
-		SegmentsV3:    segs,
 		SegmentEvents: events,
 		CoveredSeq:    covered,
 		LastSeq:       p.log.LastSeq(),
-		Loaded:        p.loaded.Load(),
 		Replayed:      p.replayed.Load(),
 		Compactions:   p.compactions.Load(),
 	}

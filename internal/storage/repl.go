@@ -94,8 +94,8 @@ func (rs *replShard) record(seq uint64) {
 }
 
 // ReplShardState is the externally visible applied-set of one (epoch,
-// shard) stream — reported in /stats and shipped to catch-up peers so a
-// requester can prove it now covers everything the peer applied.
+// shard) stream — exported as a /metrics watermark and shipped to catch-up
+// peers so a requester can prove it now covers everything the peer applied.
 type ReplShardState struct {
 	Epoch     string   `json:"epoch"`
 	Shard     int      `json:"shard"`
@@ -129,14 +129,14 @@ func (local ReplShardState) Covers(peer ReplShardState) bool {
 	return true
 }
 
-// ReplStats is the /stats replication block of one store.
+// ReplStats is a snapshot of one store's replicated-ingest counters.
 type ReplStats struct {
 	// Applied counts tagged batches applied; Duplicates counts tagged
 	// batches skipped because their tag was already applied (coordinator
 	// retries, catch-up overlap).
-	Applied    uint64           `json:"applied"`
-	Duplicates uint64           `json:"duplicates"`
-	Shards     []ReplShardState `json:"shards,omitempty"`
+	Applied    uint64
+	Duplicates uint64
+	Shards     []ReplShardState
 }
 
 // IngestTagged applies one replicated batch exactly once: if the tag was

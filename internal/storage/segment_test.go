@@ -96,8 +96,8 @@ func TestSegmentV3RoundTrip(t *testing.T) {
 			want.Ingest(tc.ds)
 			got, _ := coldStoreFrom(t, t.TempDir(), Options{}, tc.ds.Entities, tc.ds.Events)
 			assertStoresEqual(t, got, want, "cold store")
-			if stats := got.ScanStats(); stats.Thaws != 0 {
-				t.Fatalf("round-trip scans thawed %d partitions, want 0", stats.Thaws)
+			if stats := got.ScanStats(); stats[Thaws] != 0 {
+				t.Fatalf("round-trip scans thawed %d partitions, want 0", stats[Thaws])
 			}
 		})
 	}
@@ -115,8 +115,8 @@ func TestSegmentThawOnOutOfOrderIngest(t *testing.T) {
 		Start: events[100].Start, End: events[100].Start + 1, Seq: 9001,
 	}
 	st.AddEvent(&late)
-	if stats := st.ScanStats(); stats.Thaws != 1 {
-		t.Fatalf("thaws = %d, want 1", stats.Thaws)
+	if stats := st.ScanStats(); stats[Thaws] != 1 {
+		t.Fatalf("thaws = %d, want 1", stats[Thaws])
 	}
 	if err := st.ColdError(); err != nil {
 		t.Fatalf("thaw latched error: %v", err)
@@ -201,12 +201,12 @@ func TestSegmentV3CompressedCounters(t *testing.T) {
 		t.Fatalf("full scan returned %d matches, want 4000", n)
 	}
 	ss := st.ScanStats()
-	if ss.CompressedBytesRead <= 0 || ss.CompressedBytesDecode <= 0 {
+	if ss[CompressedBytesRead] <= 0 || ss[CompressedBytesDecoded] <= 0 {
 		t.Fatalf("compression counters not engaged: %+v", ss)
 	}
-	if ss.CompressedBytesRead >= ss.CompressedBytesDecode {
+	if ss[CompressedBytesRead] >= ss[CompressedBytesDecoded] {
 		t.Fatalf("read %d stored bytes for %d decoded — no compression on regular data",
-			ss.CompressedBytesRead, ss.CompressedBytesDecode)
+			ss[CompressedBytesRead], ss[CompressedBytesDecoded])
 	}
 }
 
@@ -417,7 +417,7 @@ func TestColdScanChecksumBeforeFilter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pristine scan: %v", err)
 	}
-	if ss.BlocksDecoded != 3 || ss.BlocksFiltered != 3 || ss.ValueColumnsDecoded != 0 {
+	if ss[BlocksDecoded] != 3 || ss[BlocksFiltered] != 3 || ss[ValueColumnsDecoded] != 0 {
 		t.Fatalf("pristine scan should open and filter 3 blocks without inflating a value column: %+v", ss)
 	}
 
@@ -436,7 +436,7 @@ func TestColdScanChecksumBeforeFilter(t *testing.T) {
 	if !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("scan over a damaged, never-inflated column: err = %v, want ErrSegmentCorrupt", err)
 	}
-	if ss.BlocksFiltered != 0 || ss.ValueColumnsDecoded != 0 {
+	if ss[BlocksFiltered] != 0 || ss[ValueColumnsDecoded] != 0 {
 		t.Fatalf("damage was not caught at open: %+v", ss)
 	}
 }
@@ -606,8 +606,8 @@ func TestColdScanLazyBlocks(t *testing.T) {
 	entities, events := segTestData(3000) // 3 blocks: 1024+1024+952
 	st, _ := coldStoreFrom(t, t.TempDir(), Options{}, entities, events)
 
-	if stats := st.ScanStats(); stats.BlocksDecoded != 0 {
-		t.Fatalf("install decoded %d blocks, want 0 (lazy)", stats.BlocksDecoded)
+	if stats := st.ScanStats(); stats[BlocksDecoded] != 0 {
+		t.Fatalf("install decoded %d blocks, want 0 (lazy)", stats[BlocksDecoded])
 	}
 
 	// A window covering only the first 100 events: one block can match.
@@ -617,22 +617,22 @@ func TestColdScanLazyBlocks(t *testing.T) {
 		t.Fatalf("narrow window matched %d events, want 100", len(got))
 	}
 	stats := st.ScanStats()
-	if stats.BlocksConsidered != 3 {
-		t.Fatalf("blocks considered = %d, want 3", stats.BlocksConsidered)
+	if stats[BlocksConsidered] != 3 {
+		t.Fatalf("blocks considered = %d, want 3", stats[BlocksConsidered])
 	}
-	if stats.BlocksDecoded != 1 {
-		t.Fatalf("narrow window decoded %d blocks, want 1", stats.BlocksDecoded)
+	if stats[BlocksDecoded] != 1 {
+		t.Fatalf("narrow window decoded %d blocks, want 1", stats[BlocksDecoded])
 	}
-	if stats.BlocksSkipped != 2 {
-		t.Fatalf("narrow window skipped %d blocks, want 2", stats.BlocksSkipped)
+	if stats[BlocksSkipped] != 2 {
+		t.Fatalf("narrow window skipped %d blocks, want 2", stats[BlocksSkipped])
 	}
 
 	// A full scan decodes the remaining blocks — everything stays readable.
 	if n := len(st.Run(context.Background(), &DataQuery{Ops: types.AllOps()})); n != len(events) {
 		t.Fatalf("full scan matched %d events, want %d", n, len(events))
 	}
-	if stats := st.ScanStats(); stats.BlocksDecoded != 1+3 {
-		t.Fatalf("total decoded = %d, want 4", stats.BlocksDecoded)
+	if stats := st.ScanStats(); stats[BlocksDecoded] != 1+3 {
+		t.Fatalf("total decoded = %d, want 4", stats[BlocksDecoded])
 	}
 }
 
@@ -672,15 +672,15 @@ func TestZoneMapPruningDifferentialStorage(t *testing.T) {
 	}
 
 	ps, es := pruned.ScanStats(), exhaustive.ScanStats()
-	if ps.BlocksSkipped == 0 {
+	if ps[BlocksSkipped] == 0 {
 		t.Fatal("pruning-enabled store skipped no blocks")
 	}
-	if es.BlocksSkipped != 0 {
-		t.Fatalf("pruning-disabled store skipped %d blocks, want 0", es.BlocksSkipped)
+	if es[BlocksSkipped] != 0 {
+		t.Fatalf("pruning-disabled store skipped %d blocks, want 0", es[BlocksSkipped])
 	}
-	if ps.BlocksDecoded >= es.BlocksDecoded {
+	if ps[BlocksDecoded] >= es[BlocksDecoded] {
 		t.Fatalf("pruned store decoded %d blocks, exhaustive %d — pruning saved nothing",
-			ps.BlocksDecoded, es.BlocksDecoded)
+			ps[BlocksDecoded], es[BlocksDecoded])
 	}
 }
 
@@ -764,15 +764,15 @@ func TestSegmentV3AttrZonePruning(t *testing.T) {
 	}
 
 	ps, es := pruned.ScanStats(), exhaustive.ScanStats()
-	if ps.AttrZoneSkips == 0 {
+	if ps[AttrZoneSkips] == 0 {
 		t.Fatalf("no attribute-zone skips recorded: %+v", ps)
 	}
-	if es.AttrZoneSkips != 0 {
-		t.Fatalf("pruning-disabled run skipped %d blocks by trigram", es.AttrZoneSkips)
+	if es[AttrZoneSkips] != 0 {
+		t.Fatalf("pruning-disabled run skipped %d blocks by trigram", es[AttrZoneSkips])
 	}
-	if ps.BlocksDecoded >= es.BlocksDecoded {
+	if ps[BlocksDecoded] >= es[BlocksDecoded] {
 		t.Fatalf("pruned run decoded %d blocks, exhaustive %d — pruning saved nothing",
-			ps.BlocksDecoded, es.BlocksDecoded)
+			ps[BlocksDecoded], es[BlocksDecoded])
 	}
 }
 

@@ -221,15 +221,9 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 		prev := onClose
 		onClose = func() {
 			after := sn.store.ScanStats()
-			span.Add("blocks_considered", after.BlocksConsidered-before.BlocksConsidered)
-			span.Add("blocks_skipped", after.BlocksSkipped-before.BlocksSkipped)
-			span.Add("blocks_decoded", after.BlocksDecoded-before.BlocksDecoded)
-			span.Add("blocks_filtered", after.BlocksFiltered-before.BlocksFiltered)
-			span.Add("value_columns_decoded", after.ValueColumnsDecoded-before.ValueColumnsDecoded)
-			span.Add("attr_zone_skips", after.AttrZoneSkips-before.AttrZoneSkips)
-			span.Add("hot_batches", after.HotBatches-before.HotBatches)
-			span.Add("dict_verdict_hits", after.DictVerdictHits-before.DictVerdictHits)
-			span.Add("thaws", after.Thaws-before.Thaws)
+			for i, c := range ScanCounters {
+				span.Add(c.Name, after[i]-before[i])
+			}
 			prev()
 		}
 	}

@@ -196,62 +196,60 @@ type Store struct {
 	coldErr error // aiql:guarded-by mu
 }
 
-// scanCounters aggregates zone-map and hot-path effectiveness across all
-// scans.
-type scanCounters struct {
-	blocksConsidered      atomic.Int64
-	blocksSkipped         atomic.Int64
-	blocksDecoded         atomic.Int64
-	blocksFiltered        atomic.Int64
-	valueColumnsDecoded   atomic.Int64
-	thaws                 atomic.Int64
-	hotBatches            atomic.Int64
-	dictVerdictHits       atomic.Int64
-	attrZoneSkips         atomic.Int64
-	compressedBytesRead   atomic.Int64
-	compressedBytesDecode atomic.Int64
+// ScanCounter indexes the store's block-level scan counters.
+type ScanCounter int
+
+// The scan counters, in ScanCounters order. Of the blocks considered, the
+// zone maps skip some without touching them and the rest are decoded, so
+// BlocksDecoded + BlocksSkipped == BlocksConsidered.
+const (
+	BlocksConsidered ScanCounter = iota
+	BlocksSkipped
+	BlocksDecoded
+	BlocksFiltered
+	ValueColumnsDecoded
+	Thaws
+	HotBatches
+	DictVerdictHits
+	AttrZoneSkips
+	CompressedBytesRead
+	CompressedBytesDecoded
+	numScanCounters
+)
+
+// ScanCounters declares every scan counter once. Name is both the counter's
+// key on a query's scan span and the <name> of its /metrics family
+// aiql_scan_<name>_total; Help is that family's help text. A new counter is
+// a constant above, an entry here and its increment sites.
+var ScanCounters = [numScanCounters]struct{ Name, Help string }{
+	BlocksConsidered:       {"blocks_considered", "Sealed-segment blocks considered by scans."},
+	BlocksSkipped:          {"blocks_skipped", "Blocks skipped by zone maps without decoding."},
+	BlocksDecoded:          {"blocks_decoded", "Blocks decoded and scanned."},
+	BlocksFiltered:         {"blocks_filtered", "Decoded blocks rejected on their packed op and dictionary-index columns alone."},
+	ValueColumnsDecoded:    {"value_columns_decoded", "Value columns inflated from decoded blocks (at most six per block)."},
+	Thaws:                  {"thaws", "Cold partitions thawed for a scan."},
+	HotBatches:             {"hot_batches", "Batches served from the hot in-memory tail."},
+	DictVerdictHits:        {"dict_verdict_hits", "Dictionary-verdict short-circuits."},
+	AttrZoneSkips:          {"attr_zone_skips", "Blocks skipped by attribute zone maps."},
+	CompressedBytesRead:    {"compressed_bytes_read", "Compressed block bytes read from sealed segments."},
+	CompressedBytesDecoded: {"compressed_bytes_decoded", "Bytes produced by block decompression."},
 }
 
-// ScanStats is a point-in-time copy of the scan counters: how many column
-// blocks queries considered, how many the zone maps pruned without touching
-// (AttrZoneSkips counting the subset pruned by attribute trigram filters),
-// how many were opened (BlocksDecoded: stored bytes read, checksummed and
-// inflated), how many of those were rejected on their packed op and
-// dictionary-index columns alone (BlocksFiltered) and how many value columns
-// the rest inflated (ValueColumnsDecoded, at most six per block), how many
-// partitions had to thaw back to the hot representation, how many hot row
-// batches went through the vectorized kernel, how many hot rows had their
-// entity predicates answered from dictionary verdict bitmaps, and how many
-// stored vs. decoded bytes block decompression moved.
-type ScanStats struct {
-	BlocksConsidered      int64 `json:"blocks_considered"`
-	BlocksSkipped         int64 `json:"blocks_skipped"`
-	BlocksDecoded         int64 `json:"blocks_decoded"`
-	BlocksFiltered        int64 `json:"blocks_filtered"`
-	ValueColumnsDecoded   int64 `json:"value_columns_decoded"`
-	Thaws                 int64 `json:"thaws"`
-	HotBatches            int64 `json:"hot_batches"`
-	DictVerdictHits       int64 `json:"dict_verdict_hits"`
-	AttrZoneSkips         int64 `json:"attr_zone_skips"`
-	CompressedBytesRead   int64 `json:"compressed_bytes_read"`
-	CompressedBytesDecode int64 `json:"compressed_bytes_decoded"`
-}
+// scanCounters aggregates zone-map and hot-path effectiveness across all
+// scans.
+type scanCounters [numScanCounters]atomic.Int64
+
+// ScanStats is a point-in-time copy of the scan counters, indexed by
+// ScanCounter.
+type ScanStats [numScanCounters]int64
 
 // ScanStats returns the store's cumulative scan counters.
 func (s *Store) ScanStats() ScanStats {
-	return ScanStats{
-		BlocksConsidered:      s.scanStats.blocksConsidered.Load(),
-		BlocksSkipped:         s.scanStats.blocksSkipped.Load(),
-		BlocksDecoded:         s.scanStats.blocksDecoded.Load(),
-		BlocksFiltered:        s.scanStats.blocksFiltered.Load(),
-		ValueColumnsDecoded:   s.scanStats.valueColumnsDecoded.Load(),
-		Thaws:                 s.scanStats.thaws.Load(),
-		HotBatches:            s.scanStats.hotBatches.Load(),
-		DictVerdictHits:       s.scanStats.dictVerdictHits.Load(),
-		AttrZoneSkips:         s.scanStats.attrZoneSkips.Load(),
-		CompressedBytesRead:   s.scanStats.compressedBytesRead.Load(),
-		CompressedBytesDecode: s.scanStats.compressedBytesDecode.Load(),
+	var st ScanStats
+	for i := range st {
+		st[i] = s.scanStats[i].Load()
 	}
+	return st
 }
 
 // New creates an empty store with the given options.

@@ -139,14 +139,16 @@ func TestStreamSoak(t *testing.T) {
 	// Per-rule sequence numbers must sum to the global emission counter —
 	// no emission lost or double-counted under churn.
 	var seqSum uint64
+	subs := 0
 	for _, ri := range m.Rules() {
 		seqSum += ri.Seq
+		subs += ri.Subscribers
 	}
 	if seqSum != stats.Emitted {
 		t.Errorf("per-rule seq sum %d != emitted %d", seqSum, stats.Emitted)
 	}
-	if stats.Subscribers != 0 {
-		t.Errorf("%d subscribers leaked", stats.Subscribers)
+	if subs != 0 {
+		t.Errorf("%d subscribers leaked", subs)
 	}
 	if stats.DroppedSlowConsumers == 0 {
 		t.Error("no slow consumer was ever dropped; the soak's stalled subscribers should overflow the any-read rule's buffers")

@@ -159,16 +159,16 @@ type RuleInfo struct {
 	SinceGeneration uint64 `json:"since_generation"`
 }
 
-// Stats is the matcher-wide /stats block.
+// Stats is a snapshot of the matcher-wide counters. StateEvicted and
+// JoinOverflows are cumulative: deleted rules keep their share.
 type Stats struct {
-	Rules                int    `json:"rules"`
-	Subscribers          int    `json:"subscribers"`
-	Emitted              uint64 `json:"emitted"`
-	DroppedSlowConsumers uint64 `json:"dropped_slow_consumers"`
-	StateBuffered        int    `json:"state_buffered"`
-	StateEvicted         uint64 `json:"state_evicted"`
-	JoinOverflows        uint64 `json:"join_overflows"`
-	Backfills            uint64 `json:"backfills"`
+	Rules                int
+	Emitted              uint64
+	DroppedSlowConsumers uint64
+	StateBuffered        int
+	StateEvicted         uint64
+	JoinOverflows        uint64
+	Backfills            uint64
 }
 
 // patternRef is one (rule, pattern) the op-index routes events to.
@@ -189,6 +189,10 @@ type Matcher struct {
 	rules  map[string]*rule
 	byOp   [][]patternRef // rebuilt copy-on-write on register/delete
 	nextID uint64
+	// deletedEvicted and deletedOverflows carry the join-state counters of
+	// deleted rules, so the matcher-wide totals never go backwards.
+	deletedEvicted   uint64 // aiql:guarded-by mu
+	deletedOverflows uint64 // aiql:guarded-by mu
 
 	emitted   atomic.Uint64
 	dropped   atomic.Uint64
@@ -357,18 +361,23 @@ func (m *Matcher) Delete(id string) bool {
 	}
 	delete(m.rules, id)
 	m.rebuildIndexLocked()
-	m.mu.Unlock()
-
+	// Retire the rule under both locks, so Stats sees its join-state
+	// counters exactly once: in the live rule or in the matcher's totals.
 	r.cancel()
 	r.mu.Lock()
 	r.deleted = true
 	for s := range r.subs {
 		r.dropSubLocked(s, DropRuleDeleted)
 	}
+	if r.js != nil {
+		m.deletedEvicted += r.js.Evicted()
+		m.deletedOverflows += r.js.Overflows()
+	}
 	r.js = nil
 	r.seen = nil
 	r.pending = nil
 	r.mu.Unlock()
+	m.mu.Unlock()
 	return true
 }
 
@@ -399,23 +408,22 @@ func (m *Matcher) Rules() []RuleInfo {
 	return out
 }
 
-// Stats aggregates the matcher-wide counters.
+// Stats aggregates the matcher-wide counters. It holds the matcher lock
+// throughout, so a concurrent Delete is either wholly before or wholly
+// after it.
 func (m *Matcher) Stats() Stats {
 	m.mu.Lock()
-	rs := make([]*rule, 0, len(m.rules))
-	for _, r := range m.rules {
-		rs = append(rs, r)
-	}
-	m.mu.Unlock()
+	defer m.mu.Unlock()
 	st := Stats{
-		Rules:                len(rs),
+		Rules:                len(m.rules),
 		Emitted:              m.emitted.Load(),
 		DroppedSlowConsumers: m.dropped.Load(),
+		StateEvicted:         m.deletedEvicted,
+		JoinOverflows:        m.deletedOverflows,
 		Backfills:            m.backfills.Load(),
 	}
-	for _, r := range rs {
+	for _, r := range m.rules {
 		r.mu.Lock()
-		st.Subscribers += len(r.subs)
 		if r.js != nil {
 			st.StateBuffered += r.js.Len()
 			st.StateEvicted += r.js.Evicted()

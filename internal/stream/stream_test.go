@@ -224,6 +224,86 @@ return p1, p2, f`,
 	if ri.StateEvicted == 0 {
 		t.Error("cap evictions not counted")
 	}
+	// The matcher-wide total is a counter: deleting the rule keeps its share.
+	before := m.Stats().StateEvicted
+	m.Delete(info.ID)
+	if after := m.Stats().StateEvicted; after != before {
+		t.Errorf("matcher evictions %d -> %d across rule delete, want unchanged", before, after)
+	}
+}
+
+// TestStatsMonotonicUnderConcurrentDelete reads the matcher-wide counters
+// while rules are deleted one by one and ingest keeps the live ones
+// evicting: StateEvicted must never read lower than it did before.
+func TestStatsMonotonicUnderConcurrentDelete(t *testing.T) {
+	st, m := newTapped(Options{MaxStatePerRule: 4})
+	ids := make([]string, 8)
+	for i := range ids {
+		info, err := m.Register(RuleSpec{
+			Query: `proc p1 write file f as evt1
+proc p2 read file f as evt2
+with evt1 before evt2
+return p1, p2, f`,
+			WindowMs: time.Hour.Milliseconds(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = info.ID
+	}
+	st.Ingest(types.NewDataset(procFile(1, 10, 1, "/w", "/tmp/f"), nil))
+	write := func(i int) {
+		st.Ingest(types.NewDataset(nil, []types.Event{event(types.EventID(1+i), 1, 1, 10, types.OpWrite, testBase+int64(i))}))
+	}
+	for i := 0; i < 20; i++ {
+		write(i)
+	}
+
+	stop := make(chan struct{})
+	scraped := make(chan struct{}, 1)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 20; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				write(i)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ev := m.Stats().StateEvicted
+			if ev < last {
+				t.Errorf("StateEvicted went backwards: %d -> %d", last, ev)
+			}
+			last = ev
+			select {
+			case scraped <- struct{}{}:
+			default:
+			}
+		}
+	}()
+	for _, id := range ids {
+		<-scraped // a read lands between every two deletes
+		m.Delete(id)
+	}
+	<-scraped
+	close(stop)
+	wg.Wait()
+	if ev := m.Stats().StateEvicted; ev < 8*16 {
+		t.Errorf("StateEvicted = %d after deleting 8 rules that each evicted 16", ev)
+	}
 }
 
 func TestDistinctDedupes(t *testing.T) {
