@@ -300,8 +300,14 @@ func (c *Coordinator) Ingest(ctx context.Context, ds *types.Dataset) error {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			d := types.NewDataset(ds.Entities, shards[s])
-			perr := c.postIngest(ctx, s, s, d, tags[s], "primary")
+			// Encoded once: the primary, the replica and any retry send
+			// these same bytes.
+			var body bytes.Buffer
+			if err := trace.Write(&body, types.NewDataset(ds.Entities, shards[s])); err != nil {
+				errs[s] = &WorkerError{Worker: c.workers[s], Shard: s, Err: err}
+				return
+			}
+			perr := c.postIngest(ctx, s, body.Bytes(), tags[s], "primary")
 			replica := -1
 			if c.replicas > 1 {
 				replica = c.placement.Replica(s, n)
@@ -312,7 +318,7 @@ func (c *Coordinator) Ingest(ctx context.Context, ds *types.Dataset) error {
 				}
 				return
 			}
-			rerr := c.postIngest(ctx, s, replica, d, tags[s], "replica")
+			rerr := c.postIngest(ctx, replica, body.Bytes(), tags[s], "replica")
 			switch {
 			case perr == nil && rerr == nil:
 			case perr != nil && rerr != nil:
@@ -339,17 +345,17 @@ func (c *Coordinator) Ingest(ctx context.Context, ds *types.Dataset) error {
 	return nil
 }
 
-// postIngest posts one shard's batch to one worker, retrying once on a
-// transient failure (transport error or 5xx status). The retry is safe
+// postIngest posts one shard's encoded batch to one worker, retrying once
+// on a transient failure (transport error or 5xx status). The retry is safe
 // because the tag makes the worker-side apply idempotent: a response lost
 // after the worker applied the batch re-posts as a no-op.
-func (c *Coordinator) postIngest(ctx context.Context, shard, worker int, ds *types.Dataset, tag storage.ReplTag, role string) error {
+func (c *Coordinator) postIngest(ctx context.Context, worker int, body []byte, tag storage.ReplTag, role string) error {
 	var err error
 	for attempt := 0; attempt < 2; attempt++ {
 		if attempt > 0 {
 			c.ingestRetries.Add(1)
 		}
-		err = c.ingestWorker(ctx, worker, ds, tag, role)
+		err = c.ingestWorker(ctx, worker, body, tag, role)
 		if err == nil || ctx.Err() != nil || !retryableIngest(err) {
 			return err
 		}
@@ -375,12 +381,8 @@ func retryableIngest(err error) bool {
 	return true // transport-level failure: connection refused/reset, EOF
 }
 
-func (c *Coordinator) ingestWorker(ctx context.Context, worker int, ds *types.Dataset, tag storage.ReplTag, role string) error {
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, ds); err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.workers[worker]+"/ingest", &buf)
+func (c *Coordinator) ingestWorker(ctx context.Context, worker int, body []byte, tag storage.ReplTag, role string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.workers[worker]+"/ingest", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

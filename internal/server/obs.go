@@ -81,9 +81,10 @@ func (w *statusWriter) status() int {
 	return w.code
 }
 
-// httpTraceError writes an error body that carries the request's trace ID,
-// so a 502 from a mid-query worker failure names the trace whose spans and
-// logs (coordinator- and worker-side) explain it.
+// httpTraceError is the server's one error writer: every error body carries
+// the request's trace ID, so a 502 from a mid-query worker failure (or any
+// other error) names the trace whose spans and logs (coordinator- and
+// worker-side) explain it.
 func (s *Server) httpTraceError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	body := map[string]string{"error": err.Error()}
 	if id := obs.TraceID(r.Context()); id != "" {
@@ -131,7 +132,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	_, _ = s.metrics.WriteTo(&text)
 	exp, err := obs.ParseExposition(&text)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		s.httpTraceError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	out := make(map[string]float64, len(exp.Samples))

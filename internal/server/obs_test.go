@@ -636,3 +636,48 @@ func TestDebugQueriesAndSlowLog(t *testing.T) {
 		t.Errorf("in-flight registry reports %d queries at rest, want 0", inflight.Count)
 	}
 }
+
+// TestErrorBodiesCarryTraceID: every error body names the request's trace,
+// the same ID the X-Aiql-Trace response header carries — a malformed
+// /ingest body or replication header, a bad /rules spec and a bad /scan body
+// alike.
+func TestErrorBodiesCarryTraceID(t *testing.T) {
+	ts, _ := newTestServer(t, server.Options{})
+	for _, tc := range []struct {
+		name, path, body string
+		header           map[string]string
+	}{
+		{"malformed ingest", "/ingest", "{not json", nil},
+		{"malformed replication headers", "/ingest", "", map[string]string{"X-Aiql-Repl-Epoch": "e1", "X-Aiql-Repl-Seq": "x"}},
+		{"bad rule spec", "/rules", `{"id": "r", "query": "proc p ((("}`, nil},
+		{"bad scan body", "/scan", "{", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, v := range tc.header {
+				req.Header.Set(k, v)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body struct {
+				Error   string `json:"error"`
+				TraceID string `json:"trace_id"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || body.Error == "" {
+				t.Fatalf("status %d error %q, want 400 with an error", resp.StatusCode, body.Error)
+			}
+			if want := resp.Header.Get(obs.TraceIDHeader); body.TraceID == "" || body.TraceID != want {
+				t.Fatalf("error body trace_id %q, response header %q", body.TraceID, want)
+			}
+		})
+	}
+}

@@ -24,29 +24,24 @@ import (
 )
 
 // replTagFromRequest parses the replication headers a coordinator (or a
-// catch-up pull) attaches to /ingest. Returns hasTag=false on an untagged
-// request; an error means the headers are present but malformed.
-func replTagFromRequest(r *http.Request) (tag storage.ReplTag, role string, hasTag bool, err error) {
+// catch-up pull) attaches to /ingest: a nil tag on an untagged request, an
+// error when the headers are present but malformed. quiet reports whether
+// the batch should skip the standing-rule observer: replica copies and
+// catch-up transfers re-deliver data the primary's ingest already
+// evaluated, and rules must fire once per batch, not once per copy.
+func replTagFromRequest(r *http.Request) (tag *storage.ReplTag, quiet bool, err error) {
 	epoch := r.Header.Get("X-Aiql-Repl-Epoch")
 	if epoch == "" {
-		return tag, "", false, nil
+		return nil, false, nil
 	}
 	shard, serr := strconv.Atoi(r.Header.Get("X-Aiql-Repl-Shard"))
 	seq, qerr := strconv.ParseUint(r.Header.Get("X-Aiql-Repl-Seq"), 10, 64)
 	if serr != nil || qerr != nil || shard < 0 || seq == 0 {
-		return tag, "", false, fmt.Errorf("malformed replication headers (shard %q, seq %q)",
+		return nil, false, fmt.Errorf("malformed replication headers (shard %q, seq %q)",
 			r.Header.Get("X-Aiql-Repl-Shard"), r.Header.Get("X-Aiql-Repl-Seq"))
 	}
-	return storage.ReplTag{Epoch: epoch, Shard: shard, Seq: seq},
-		r.Header.Get("X-Aiql-Repl-Role"), true, nil
-}
-
-// replQuiet reports whether a tagged ingest should skip the standing-rule
-// observer: replica copies and catch-up transfers re-deliver data the
-// primary's ingest already evaluated, and rules must fire once per batch,
-// not once per copy.
-func replQuiet(role string) bool {
-	return role == "replica" || role == "catchup"
+	role := r.Header.Get("X-Aiql-Repl-Role")
+	return &storage.ReplTag{Epoch: epoch, Shard: shard, Seq: seq}, role == "replica" || role == "catchup", nil
 }
 
 // shardFilterCursor narrows a store scan to rows whose home shard (under
@@ -128,7 +123,7 @@ type shipRecord struct {
 func (s *Server) handleWalShip(w http.ResponseWriter, r *http.Request) {
 	shards, err := parseShardSet(r.URL.Query().Get("shards"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		s.httpTraceError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -185,11 +180,11 @@ type CatchupResponse struct {
 func (s *Server) handleCatchup(w http.ResponseWriter, r *http.Request) {
 	var req catchupRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode catchup request: %w", err))
+		s.httpTraceError(w, r, http.StatusBadRequest, fmt.Errorf("decode catchup request: %w", err))
 		return
 	}
 	if strings.TrimSpace(req.From) == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("catchup: missing \"from\" peer URL"))
+		s.httpTraceError(w, r, http.StatusBadRequest, fmt.Errorf("catchup: missing \"from\" peer URL"))
 		return
 	}
 	resp, err := CatchUp(r.Context(), s.durable, req.From, req.Shards)
@@ -201,7 +196,7 @@ func (s *Server) handleCatchup(w http.ResponseWriter, r *http.Request) {
 			// from a fresh copy.
 			status = http.StatusConflict
 		}
-		httpError(w, status, err)
+		s.httpTraceError(w, r, status, err)
 		return
 	}
 	s.results.Purge()
@@ -280,7 +275,7 @@ func CatchUp(ctx context.Context, durable *storage.Persistent, from string, shar
 			tag := storage.ReplTag{Epoch: rec.Epoch, Shard: rec.Shard, Seq: rec.Seq}
 			// Quiet: catch-up re-delivers data whose original ingest
 			// already fed the standing rules on the shard's primary.
-			applied, err := durable.IngestTagged(tag, ds, true)
+			applied, err := durable.IngestBatch(&tag, ds, true)
 			if err != nil {
 				return nil, fmt.Errorf("catchup: apply %s: %w", tag, err)
 			}

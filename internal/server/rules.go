@@ -38,11 +38,11 @@ func (s *Server) handleRuleCreate(w http.ResponseWriter, r *http.Request) {
 		err = json.Unmarshal(body, &spec)
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode rule: %w", err))
+		s.httpTraceError(w, r, http.StatusBadRequest, fmt.Errorf("decode rule: %w", err))
 		return
 	}
 	if strings.TrimSpace(spec.Query) == "" {
-		httpError(w, http.StatusBadRequest, errors.New("empty rule query"))
+		s.httpTraceError(w, r, http.StatusBadRequest, errors.New("empty rule query"))
 		return
 	}
 	var info *stream.RuleInfo
@@ -52,7 +52,7 @@ func (s *Server) handleRuleCreate(w http.ResponseWriter, r *http.Request) {
 		info, err = s.matcher.Register(spec)
 	}
 	if err != nil {
-		httpError(w, ruleErrStatus(err), err)
+		s.httpTraceError(w, r, ruleErrStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -62,7 +62,7 @@ func (s *Server) handleRuleList(w http.ResponseWriter, r *http.Request) {
 	if s.coord != nil {
 		infos, err := s.coord.Rules(r.Context())
 		if err != nil {
-			httpError(w, http.StatusBadGateway, err)
+			s.httpTraceError(w, r, http.StatusBadGateway, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, &rulesResponse{Rules: infos})
@@ -75,14 +75,14 @@ func (s *Server) handleRuleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if s.coord != nil {
 		if err := s.coord.DeleteRule(r.Context(), id); err != nil {
-			httpError(w, ruleErrStatus(err), err)
+			s.httpTraceError(w, r, ruleErrStatus(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 		return
 	}
 	if !s.matcher.Delete(id) {
-		httpError(w, http.StatusNotFound, fmt.Errorf("%w: %q", stream.ErrUnknownRule, id))
+		s.httpTraceError(w, r, http.StatusNotFound, fmt.Errorf("%w: %q", stream.ErrUnknownRule, id))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
@@ -191,7 +191,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("since"); raw != "" {
 		v, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad since: %w", err))
+			s.httpTraceError(w, r, http.StatusBadRequest, fmt.Errorf("bad since: %w", err))
 			return
 		}
 		since = v
@@ -202,7 +202,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	sub, info, err := s.matcher.Subscribe(id, since)
 	if err != nil {
-		httpError(w, ruleErrStatus(err), err)
+		s.httpTraceError(w, r, ruleErrStatus(err), err)
 		return
 	}
 	defer sub.Close()
@@ -237,13 +237,13 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 // in-band error record with *cluster.PartialError detail, mirroring /scan.
 func (s *Server) subscribeCluster(w http.ResponseWriter, r *http.Request, id string, since uint64) {
 	if since > 0 {
-		httpError(w, http.StatusBadRequest,
+		s.httpTraceError(w, r, http.StatusBadRequest,
 			errors.New("since is not supported on a coordinator: merged sequence numbers are per-subscription"))
 		return
 	}
 	rs, info, err := s.coord.SubscribeRule(r.Context(), id)
 	if err != nil {
-		httpError(w, ruleErrStatus(err), err)
+		s.httpTraceError(w, r, ruleErrStatus(err), err)
 		return
 	}
 	defer rs.Close()

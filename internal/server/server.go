@@ -62,6 +62,7 @@ import (
 	"aiql/internal/storage"
 	"aiql/internal/stream"
 	"aiql/internal/trace"
+	"aiql/internal/types"
 )
 
 // Options configure the service's caches.
@@ -121,6 +122,7 @@ func newSlowLog(n int) *obs.SlowLog {
 type Server struct {
 	store       *storage.Store
 	durable     *storage.Persistent // non-nil when the store is disk-backed
+	writer      batchWriter         // store or durable: where /ingest batches go
 	coord       *cluster.Coordinator
 	eng         *engine.Engine
 	matcher     *stream.Matcher // continuous queries (store-backed modes)
@@ -149,6 +151,13 @@ type Server struct {
 	httpReqs  *obs.CounterVec
 }
 
+// batchWriter is the one storage call /ingest makes for every batch, tagged
+// or not: *storage.Store applies it in memory, *storage.Persistent journals
+// it first.
+type batchWriter interface {
+	IngestBatch(tag *storage.ReplTag, d *types.Dataset, quiet bool) (bool, error)
+}
+
 // New creates a service over an existing store and engine. The store's
 // ingest tap is claimed for the service's continuous-query matcher: every
 // batch applied through /ingest (or directly on the store) is evaluated
@@ -157,6 +166,7 @@ func New(st *storage.Store, eng *engine.Engine, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		store:     st,
+		writer:    st,
 		eng:       eng,
 		matcher:   stream.NewMatcher(st, stream.Options{MaxRules: opts.MaxRules, BufferSize: opts.StreamBuffer}),
 		plans:     NewPlanCache(opts.PlanCacheSize),
@@ -210,7 +220,7 @@ func NewPersistent(p *storage.Persistent, eng *engine.Engine, opts Options) (*Se
 		return nil, err
 	}
 	s := New(p.Store, eng, opts)
-	s.durable = p
+	s.durable, s.writer = p, p
 	return s, nil
 }
 
@@ -468,7 +478,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		q, err = wq.DataQuery()
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode scan query: %w", err))
+		s.httpTraceError(w, r, http.StatusBadRequest, fmt.Errorf("decode scan query: %w", err))
 		return
 	}
 	s.scans.Add(1)
@@ -742,31 +752,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	tag, role, hasTag, err := replTagFromRequest(r)
+	tag, quiet, err := replTagFromRequest(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		s.httpTraceError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	duplicate := false
-	switch {
-	case hasTag && s.durable != nil:
-		applied, err := s.durable.IngestTagged(tag, ds, replQuiet(role))
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("durable ingest: %w", err))
-			return
-		}
-		duplicate = !applied
-	case hasTag:
-		duplicate = !s.store.IngestTagged(tag, ds, replQuiet(role))
-	case s.durable != nil:
-		// Journal before applying: the batch is only acknowledged once the
-		// WAL accepted it, so an acknowledged ingest survives a crash.
-		if err := s.durable.Ingest(ds); err != nil {
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("durable ingest: %w", err))
-			return
-		}
-	default:
-		s.store.Ingest(ds)
+	// On a durable store the batch is journaled before it is applied, and
+	// only acknowledged once the WAL accepted it, so an acknowledged ingest
+	// survives a crash; only that journal can fail.
+	applied, err := s.writer.IngestBatch(tag, ds, quiet)
+	if err != nil {
+		s.httpTraceError(w, r, http.StatusInternalServerError, fmt.Errorf("durable ingest: %w", err))
+		return
 	}
 	// The generation bump already invalidates cached results; purging
 	// eagerly frees their memory instead of waiting for LRU pressure.
@@ -776,7 +773,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Entities:   len(ds.Entities),
 		Events:     len(ds.Events),
 		Generation: s.store.Generation(),
-		Duplicate:  duplicate,
+		Duplicate:  !applied,
 	})
 }
 
@@ -790,8 +787,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -108,18 +108,8 @@ func (s *Store) installColdRun(sf *segmentFile, pi *segPart) error {
 	s.mu.Lock()
 	p, ok := s.parts[pi.key]
 	if !ok {
-		p = &partition{
-			key:       pi.key,
-			bySubject: make(map[types.EntityID][]int32),
-			byObject:  make(map[types.EntityID][]int32),
-			cold: &coldPart{
-				runs:     []*coldRun{run},
-				n:        pi.nEvents,
-				maxStart: pi.maxStart,
-			},
-		}
-		s.parts[pi.key] = p
-		s.insertPartLocked(p)
+		p = s.newPartLocked(pi.key)
+		p.cold = &coldPart{runs: []*coldRun{run}, n: pi.nEvents, maxStart: pi.maxStart}
 		s.eventCount += pi.nEvents
 		s.mu.Unlock()
 		return nil
@@ -173,16 +163,7 @@ func (s *Store) thawLocked(p *partition) {
 	p.cold = nil
 	p.shadow.Store(nil)
 	s.cowPartLocked(p)
-	for i := range all {
-		ev := &all[i]
-		pos := int32(len(p.events))
-		if !p.dirty && pos > 0 && eventLess(ev, &p.events[pos-1]) {
-			p.dirty = true
-		}
-		p.events = append(p.events, *ev)
-		p.bySubject[ev.Subject] = append(p.bySubject[ev.Subject], pos)
-		p.byObject[ev.Object] = append(p.byObject[ev.Object], pos)
-	}
+	p.append(all)
 	// Cold rows already counted in eventCount at install; they only moved.
 	s.scanStats[Thaws].Add(1)
 }
@@ -258,10 +239,9 @@ func keepRange(b pred.Bitmap, lo, hi int) {
 // matched rows materialize into) and the current run's metadata and row
 // filter.
 type coldScan struct {
-	sn       *Snapshot
-	q        *DataQuery
-	subjCand map[types.EntityID]struct{}
-	objCand  map[types.EntityID]struct{}
+	sn *Snapshot
+	sp *scanPlan
+	q  *DataQuery
 
 	cols        blockCols
 	sel, evtSel pred.Bitmap
@@ -283,7 +263,7 @@ func (s *coldScan) open(run *coldRun, b int) error {
 		return err
 	}
 	if s.f.ents == nil {
-		s.f = s.sn.newRowFilter(s.q, s.subjCand, s.objCand, s.m.dict)
+		s.f = s.sn.newRowFilter(s.sp, s.m.dict)
 	}
 	s.sel = s.sel[:(z.count+63)/64]
 	s.sel.Reset()
@@ -409,21 +389,10 @@ func (s *coldScan) finish(emit func(Match) bool) (more bool, err error) {
 // set the rows tested are the candidates' posting positions instead of
 // every row. emit returning false stops the scan (not an error); the
 // returned error is always segment corruption or a decode failure.
-func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, subjCand, objCand map[types.EntityID]struct{}, emit func(Match) bool) error {
-	stats := &sn.store.scanStats
+func (sn *Snapshot) scanCold(ctx context.Context, p *partView, sp *scanPlan, emit func(Match) bool) error {
+	stats, q := &sn.store.scanStats, sp.q
 	zoneMaps := !sn.opts.DisableZoneMaps
 	windowed := !q.Window.Unbounded()
-
-	usePostings, fromSubject := false, false
-	if !sn.opts.DisableIndexes && !q.ForceScan {
-		switch {
-		case subjCand != nil && len(subjCand) <= postingThreshold &&
-			(objCand == nil || len(subjCand) <= len(objCand)):
-			usePostings, fromSubject = true, true
-		case objCand != nil && len(objCand) <= postingThreshold:
-			usePostings, fromSubject = true, false
-		}
-	}
 
 	// Attribute zone maps: trigram bits every matching subject/object entity
 	// must exhibit. Valid in candidate-set mode too — candidate membership
@@ -442,10 +411,7 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 			z.ops.Intersect(q.Ops).Empty()
 	}
 
-	s := &coldScan{
-		sn: sn, q: q, subjCand: subjCand, objCand: objCand,
-		sel: pred.NewBitmap(segBlockRows),
-	}
+	s := &coldScan{sn: sn, sp: sp, q: q, sel: pred.NewBitmap(segBlockRows)}
 	for _, run := range p.cold {
 		if ctx.Err() != nil {
 			return nil
@@ -461,10 +427,10 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 		}
 		s.m, s.f = m, rowFilter{}
 
-		if usePostings {
+		if sp.usePostings {
 			// Positions ascend, so each block's candidates are consecutive
 			// and blocks open at most once each, in order.
-			positions := coldPostings(m, subjCand, objCand, fromSubject)
+			positions := coldPostings(m, sp)
 			rowBase, b := 0, 0
 			for k := 0; k < len(positions); {
 				if ctx.Err() != nil {
@@ -508,8 +474,8 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 		subjIdx, subjIdxOK := []uint32(nil), false
 		objIdx, objIdxOK := []uint32(nil), false
 		if zoneMaps && !q.ForceScan {
-			subjIdx, subjIdxOK = dictIndexSet(subjCand, m)
-			objIdx, objIdxOK = dictIndexSet(objCand, m)
+			subjIdx, subjIdxOK = dictIndexSet(sp.subjCand, m)
+			objIdx, objIdxOK = dictIndexSet(sp.objCand, m)
 			// A candidate set with no dictionary hits matches nothing in
 			// this run.
 			if (subjIdxOK && len(subjIdx) == 0) || (objIdxOK && len(objIdx) == 0) {
@@ -558,20 +524,16 @@ func (sn *Snapshot) scanCold(ctx context.Context, p *partView, q *DataQuery, sub
 	return nil
 }
 
-// coldPostings gathers candidate positions from a run's posting lists,
-// merged ascending.
-func coldPostings(m *segMeta, subjCand, objCand map[types.EntityID]struct{}, fromSubject bool) []uint32 {
-	cand := subjCand
-	if !fromSubject {
-		cand = objCand
-	}
+// coldPostings gathers the plan's posting candidates' positions from a
+// run's posting lists, merged ascending.
+func coldPostings(m *segMeta, sp *scanPlan) []uint32 {
 	var positions []uint32
-	for id := range cand {
+	for id := range sp.postingCand() {
 		di := m.dictIndex(id)
 		if di < 0 {
 			continue
 		}
-		if fromSubject {
+		if sp.fromSubject {
 			positions = append(positions, m.subjectPostings(di)...)
 		} else {
 			positions = append(positions, m.objectPostings(di)...)

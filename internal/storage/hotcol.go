@@ -249,14 +249,14 @@ type rowFilter struct {
 	ents      []*types.Entity
 }
 
-// newRowFilter builds the filter of q over one dictionary (a hot shadow's,
-// or a cold run's).
-func (sn *Snapshot) newRowFilter(q *DataQuery, subjCand, objCand map[types.EntityID]struct{}, dict []types.EntityID) rowFilter {
-	nd := len(dict)
+// newRowFilter builds the filter of a scan over one dictionary (a hot
+// shadow's, or a cold run's).
+func (sn *Snapshot) newRowFilter(sp *scanPlan, dict []types.EntityID) rowFilter {
+	nd, q := len(dict), sp.q
 	return rowFilter{
 		ops:      q.Ops,
-		subj:     dictVerdicts{typ: q.SubjType, p: q.SubjPred, cand: subjCand, seen: pred.NewBitmap(nd), pass: pred.NewBitmap(nd)},
-		obj:      dictVerdicts{typ: q.ObjType, p: q.ObjPred, cand: objCand, seen: pred.NewBitmap(nd), pass: pred.NewBitmap(nd)},
+		subj:     dictVerdicts{typ: q.SubjType, p: q.SubjPred, cand: sp.subjCand, seen: pred.NewBitmap(nd), pass: pred.NewBitmap(nd)},
+		obj:      dictVerdicts{typ: q.ObjType, p: q.ObjPred, cand: sp.objCand, seen: pred.NewBitmap(nd), pass: pred.NewBitmap(nd)},
 		dict:     dict,
 		entities: sn.entities,
 		ents:     make([]*types.Entity, nd),
@@ -293,14 +293,14 @@ func (f *rowFilter) passes(op types.Op, sdi, odi uint32) bool {
 // row costs an op-set test plus two bit probes. Returns false when no
 // shadow is available (caller falls back to the per-event loop); emits are
 // row-identical to that loop by construction.
-func (sn *Snapshot) scanHot(ctx context.Context, p *partView, q *DataQuery, subjCand, objCand map[types.EntityID]struct{}, lo, hi int, emit func(Match) bool) bool {
+func (sn *Snapshot) scanHot(ctx context.Context, p *partView, sp *scanPlan, lo, hi int, emit func(Match) bool) bool {
 	sh := p.host.shadowFor(p.events, hi)
 	if sh == nil {
 		return false
 	}
-	stats := &sn.store.scanStats
+	stats, q := &sn.store.scanStats, sp.q
 
-	f := sn.newRowFilter(q, subjCand, objCand, sh.dict)
+	f := sn.newRowFilter(sp, sh.dict)
 	stats[DictVerdictHits].Add(int64(hi - lo))
 
 	var sel pred.Bitmap

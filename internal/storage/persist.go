@@ -62,9 +62,11 @@ func (o PersistOptions) withDefaults() PersistOptions {
 //
 // The embedded *Store answers queries; hand it (not the Persistent) to
 // engines — the engine's snapshot pinning type-switches on *storage.Store.
-// Mutations must go through Persistent.Ingest/AddEvent/AddEntity, which
-// journal first; mutating the embedded store directly would bypass
-// durability.
+// Mutations must go through Persistent.Ingest or IngestBatch, which journal
+// first; mutating the embedded store directly would bypass durability.
+// Journal and apply both run under the embedded store's tapMu, so the WAL's
+// batch order is exactly the order the store applied and replay reproduces
+// the same state.
 //
 // Snapshots pin segment data exactly as they pin purely in-memory data:
 // loaded segment partitions are ordinary partitions under the store's
@@ -77,10 +79,6 @@ type Persistent struct {
 	opts   PersistOptions
 	log    *wal.Log
 	unlock func() // releases the data-directory flock
-
-	// walMu serializes append→apply so the WAL's batch order is exactly
-	// the order the store applied; replay reproduces the same state.
-	walMu sync.Mutex
 
 	// compactMu serializes compactions; the long work (WAL re-read,
 	// segment build, fsyncs) runs under it alone, so readers of the
@@ -263,15 +261,16 @@ func OpenPersistent(dir string, opts PersistOptions) (*Persistent, error) {
 	// coveredSeq are already in segments; replaying by sequence number is
 	// what makes "apply exactly once" hold across any crash point.
 	err = log.Replay(p.coveredSeq, func(seq uint64, payload []byte) error {
-		tag, entities, events, err := decodeMaybeTagged(payload)
+		_, entities, events, err := decodeMaybeTagged(payload)
 		if err != nil {
 			return fmt.Errorf("wal seq %d: %w", seq, err)
 		}
-		// Apply unconditionally: Replay already skips covered sequence
-		// numbers, and the tag dedup must not second-guess it — the tag
-		// scan above recorded this record's tag, but its data exists
-		// nowhere else than right here.
-		p.Store.ingestRecovered(tag, &types.Dataset{Entities: entities, Events: events})
+		// Apply untagged, quietly and unconditionally: Replay already skips
+		// covered sequence numbers, and the tag dedup must not second-guess
+		// it — the tag scan above recorded this record's tag (the sidecar
+		// may hold it too), but its data exists nowhere else than right
+		// here.
+		_, _ = p.Store.apply(nil, &types.Dataset{Entities: entities, Events: events}, true, nil)
 		p.replayed.Add(1)
 		return nil
 	})
@@ -349,59 +348,63 @@ type segEntry struct {
 	loaded bool
 }
 
-// Ingest journals one batch to the WAL, then applies it to the in-memory
-// store. The batch is durable per the sync policy: immediately with
-// SyncEveryBatch, within FlushInterval otherwise. It is the persistent
-// counterpart of Store.Ingest and the only ingest path that survives a
-// restart. An IngestObserver installed on the embedded store fires inside
-// walMu here — the same batch boundary the journal uses — so streaming
-// consumers observe exactly the acknowledged batches, in WAL order.
+// Ingest journals one untagged batch, then applies it; see IngestBatch.
 func (p *Persistent) Ingest(ds *types.Dataset) error {
+	_, err := p.IngestBatch(nil, ds, false)
+	return err
+}
+
+// IngestBatch is the durable form of Store.IngestBatch and the only ingest
+// path that survives a restart: the batch is journaled to the WAL, then
+// applied to the in-memory store. A tagged batch carries its tag inside the
+// WAL record, so recovery rebuilds the applied-set; a duplicate tag is
+// detected before journaling and costs neither a WAL record nor an fsync.
+// The batch is durable per the sync policy: immediately with SyncEveryBatch,
+// within FlushInterval otherwise. An IngestObserver installed on the
+// embedded store fires inside the same batch boundary the journal uses, so
+// streaming consumers observe exactly the acknowledged batches, in WAL
+// order.
+func (p *Persistent) IngestBatch(tag *ReplTag, ds *types.Dataset, quiet bool) (bool, error) {
 	if err := p.WarmUp(); err != nil {
-		return err
+		return false, err
 	}
 	if ep := p.syncErr.Load(); ep != nil {
-		return fmt.Errorf("storage: WAL sync failed earlier, refusing new batches: %w", *ep)
+		return false, fmt.Errorf("storage: WAL sync failed earlier, refusing new batches: %w", *ep)
 	}
-	payload := encodeBatch(ds.Entities, ds.Events)
-	p.walMu.Lock()
-	if _, err := p.log.Append(payload); err != nil {
-		p.walMu.Unlock()
-		return err
+	var payload []byte
+	if tag == nil {
+		payload = encodeBatch(ds.Entities, ds.Events)
+	} else {
+		payload = encodeTaggedBatch(*tag, ds.Entities, ds.Events)
 	}
-	if p.opts.SyncEveryBatch {
+	applied, err := p.Store.apply(tag, ds, quiet, func() error {
+		if _, err := p.log.Append(payload); err != nil {
+			return err
+		}
+		if !p.opts.SyncEveryBatch {
+			p.dirty.Store(true)
+			return nil
+		}
 		if err := p.log.Sync(); err != nil {
 			// After a failed fsync the kernel may have dropped the dirty
 			// pages: the appended record's fate is unknown (it can still
 			// resurface after a restart). Latch the failure so no further
 			// batches are acknowledged against a log in an unknown state.
 			p.syncErr.Store(&err)
-			p.walMu.Unlock()
 			return fmt.Errorf("storage: WAL sync: %w (batch not acknowledged; it may still reappear after a restart)", err)
 		}
-	} else {
-		p.dirty.Store(true)
+		return nil
+	})
+	if !applied {
+		return false, err
 	}
-	p.Store.Ingest(ds)
-	p.walMu.Unlock()
-
 	if _, bytes := p.log.Depth(); bytes >= p.opts.CompactThresholdBytes {
 		select {
 		case p.compactc <- struct{}{}:
 		default:
 		}
 	}
-	return nil
-}
-
-// AddEntity durably registers a single entity (a one-record batch).
-func (p *Persistent) AddEntity(e *types.Entity) error {
-	return p.Ingest(&types.Dataset{Entities: []types.Entity{*e}})
-}
-
-// AddEvent durably appends a single event (a one-record batch).
-func (p *Persistent) AddEvent(ev *types.Event) error {
-	return p.Ingest(&types.Dataset{Events: []types.Event{*ev}})
+	return true, nil
 }
 
 // Sync forces all journaled batches to stable storage now. The dirty flag

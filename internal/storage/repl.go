@@ -139,30 +139,8 @@ type ReplStats struct {
 	Shards     []ReplShardState
 }
 
-// IngestTagged applies one replicated batch exactly once: if the tag was
-// already applied the batch is skipped and false is returned. quiet
-// suppresses the ingest observer — replica-role and catch-up ingests must
-// not feed standing rules, or a rule would fire once per copy of the data.
-func (s *Store) IngestTagged(tag ReplTag, d *types.Dataset, quiet bool) bool {
-	s.tapMu.Lock()
-	defer s.tapMu.Unlock()
-	if s.replAppliedLocked(tag) {
-		return false
-	}
-	gen := s.applyBatch(d)
-	s.replRecord(tag)
-	s.replMu.Lock()
-	s.replApplied++
-	s.replMu.Unlock()
-	if !quiet && s.obs != nil {
-		s.obs(d, gen)
-	}
-	return true
-}
-
 // replAppliedLocked reports whether the tag is already applied, counting a
-// duplicate when it is. Callers hold tapMu (or the persistent store's
-// walMu, which serializes all tagged ingest on a durable store).
+// duplicate when it is. Callers hold tapMu.
 func (s *Store) replAppliedLocked(tag ReplTag) bool {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
@@ -289,51 +267,9 @@ func peekTag(payload []byte) *ReplTag {
 	return tag
 }
 
-// IngestTagged is the durable form of Store.IngestTagged: the tag travels
-// inside the WAL record, so recovery rebuilds the applied-set. A duplicate
-// tag is detected before journaling — a re-delivered batch costs neither a
-// WAL record nor an fsync.
-func (p *Persistent) IngestTagged(tag ReplTag, ds *types.Dataset, quiet bool) (bool, error) {
-	if err := p.WarmUp(); err != nil {
-		return false, err
-	}
-	if ep := p.syncErr.Load(); ep != nil {
-		return false, fmt.Errorf("storage: WAL sync failed earlier, refusing new batches: %w", *ep)
-	}
-	payload := encodeTaggedBatch(tag, ds.Entities, ds.Events)
-	p.walMu.Lock()
-	if p.Store.replAppliedLocked(tag) {
-		p.walMu.Unlock()
-		return false, nil
-	}
-	if _, err := p.log.Append(payload); err != nil {
-		p.walMu.Unlock()
-		return false, err
-	}
-	if p.opts.SyncEveryBatch {
-		if err := p.log.Sync(); err != nil {
-			p.syncErr.Store(&err)
-			p.walMu.Unlock()
-			return false, fmt.Errorf("storage: WAL sync: %w (batch not acknowledged; it may still reappear after a restart)", err)
-		}
-	} else {
-		p.dirty.Store(true)
-	}
-	p.Store.IngestTagged(tag, ds, quiet)
-	p.walMu.Unlock()
-
-	if _, bytes := p.log.Depth(); bytes >= p.opts.CompactThresholdBytes {
-		select {
-		case p.compactc <- struct{}{}:
-		default:
-		}
-	}
-	return true, nil
-}
-
 // ShipReplicated replays every tagged record still in the WAL whose shard
 // is in the requested set, calling fn with the tag and the untagged batch
-// payload — the wire form a catch-up peer applies through IngestTagged.
+// payload — the wire form a catch-up peer applies through IngestBatch.
 // Compaction is held off for the duration so WAL files cannot disappear
 // mid-ship. Records folded into segments are not shippable; the caller
 // compares the returned state (this store's applied-set for the requested
@@ -440,20 +376,4 @@ func (p *Persistent) loadReplSidecar() error {
 		p.Store.replMu.Unlock()
 	}
 	return nil
-}
-
-// ingestRecovered applies one WAL record during recovery replay. Apply is
-// unconditional — Replay already skips covered sequence numbers, and the
-// tag dedup must not second-guess it (a tag present in the sidecar may
-// belong to a record whose segment rename landed but whose WAL file
-// survived; its data replays from neither, or from the WAL exactly once).
-// The tag is recorded so future tagged ingests and catch-ups dedup against
-// everything recovery restored.
-func (s *Store) ingestRecovered(tag *ReplTag, d *types.Dataset) {
-	s.tapMu.Lock()
-	defer s.tapMu.Unlock()
-	s.applyBatch(d)
-	if tag != nil {
-		s.replRecord(*tag)
-	}
 }

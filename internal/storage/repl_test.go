@@ -32,7 +32,7 @@ func TestTaggedIngestDedup(t *testing.T) {
 
 	for i, b := range batches {
 		quiet := i == len(batches)-1 // last batch plays the replica copy
-		if !st.IngestTagged(tags[i], b, quiet) {
+		if applied, _ := st.IngestBatch(&tags[i], b, quiet); !applied {
 			t.Fatalf("first apply of %s reported duplicate", tags[i])
 		}
 	}
@@ -43,7 +43,7 @@ func TestTaggedIngestDedup(t *testing.T) {
 	// Retry storm: every tag again, in and out of order.
 	before := st.EventCount()
 	for i := len(batches) - 1; i >= 0; i-- {
-		if st.IngestTagged(tags[i], batches[i], false) {
+		if applied, _ := st.IngestBatch(&tags[i], batches[i], false); applied {
 			t.Fatalf("re-apply of %s was not suppressed", tags[i])
 		}
 	}
@@ -74,7 +74,7 @@ func TestReplStateSurvivesCompactionAndReopen(t *testing.T) {
 	// First half: applied, then compacted into segments (WAL records gone,
 	// sidecar is the only durable record of their tags).
 	for i := 0; i < 2; i++ {
-		if applied, err := p.IngestTagged(tags[i], batches[i], false); err != nil || !applied {
+		if applied, err := p.IngestBatch(&tags[i], batches[i], false); err != nil || !applied {
 			t.Fatalf("apply %s: applied=%v err=%v", tags[i], applied, err)
 		}
 	}
@@ -83,7 +83,7 @@ func TestReplStateSurvivesCompactionAndReopen(t *testing.T) {
 	}
 	// Second half: applied but left in the WAL (tagged records on disk).
 	for i := 2; i < 4; i++ {
-		if applied, err := p.IngestTagged(tags[i], batches[i], false); err != nil || !applied {
+		if applied, err := p.IngestBatch(&tags[i], batches[i], false); err != nil || !applied {
 			t.Fatalf("apply %s: applied=%v err=%v", tags[i], applied, err)
 		}
 	}
@@ -94,7 +94,7 @@ func TestReplStateSurvivesCompactionAndReopen(t *testing.T) {
 	re := openOrFatal(t, dir, persistOpts())
 	assertStoresEqual(t, re.Store, want, "after reopen")
 	for i, tag := range tags {
-		applied, err := re.IngestTagged(tag, batches[i], false)
+		applied, err := re.IngestBatch(&tag, batches[i], false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestReplStateCrashMatrix(t *testing.T) {
 			dir := t.TempDir()
 			p := openOrFatal(t, dir, persistOpts())
 			for i, b := range batches {
-				if applied, err := p.IngestTagged(tags[i], b, false); err != nil || !applied {
+				if applied, err := p.IngestBatch(&tags[i], b, false); err != nil || !applied {
 					t.Fatalf("apply %s: applied=%v err=%v", tags[i], applied, err)
 				}
 			}
@@ -144,7 +144,7 @@ func TestReplStateCrashMatrix(t *testing.T) {
 			re := openOrFatal(t, dir, persistOpts())
 			assertStoresEqual(t, re.Store, want, "after crash at "+point)
 			for i, tag := range tags {
-				applied, err := re.IngestTagged(tag, batches[i], false)
+				applied, err := re.IngestBatch(&tag, batches[i], false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -163,7 +163,7 @@ func TestReplStateCrashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			re2 := openOrFatal(t, dir, persistOpts())
-			if applied, err := re2.IngestTagged(tags[0], batches[0], false); err != nil || applied {
+			if applied, err := re2.IngestBatch(&tags[0], batches[0], false); err != nil || applied {
 				t.Fatalf("tag %s lost after compact+reopen: applied=%v err=%v", tags[0], applied, err)
 			}
 		})
@@ -186,7 +186,7 @@ func TestShipReplicatedFiltersShards(t *testing.T) {
 		{Epoch: "e1", Shard: 0, Seq: 2},
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := p.IngestTagged(tagOf[i], batches[i], false); err != nil {
+		if _, err := p.IngestBatch(&tagOf[i], batches[i], false); err != nil {
 			t.Fatal(err)
 		}
 	}

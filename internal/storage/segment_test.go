@@ -114,7 +114,7 @@ func TestSegmentThawOnOutOfOrderIngest(t *testing.T) {
 		ID: 9001, AgentID: 1, Subject: 1, Object: 11, Op: types.OpWrite,
 		Start: events[100].Start, End: events[100].Start + 1, Seq: 9001,
 	}
-	st.AddEvent(&late)
+	st.Ingest(&types.Dataset{Events: []types.Event{late}})
 	if stats := st.ScanStats(); stats[Thaws] != 1 {
 		t.Fatalf("thaws = %d, want 1", stats[Thaws])
 	}
@@ -124,7 +124,7 @@ func TestSegmentThawOnOutOfOrderIngest(t *testing.T) {
 
 	want := New(Options{})
 	want.Ingest(&types.Dataset{Entities: entities, Events: events})
-	want.AddEvent(&late)
+	want.Ingest(&types.Dataset{Events: []types.Event{late}})
 	assertStoresEqual(t, st, want, "after thaw")
 }
 

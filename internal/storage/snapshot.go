@@ -49,18 +49,16 @@ func (p *partView) timeRange(w timeutil.Window) (lo, hi int) {
 	return lo, hi
 }
 
-// postingsInRange gathers posting-list positions for the candidate set,
-// clipped to [lo, hi) and returned sorted so results keep temporal order.
-func (p *partView) postingsInRange(subjCand, objCand map[types.EntityID]struct{}, fromSubject bool, lo, hi int) []int32 {
-	var cand map[types.EntityID]struct{}
-	var lists map[types.EntityID][]int32
-	if fromSubject {
-		cand, lists = subjCand, p.bySubject
-	} else {
-		cand, lists = objCand, p.byObject
+// postingsInRange gathers posting-list positions for the plan's posting
+// candidate set, clipped to [lo, hi) and returned sorted so results keep
+// temporal order.
+func (p *partView) postingsInRange(sp *scanPlan, lo, hi int) []int32 {
+	lists := p.byObject
+	if sp.fromSubject {
+		lists = p.bySubject
 	}
 	var positions []int32
-	for id := range cand {
+	for id := range sp.postingCand() {
 		for _, pos := range lists[id] {
 			if int(pos) >= lo && int(pos) < hi {
 				positions = append(positions, pos)
@@ -74,8 +72,8 @@ func (p *partView) postingsInRange(subjCand, objCand map[types.EntityID]struct{}
 // Snapshot is an immutable, generation-stamped view of a Store. Acquisition
 // is O(partitions): it copies the partition list and captures slice/map
 // references; no event data moves. Queries against a snapshot see exactly
-// the events present at acquisition, regardless of concurrent Ingest,
-// AddEvent or AddEntity calls — the store's mutation path copies shared
+// the events present at acquisition, regardless of concurrent Ingest
+// calls — the store's mutation path copies shared
 // structures before changing them (see the COW rules in storage.go).
 //
 // A Snapshot must be Closed when no longer needed: while any snapshot is
@@ -101,8 +99,8 @@ type Snapshot struct {
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Out-of-order single-event appends defer their re-sort to here, so a
-	// batch of AddEvents pays for one sort, not one per event.
+	// Partitions a segment install left dirty (installPartition) defer
+	// their re-sort to here.
 	s.sortDirtyLocked()
 	snap := &Snapshot{
 		store:      s,
@@ -228,16 +226,16 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 		}
 	}
 
-	var subjCand, objCand map[types.EntityID]struct{}
+	sp := &scanPlan{q: q}
 	if !q.ForceScan {
-		subjCand = sn.candidateSet(q.SubjType, q.SubjPred, q.SubjAllowed)
-		objCand = sn.candidateSet(q.ObjType, q.ObjPred, q.ObjAllowed)
+		sp.subjCand = sn.candidateSet(q.SubjType, q.SubjPred, q.SubjAllowed)
+		sp.objCand = sn.candidateSet(q.ObjType, q.ObjPred, q.ObjAllowed)
 	} else {
 		// Even under ForceScan the scheduler-imposed allowed sets must be
 		// honoured for correctness; only the index shortcuts are skipped.
-		subjCand, objCand = q.SubjAllowed, q.ObjAllowed
+		sp.subjCand, sp.objCand = q.SubjAllowed, q.ObjAllowed
 	}
-	if (subjCand != nil && len(subjCand) == 0) || (objCand != nil && len(objCand) == 0) {
+	if (sp.subjCand != nil && len(sp.subjCand) == 0) || (sp.objCand != nil && len(sp.objCand) == 0) {
 		return newSliceCursor(nil, onClose)
 	}
 
@@ -250,11 +248,23 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 
 	// Partition pruning normally enforces the spatial constraint; when it
 	// is disabled (ablation) the scan must filter agents itself.
-	var agentSet map[int]struct{}
 	if sn.opts.DisablePruning && len(q.Agents) > 0 {
-		agentSet = make(map[int]struct{}, len(q.Agents))
+		sp.agents = make(map[int]struct{}, len(q.Agents))
 		for _, a := range q.Agents {
-			agentSet[a] = struct{}{}
+			sp.agents[a] = struct{}{}
+		}
+	}
+
+	// Posting-list strategy, hot and cold alike: pick the smaller candidate
+	// set if one is small enough that walking its postings beats scanning
+	// the range.
+	if !sn.opts.DisableIndexes && !q.ForceScan {
+		switch {
+		case sp.subjCand != nil && len(sp.subjCand) <= postingThreshold &&
+			(sp.objCand == nil || len(sp.subjCand) <= len(sp.objCand)):
+			sp.usePostings, sp.fromSubject = true, true
+		case sp.objCand != nil && len(sp.objCand) <= postingThreshold:
+			sp.usePostings, sp.fromSubject = true, false
 		}
 	}
 
@@ -267,7 +277,7 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 		p := parts[0]
 		return newAsyncErrCursor(ctx, func(cctx context.Context) ([]Match, error) {
 			var out []Match
-			err := sn.scanPartition(cctx, p, q, subjCand, objCand, agentSet, func(m Match) bool {
+			err := sn.scanPartition(cctx, p, sp, func(m Match) bool {
 				out = append(out, m)
 				return q.Limit == 0 || len(out) < q.Limit
 			})
@@ -304,7 +314,7 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 		go func() {
 			defer c.wg.Done()
 			for i := range idx {
-				sn.producePartition(cctx, parts[i], q, subjCand, objCand, agentSet, c.chans[i])
+				sn.producePartition(cctx, parts[i], sp, c.chans[i])
 			}
 		}()
 	}
@@ -335,8 +345,9 @@ type scanBatch struct {
 // scanned rows) when ctx is canceled. A scan error (cold-segment
 // corruption) is sent as the final batch so the consumer fails the whole
 // cursor rather than passing off a partial result as complete.
-func (sn *Snapshot) producePartition(ctx context.Context, p *partView, q *DataQuery, subjCand, objCand map[types.EntityID]struct{}, agentSet map[int]struct{}, out chan<- scanBatch) {
+func (sn *Snapshot) producePartition(ctx context.Context, p *partView, sp *scanPlan, out chan<- scanBatch) {
 	defer close(out)
+	q := sp.q
 	batch := make([]Match, 0, ScanBatchSize)
 	flush := func() bool {
 		if len(batch) == 0 {
@@ -366,7 +377,7 @@ func (sn *Snapshot) producePartition(ctx context.Context, p *partView, q *DataQu
 		}
 		return true
 	}
-	err := sn.scanPartition(ctx, p, q, subjCand, objCand, agentSet, emit)
+	err := sn.scanPartition(ctx, p, sp, emit)
 	if err != nil {
 		select {
 		case out <- scanBatch{err: err}:
@@ -381,6 +392,29 @@ func (sn *Snapshot) producePartition(ctx context.Context, p *partView, q *DataQu
 // lists beats scanning the time range, for hot and cold partitions alike.
 const postingThreshold = 128
 
+// scanPlan is what Snapshot.scan decides once per query and every partition
+// scan of it reads.
+type scanPlan struct {
+	q *DataQuery
+	// subjCand and objCand are the entity ids that can satisfy the
+	// subject/object constraints; nil means unbounded (check per row).
+	subjCand, objCand map[types.EntityID]struct{}
+	// agents, when non-nil, is the spatial filter the scan applies itself
+	// because partition pruning is disabled.
+	agents map[int]struct{}
+	// usePostings walks the posting lists of the smaller candidate set
+	// (the subject's when fromSubject) instead of scanning the range.
+	usePostings, fromSubject bool
+}
+
+// postingCand returns the candidate set the posting path walks.
+func (sp *scanPlan) postingCand() map[types.EntityID]struct{} {
+	if sp.fromSubject {
+		return sp.subjCand
+	}
+	return sp.objCand
+}
+
 // scanPartition matches a data query against one partition view, invoking
 // emit for every match in temporal order; emit returning false stops the
 // scan. The partition's cold (columnar) prefix streams first — its rows are
@@ -388,12 +422,13 @@ const postingThreshold = 128
 // entity sets are small, posting lists replace the range scans on both
 // sides. The returned error is always cold-segment corruption; a canceled
 // context is a silent stop (the cursor layer reports it).
-func (sn *Snapshot) scanPartition(ctx context.Context, p *partView, q *DataQuery, subjCand, objCand map[types.EntityID]struct{}, agentSet map[int]struct{}, emit func(Match) bool) error {
-	if agentSet != nil {
-		if _, ok := agentSet[p.key.agent]; !ok {
+func (sn *Snapshot) scanPartition(ctx context.Context, p *partView, sp *scanPlan, emit func(Match) bool) error {
+	if sp.agents != nil {
+		if _, ok := sp.agents[p.key.agent]; !ok {
 			return nil
 		}
 	}
+	q := sp.q
 
 	if len(p.cold) > 0 {
 		if p.coldErr != nil {
@@ -409,7 +444,7 @@ func (sn *Snapshot) scanPartition(ctx context.Context, p *partView, q *DataQuery
 			}
 			return true
 		}
-		if err := sn.scanCold(ctx, p, q, subjCand, objCand, wrap); err != nil {
+		if err := sn.scanCold(ctx, p, sp, wrap); err != nil {
 			return err
 		}
 		if stopped || ctx.Err() != nil {
@@ -422,25 +457,12 @@ func (sn *Snapshot) scanPartition(ctx context.Context, p *partView, q *DataQuery
 		return nil
 	}
 
-	// Posting-list strategy: pick the smaller candidate set if one is
-	// small enough that walking its postings beats scanning the range.
-	usePostings, fromSubject := false, false
-	if !sn.opts.DisableIndexes && !q.ForceScan {
-		switch {
-		case subjCand != nil && len(subjCand) <= postingThreshold &&
-			(objCand == nil || len(subjCand) <= len(objCand)):
-			usePostings, fromSubject = true, true
-		case objCand != nil && len(objCand) <= postingThreshold:
-			usePostings, fromSubject = true, false
-		}
-	}
-
 	// Large enough hot ranges go through the partition's columnar shadow:
 	// batch kernel plus dictionary verdict bitmaps instead of per-event
 	// interface calls. The posting path already touches only candidate rows,
 	// so it stays as is.
-	if !q.ForceScan && !sn.opts.DisableHotColumnar && !usePostings && hi-lo >= hotShadowMinRows {
-		if sn.scanHot(ctx, p, q, subjCand, objCand, lo, hi, emit) {
+	if !q.ForceScan && !sn.opts.DisableHotColumnar && !sp.usePostings && hi-lo >= hotShadowMinRows {
+		if sn.scanHot(ctx, p, sp, lo, hi, emit) {
 			return nil
 		}
 	}
@@ -452,7 +474,7 @@ func (sn *Snapshot) scanPartition(ctx context.Context, p *partView, q *DataQuery
 		}
 		subj := sn.entities[ev.Subject]
 		obj := sn.entities[ev.Object]
-		if !entityPasses(subj, q.SubjType, q.SubjPred, subjCand) || !entityPasses(obj, q.ObjType, q.ObjPred, objCand) {
+		if !entityPasses(subj, q.SubjType, q.SubjPred, sp.subjCand) || !entityPasses(obj, q.ObjType, q.ObjPred, sp.objCand) {
 			return Match{}, false
 		}
 		if q.EvtPred != nil && !q.EvtPred.Eval(ev) {
@@ -461,8 +483,8 @@ func (sn *Snapshot) scanPartition(ctx context.Context, p *partView, q *DataQuery
 		return Match{Event: ev, Subj: subj, Obj: obj}, true
 	}
 
-	if usePostings {
-		positions := p.postingsInRange(subjCand, objCand, fromSubject, lo, hi)
+	if sp.usePostings {
+		positions := p.postingsInRange(sp, lo, hi)
 		for k, pos := range positions {
 			if k&1023 == 0 && ctx.Err() != nil {
 				return nil

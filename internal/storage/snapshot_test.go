@@ -71,7 +71,7 @@ func TestSnapshotIsolationAddEntity(t *testing.T) {
 		ID: 9999, Type: types.EntityProcess, AgentID: 1,
 		Attrs: map[string]string{types.AttrExeName: "/bin/late"},
 	}
-	st.AddEntity(&novel)
+	st.Ingest(&types.Dataset{Entities: []types.Entity{novel}})
 	if snap.Entity(novel.ID) != nil {
 		t.Fatal("snapshot sees an entity registered after acquisition")
 	}
@@ -81,7 +81,7 @@ func TestSnapshotIsolationAddEntity(t *testing.T) {
 }
 
 // TestOutOfOrderAddEvent verifies the deferred re-sort: a burst of
-// out-of-order AddEvents is re-sorted once, at the next snapshot, and an
+// out-of-order events is re-sorted once, at the end of its batch, and an
 // older snapshot's already-sorted view is untouched by that sort.
 func TestOutOfOrderAddEvent(t *testing.T) {
 	st, _ := buildFixture(Options{})
@@ -92,12 +92,14 @@ func TestOutOfOrderAddEvent(t *testing.T) {
 	proc := types.EntityID(1) // /bin/worker on agent 1 from the fixture
 	file := types.EntityID(3)
 	// Timestamps strictly decreasing: every append lands out of order.
+	var burst []types.Event
 	for k := 0; k < 50; k++ {
-		st.AddEvent(&types.Event{
+		burst = append(burst, types.Event{
 			ID: types.EventID(50000 + k), AgentID: 1, Subject: proc, Object: file,
 			Op: types.OpWrite, Start: int64(60_000 - k*100), Seq: uint64(50000 + k),
 		})
 	}
+	st.Ingest(&types.Dataset{Events: burst})
 
 	snap := st.Snapshot()
 	defer snap.Close()
@@ -135,12 +137,12 @@ func TestDrainedMatchesSurviveResort(t *testing.T) {
 	for i, m := range got {
 		ids[i] = m.Event.ID
 	}
-	// An out-of-order append marks the partition dirty; the next snapshot
-	// runs the deferred sort.
-	st.AddEvent(&types.Event{
+	// An out-of-order append marks the partition dirty; the end of its
+	// batch runs the deferred sort.
+	st.Ingest(&types.Dataset{Events: []types.Event{{
 		ID: 777777, AgentID: 1, Subject: 1, Object: 3,
 		Op: types.OpWrite, Start: 5, Seq: 999999,
-	})
+	}}})
 	snap := st.Snapshot()
 	snap.Close()
 	for i, m := range got {

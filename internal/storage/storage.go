@@ -142,19 +142,21 @@ var indexedAttrs = map[types.EntityType][]string{
 // observer may read the store (Entity, Snapshot) but must not mutate it.
 //
 // Under the persistent store the observer fires inside the same batch
-// boundary the WAL uses (Persistent.Ingest holds its journal lock across
-// append, apply and notify), so the durable log and a streaming consumer
-// agree exactly on which batches were acknowledged, and in which order.
+// boundary the WAL uses (tapMu is held across append, apply and notify),
+// so the durable log and a streaming consumer agree exactly on which
+// batches were acknowledged, and in which order.
 type IngestObserver func(d *types.Dataset, generation uint64)
 
 // Store is the AIQL-optimized event store.
 type Store struct {
 	opts Options
 
-	// tapMu serializes mutation apply + observer notification so the
-	// observer sees batches in generation order. It is taken before mu and
-	// held across the notification; readers (snapshots, queries) take only
-	// mu and are never blocked behind observer work.
+	// tapMu serializes batches (see apply): tag dedup, the durable store's
+	// WAL append, apply and observer notification, so the observer sees
+	// batches in generation order and the WAL holds them in apply order. It
+	// is taken before mu and held across the notification; readers
+	// (snapshots, queries) take only mu and are never blocked behind
+	// observer or journal work.
 	tapMu sync.Mutex
 	obs   IngestObserver // aiql:guarded-by tapMu
 
@@ -180,8 +182,8 @@ type Store struct {
 	liveCursors atomic.Int64
 
 	// replMu guards the replicated-ingest applied-set (see repl.go). A
-	// leaf lock: taken briefly under tapMu (or the persistent store's
-	// walMu), never while holding mu, never across apply work.
+	// leaf lock: taken briefly under tapMu, never while holding mu, never
+	// across apply work.
 	replMu         sync.Mutex
 	repl           map[replKey]*replShard // aiql:guarded-by replMu
 	replApplied    uint64                 // aiql:guarded-by replMu
@@ -269,12 +271,47 @@ func New(opts Options) *Store {
 // any partition that did receive out-of-order events is re-sorted once at
 // the end of the batch, not per event.
 func (s *Store) Ingest(d *types.Dataset) {
+	_, _ = s.apply(nil, d, false, nil)
+}
+
+// IngestBatch applies one batch, tagged or not. A replication-tagged batch
+// (tag non-nil) is applied exactly once: if its tag was already applied the
+// batch is skipped and false is returned. quiet suppresses the ingest
+// observer — replica-role and catch-up ingests must not feed standing rules,
+// or a rule would fire once per copy of the data. The in-memory store never
+// fails; the error is there so *Persistent, whose journal can, shares the
+// signature.
+func (s *Store) IngestBatch(tag *ReplTag, d *types.Dataset, quiet bool) (bool, error) {
+	return s.apply(tag, d, quiet, nil)
+}
+
+// apply is the one way a batch enters the store. Under tapMu it skips a
+// tagged batch whose tag is already applied (counting a duplicate), runs
+// journal if given (the durable store's WAL append, which must land before
+// the batch is visible), applies the batch, records the tag, and notifies
+// the observer unless quiet. A journal error leaves the store untouched.
+func (s *Store) apply(tag *ReplTag, d *types.Dataset, quiet bool, journal func() error) (bool, error) {
 	s.tapMu.Lock()
 	defer s.tapMu.Unlock()
+	if tag != nil && s.replAppliedLocked(*tag) {
+		return false, nil
+	}
+	if journal != nil {
+		if err := journal(); err != nil {
+			return false, err
+		}
+	}
 	gen := s.applyBatch(d)
-	if s.obs != nil {
+	if tag != nil {
+		s.replRecord(*tag)
+		s.replMu.Lock()
+		s.replApplied++
+		s.replMu.Unlock()
+	}
+	if !quiet && s.obs != nil {
 		s.obs(d, gen)
 	}
+	return true, nil
 }
 
 // applyBatch applies one batch under the store lock (deferred, so a panic
@@ -287,7 +324,12 @@ func (s *Store) applyBatch(d *types.Dataset) uint64 {
 		s.addEntityLocked(&d.Entities[i])
 	}
 	for i := range d.Events {
-		s.addEventLocked(&d.Events[i])
+		key := partKey{agent: d.Events[i].AgentID, day: timeutil.DayIndex(d.Events[i].Start)}
+		p, ok := s.parts[key]
+		if !ok {
+			p = s.newPartLocked(key)
+		}
+		s.appendLocked(p, d.Events[i:i+1])
 	}
 	s.sortDirtyLocked()
 	s.generation++
@@ -303,44 +345,10 @@ func (s *Store) SetIngestObserver(fn IngestObserver) {
 	s.obs = fn
 }
 
-// AddEntity registers a single entity.
-func (s *Store) AddEntity(e *types.Entity) {
-	s.tapMu.Lock()
-	defer s.tapMu.Unlock()
-	gen := func() uint64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.addEntityLocked(e)
-		s.generation++
-		return s.generation
-	}()
-	if s.obs != nil {
-		s.obs(types.NewDataset([]types.Entity{*e}, nil), gen)
-	}
-}
-
-// AddEvent appends a single event. Out-of-order ingestion is tolerated: the
-// partition is only marked dirty and re-sorted once, at the next Snapshot —
-// a run of N out-of-order AddEvents costs one sort, not N.
-func (s *Store) AddEvent(ev *types.Event) {
-	s.tapMu.Lock()
-	defer s.tapMu.Unlock()
-	gen := func() uint64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.addEventLocked(ev)
-		s.generation++
-		return s.generation
-	}()
-	if s.obs != nil {
-		s.obs(types.NewDataset(nil, []types.Event{*ev}), gen)
-	}
-}
-
 // Generation returns a counter that increases monotonically with every
-// mutation (Ingest, AddEvent or AddEntity). Callers caching query results
-// key them by the generation observed at execution time: a cached result is
-// valid exactly as long as the store still reports the same generation.
+// mutation. Callers caching query results key them by the generation
+// observed at execution time: a cached result is valid exactly as long as
+// the store still reports the same generation.
 func (s *Store) Generation() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -426,60 +434,25 @@ func (s *Store) addEntityLocked(e *types.Entity) {
 	}
 }
 
-func (s *Store) addEventLocked(ev *types.Event) {
-	key := partKey{agent: ev.AgentID, day: timeutil.DayIndex(ev.Start)}
-	p, ok := s.parts[key]
-	if !ok {
-		p = &partition{
-			key:       key,
-			bySubject: make(map[types.EntityID][]int32),
-			byObject:  make(map[types.EntityID][]int32),
-		}
-		s.parts[key] = p
-		s.insertPartLocked(p)
-	}
-	// An append at or before the cold maximum would break the
-	// cold-before-hot ordering invariant; decode the cold prefix first.
-	if p.cold != nil && ev.Start <= p.cold.maxStart {
-		s.thawLocked(p)
-	}
-	s.cowPartLocked(p)
-	pos := int32(len(p.events))
-	if !p.dirty && pos > 0 && eventLess(ev, &p.events[pos-1]) {
-		p.dirty = true
-	}
-	p.events = append(p.events, *ev)
-	p.bySubject[ev.Subject] = append(p.bySubject[ev.Subject], pos)
-	p.byObject[ev.Object] = append(p.byObject[ev.Object], pos)
-	s.eventCount++
-}
-
-// installPartition installs a fully-formed partition decoded from an
-// on-disk segment: events already sorted by (Start, Seq) and posting lists
-// already built, so the common case is a pointer hand-off with no
-// re-indexing. When the partition key already exists — WAL replay ran
-// before the segment loaded, or two segments straddle the same (agent,
-// day) — the events are appended one by one and the partition marked
-// dirty, deferring the merge sort and posting rebuild to the next
-// snapshot, exactly like out-of-order ingest.
-func (s *Store) installPartition(key partKey, events []types.Event, bySubject, byObject map[types.EntityID][]int32) {
-	if len(events) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.parts[key]
-	if !ok {
-		p = &partition{key: key, events: events, bySubject: bySubject, byObject: byObject}
-		s.parts[key] = p
-		s.insertPartLocked(p)
-		s.eventCount += len(events)
-		return
-	}
+// appendLocked appends events — sorted, so events[0] is the earliest — to a
+// partition and its posting lists, the one place a live partition grows.
+// An append at or before the cold maximum would break the cold-before-hot
+// ordering invariant, so the cold prefix decodes first. Events arriving out
+// of order only mark the partition dirty; the re-sort is deferred to the
+// end of the batch or the next snapshot.
+func (s *Store) appendLocked(p *partition, events []types.Event) {
 	if p.cold != nil && events[0].Start <= p.cold.maxStart {
 		s.thawLocked(p)
 	}
 	s.cowPartLocked(p)
+	p.append(events)
+	s.eventCount += len(events)
+}
+
+// append adds events at the tail of the partition's array and posting lists,
+// marking the partition dirty when one sorts before its predecessor.
+// Callers hold the store lock and made the posting maps writable.
+func (p *partition) append(events []types.Event) {
 	for i := range events {
 		ev := &events[i]
 		pos := int32(len(p.events))
@@ -490,23 +463,54 @@ func (s *Store) installPartition(key partKey, events []types.Event, bySubject, b
 		p.bySubject[ev.Subject] = append(p.bySubject[ev.Subject], pos)
 		p.byObject[ev.Object] = append(p.byObject[ev.Object], pos)
 	}
-	s.eventCount += len(events)
 }
 
-// insertPartLocked keeps partList sorted by (day, agent) with one binary
-// search and shift per new partition, instead of re-sorting the whole list.
-// Snapshots copy partList at acquisition, so in-place edits are safe.
-func (s *Store) insertPartLocked(p *partition) {
+// newPartLocked creates and registers an empty partition. partList stays
+// sorted by (day, agent) with one binary search and shift per new
+// partition, instead of re-sorting the whole list; snapshots copy partList
+// at acquisition, so in-place edits are safe.
+func (s *Store) newPartLocked(key partKey) *partition {
+	p := &partition{
+		key:       key,
+		bySubject: make(map[types.EntityID][]int32),
+		byObject:  make(map[types.EntityID][]int32),
+	}
+	s.parts[key] = p
 	i := sort.Search(len(s.partList), func(i int) bool {
 		k := s.partList[i].key
-		if k.day != p.key.day {
-			return k.day > p.key.day
+		if k.day != key.day {
+			return k.day > key.day
 		}
-		return k.agent >= p.key.agent
+		return k.agent >= key.agent
 	})
 	s.partList = append(s.partList, nil)
 	copy(s.partList[i+1:], s.partList[i:])
 	s.partList[i] = p
+	return p
+}
+
+// installPartition installs a fully-formed partition decoded from an
+// on-disk segment: events already sorted by (Start, Seq) and posting lists
+// already built, so the common case is a pointer hand-off with no
+// re-indexing. When the partition key already exists — WAL replay ran
+// before the segment loaded, or two segments straddle the same (agent,
+// day) — the events are appended like any other batch and the merge sort
+// and posting rebuild deferred to the next snapshot, exactly like
+// out-of-order ingest.
+func (s *Store) installPartition(key partKey, events []types.Event, bySubject, byObject map[types.EntityID][]int32) {
+	if len(events) == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, ok := s.parts[key]
+	if !ok {
+		p = s.newPartLocked(key)
+		p.events, p.bySubject, p.byObject = events, bySubject, byObject
+		s.eventCount += len(events)
+		return
+	}
+	s.appendLocked(p, events)
 }
 
 // sortDirtyLocked restores temporal order in partitions that received

@@ -266,14 +266,14 @@ func equalIDs(a, b []types.EventID) bool {
 
 func TestOutOfOrderIngestResorts(t *testing.T) {
 	st := New(Options{})
-	st.AddEntity(&types.Entity{ID: 1, Type: types.EntityProcess, AgentID: 1,
-		Attrs: map[string]string{types.AttrExeName: "/p"}})
-	st.AddEntity(&types.Entity{ID: 2, Type: types.EntityFile, AgentID: 1,
-		Attrs: map[string]string{types.AttrName: "/f"}})
-	// Insert events in reverse temporal order.
+	st.Ingest(&types.Dataset{Entities: []types.Entity{
+		{ID: 1, Type: types.EntityProcess, AgentID: 1, Attrs: map[string]string{types.AttrExeName: "/p"}},
+		{ID: 2, Type: types.EntityFile, AgentID: 1, Attrs: map[string]string{types.AttrName: "/f"}},
+	}})
+	// Insert events in reverse temporal order, one batch each.
 	for i := 5; i >= 1; i-- {
-		st.AddEvent(&types.Event{ID: types.EventID(i), AgentID: 1, Subject: 1, Object: 2,
-			Op: types.OpWrite, Start: int64(i * 1000), Seq: uint64(i)})
+		st.Ingest(&types.Dataset{Events: []types.Event{{ID: types.EventID(i), AgentID: 1, Subject: 1, Object: 2,
+			Op: types.OpWrite, Start: int64(i * 1000), Seq: uint64(i)}}})
 	}
 	out := st.Run(context.Background(), &DataQuery{SubjType: types.EntityProcess, ObjType: types.EntityFile,
 		Ops: types.NewOpSet(types.OpWrite)})
@@ -290,8 +290,8 @@ func TestOutOfOrderIngestResorts(t *testing.T) {
 func TestDuplicateEntityIngestIgnored(t *testing.T) {
 	st := New(Options{})
 	e := &types.Entity{ID: 1, Type: types.EntityFile, Attrs: map[string]string{types.AttrName: "/f"}}
-	st.AddEntity(e)
-	st.AddEntity(e)
+	st.Ingest(&types.Dataset{Entities: []types.Entity{*e}})
+	st.Ingest(&types.Dataset{Entities: []types.Entity{*e}})
 	if got := len(st.entityIdx[entityKey{typ: types.EntityFile, attr: types.AttrName, val: "/f"}]); got != 1 {
 		t.Errorf("duplicate entity indexed %d times", got)
 	}

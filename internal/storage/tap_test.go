@@ -62,7 +62,8 @@ func TestIngestObserverSeesBatchesInOrder(t *testing.T) {
 	}
 }
 
-// TestIngestObserverSingleRecordPaths covers AddEvent/AddEntity tapping.
+// TestIngestObserverSingleRecordPaths covers tapping of one-record batches:
+// each is observed with exactly its record.
 func TestIngestObserverSingleRecordPaths(t *testing.T) {
 	st := New(Options{})
 	var seen []string
@@ -74,15 +75,15 @@ func TestIngestObserverSingleRecordPaths(t *testing.T) {
 			seen = append(seen, "event")
 		}
 	})
-	st.AddEntity(&types.Entity{ID: 1, Type: types.EntityProcess, AgentID: 1})
-	st.AddEntity(&types.Entity{ID: 2, Type: types.EntityFile, AgentID: 1})
-	st.AddEvent(&types.Event{ID: 1, AgentID: 1, Subject: 1, Object: 2, Op: types.OpWrite})
+	st.Ingest(&types.Dataset{Entities: []types.Entity{{ID: 1, Type: types.EntityProcess, AgentID: 1}}})
+	st.Ingest(&types.Dataset{Entities: []types.Entity{{ID: 2, Type: types.EntityFile, AgentID: 1}}})
+	st.Ingest(&types.Dataset{Events: []types.Event{{ID: 1, AgentID: 1, Subject: 1, Object: 2, Op: types.OpWrite}}})
 	if len(seen) != 3 || seen[0] != "entity" || seen[1] != "entity" || seen[2] != "event" {
 		t.Fatalf("observer saw %v, want [entity entity event]", seen)
 	}
 	// Removing the observer stops notifications.
 	st.SetIngestObserver(nil)
-	st.AddEvent(&types.Event{ID: 2, AgentID: 1, Subject: 1, Object: 2, Op: types.OpRead})
+	st.Ingest(&types.Dataset{Events: []types.Event{{ID: 2, AgentID: 1, Subject: 1, Object: 2, Op: types.OpRead}}})
 	if len(seen) != 3 {
 		t.Fatalf("observer ran after removal: %v", seen)
 	}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -261,5 +262,27 @@ func TestEmptyLog(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSyncReportsActiveFileError pins the contract the storage layer's
+// fsync latch rests on: a failed fsync of the active file surfaces from
+// Sync as an error, never as silent success. The failure is injected by
+// closing the active file underneath the log.
+func TestSyncReportsActiveFileError(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, 1)
+	l.mu.Lock()
+	l.active.Close()
+	l.mu.Unlock()
+	err = l.Sync()
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Sync after the active file failed = %v, want an os.ErrClosed error", err)
+	}
+	if n, _ := l.SyncStats(); n != 2 {
+		t.Fatalf("fsyncs = %d, want 2 (the failed one counts)", n)
 	}
 }
