@@ -304,18 +304,20 @@ func BenchmarkIngest(b *testing.B) {
 	b.SetBytes(int64(len(ds.Events)))
 }
 
-// BenchmarkAnomalyWindow measures the sliding-window anomaly executor
-// (behaviour s5: 8,640 windows over a day).
+// BenchmarkAnomalyWindow measures the sliding-window anomaly executor on
+// the behaviour queries s5 (avg, history refs) and s6 (count(distinct),
+// EWMA): 8,640 windows over a day each.
 func BenchmarkAnomalyWindow(b *testing.B) {
 	eng := benchEngines()
-	var s5 queries.Query
 	for _, q := range queries.Behaviors() {
-		if q.ID == "s5" {
-			s5 = q
+		if q.ID != "s5" && q.ID != "s6" {
+			continue
 		}
-	}
-	for i := 0; i < b.N; i++ {
-		runCorpus(b, eng["aiql"], []queries.Query{s5})
+		b.Run(q.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runCorpus(b, eng["aiql"], []queries.Query{q})
+			}
+		})
 	}
 }
 

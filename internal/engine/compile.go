@@ -125,6 +125,15 @@ type AggSpec struct {
 	Arg      *ColRef // nil for count(*) style
 }
 
+// numeric reports whether the aggregate folds its values as numbers.
+func (a *AggSpec) numeric() bool {
+	switch a.Func {
+	case "sum", "avg", "min", "max":
+		return true
+	}
+	return false
+}
+
 // SlideSpec is the compiled sliding window.
 type SlideSpec struct {
 	Length int64

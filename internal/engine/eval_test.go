@@ -177,15 +177,16 @@ func TestIncrementalEWMAMatchesFold(t *testing.T) {
 			return true
 		}
 		alpha := float64(alphaRaw%100) / 100
-		g := &groupState{series: map[string][]float64{}, ewma: map[ewmaKey]*ewmaState{}}
-		env := &windowEnv{g: g}
-		for _, v := range raw {
-			g.series["x"] = append(g.series["x"], float64(v))
+		g := &groupState{series: [][]float64{make([]float64, len(raw))}}
+		env := &windowEnv{names: map[string]int{"x": 0}, width: []int{1}, g: g}
+		for i, v := range raw {
+			g.series[0][i] = float64(v)
+			env.n = i + 1
 			inc, ok := env.EWMA("x", alpha)
 			if !ok {
 				return false
 			}
-			direct := ewma(g.series["x"], alpha)
+			direct := ewma(g.series[0][:i+1], alpha)
 			if math.Abs(inc-direct) > 1e-9 {
 				return false
 			}

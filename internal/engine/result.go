@@ -119,61 +119,70 @@ func aggregate(plan *Plan, ts *tupleSet) (*Result, error) {
 
 // computeAgg evaluates one aggregate over a group's rows.
 func computeAgg(a *AggSpec, ts *tupleSet, rows [][]storage.Match) float64 {
-	vals := make([]string, 0, len(rows))
-	for _, row := range rows {
-		if a.Arg != nil {
-			vals = append(vals, colValue(ts, row, a.Arg))
-		} else {
-			vals = append(vals, "")
-		}
-	}
+	var seen map[string]struct{}
 	if a.Distinct {
-		seen := make(map[string]struct{}, len(vals))
-		uniq := vals[:0]
-		for _, v := range vals {
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				uniq = append(uniq, v)
-			}
-		}
-		vals = uniq
+		seen = make(map[string]struct{}, len(rows))
 	}
-	switch a.Func {
-	case "count":
-		return float64(len(vals))
-	case "sum", "avg", "min", "max":
-		var sum, mn, mx float64
-		n := 0
-		for _, v := range vals {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
+	numeric := a.numeric()
+	var st aggState
+	for _, row := range rows {
+		v := ""
+		if a.Arg != nil {
+			v = colValue(ts, row, a.Arg)
+		}
+		if seen != nil {
+			if _, dup := seen[v]; dup {
 				continue
 			}
-			if n == 0 {
-				mn, mx = f, f
-			}
-			if f < mn {
-				mn = f
-			}
-			if f > mx {
-				mx = f
-			}
-			sum += f
-			n++
+			seen[v] = struct{}{}
 		}
-		switch a.Func {
-		case "sum":
-			return sum
-		case "avg":
-			if n == 0 {
-				return 0
+		st.count++
+		if numeric {
+			if f, err := strconv.ParseFloat(v, 64); err == nil {
+				st.add(f)
 			}
-			return sum / float64(n)
-		case "min":
-			return mn
-		default:
-			return mx
 		}
+	}
+	return st.value(a.Func)
+}
+
+// aggState folds one aggregate's values in row order: count counts every
+// value, the numeric functions only those that parse as numbers. Over no
+// values every function is 0.
+type aggState struct {
+	count, n    int
+	sum, mn, mx float64
+}
+
+func (s *aggState) add(f float64) {
+	if s.n == 0 {
+		s.mn, s.mx = f, f
+	}
+	if f < s.mn {
+		s.mn = f
+	}
+	if f > s.mx {
+		s.mx = f
+	}
+	s.sum += f
+	s.n++
+}
+
+func (s *aggState) value(fn string) float64 {
+	switch fn {
+	case "count":
+		return float64(s.count)
+	case "sum":
+		return s.sum
+	case "avg":
+		if s.n == 0 {
+			return 0
+		}
+		return s.sum / float64(s.n)
+	case "min":
+		return s.mn
+	case "max":
+		return s.mx
 	}
 	return 0
 }
