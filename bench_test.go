@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"regexp"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -319,6 +321,69 @@ func BenchmarkAnomalyWindow(b *testing.B) {
 			}
 		})
 	}
+}
+
+// scopeVariants rewrites a corpus text the way an analyst re-scopes an
+// investigation: the agent pin kept or widened to `agentid in (orig, k)`,
+// the day pin kept or widened to the 2- and 3-day ranges ending on it. The
+// original text comes first.
+func scopeVariants(src string, hosts, days int) []string {
+	agents := []string{""}
+	if m := agentPin.FindStringSubmatch(src); m != nil {
+		orig, _ := strconv.Atoi(m[1])
+		agents = append(agents, fmt.Sprintf("agentid in (%d, %d)", orig, orig%hosts+1))
+	}
+	ranges := []string{""}
+	if m := dayPin.FindStringSubmatch(src); m != nil {
+		for d := 0; d < days; d++ {
+			if gen.DateStr(d) == m[1] {
+				for from := max(0, d-2); from < d; from++ {
+					ranges = append(ranges, fmt.Sprintf(`(from "%s" to "%s")`, gen.DateStr(from), gen.DateStr(d)))
+				}
+			}
+		}
+	}
+	var out []string
+	for _, a := range agents {
+		for _, r := range ranges {
+			text := src
+			if a != "" {
+				text = agentPin.ReplaceAllLiteralString(text, a)
+			}
+			if r != "" {
+				text = dayPin.ReplaceAllLiteralString(text, r)
+			}
+			out = append(out, text)
+		}
+	}
+	return out
+}
+
+var (
+	agentPin = regexp.MustCompile(`(?m)^agentid = (\d+)$`)
+	dayPin   = regexp.MustCompile(`(?m)^\(at "([^"]+)"\)$`)
+)
+
+// BenchmarkNarrowScopeVariants runs the 46 corpus queries, each with its
+// scope variants (scopeVariants), in process: the narrow (agent, day)
+// queries whose storage cost is candidate resolution and a small posting
+// walk rather than rows.
+func BenchmarkNarrowScopeVariants(b *testing.B) {
+	e := benchEngines()["aiql"]
+	var texts []string
+	for _, q := range append(queries.CaseStudy(), queries.Behaviors()...) {
+		texts = append(texts, scopeVariants(q.Src, benchCfg.Hosts, benchCfg.Days)...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, text := range texts {
+			if _, err := e.Query(text); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(texts)), "us/query")
 }
 
 // BenchmarkPreparedVsCold quantifies the repeated-query fast paths the

@@ -555,3 +555,29 @@ func TestAnomalyWindowSpan(t *testing.T) {
 		t.Errorf("windows_evaluated = %d, want the few windows holding matches", n)
 	}
 }
+
+// TestNarrowScanSpanCountsEntityVerdicts: a traced narrow query's scan span
+// carries entity_verdicts, the predicate evaluations spent resolving its
+// candidate sets — here one per distinct exe_name (three), since the
+// wildcard resolves through the entity index's value dictionary.
+func TestNarrowScanSpanCountsEntityVerdicts(t *testing.T) {
+	tr := obs.NewTrace("")
+	ctx := obs.WithTrace(context.Background(), tr)
+	res, err := New(fewMatchesStore(), Options{}).QueryContext(ctx, `(at "03/02/2017")
+agentid = 1
+proc p["%p1.exe"] read file f
+return p, f`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) == 0 {
+		t.Fatal("query returned no rows")
+	}
+	scan := findSpan(tr.Snapshot().Spans, "scan")
+	if scan == nil {
+		t.Fatal("no scan span")
+	}
+	if got := scan.Counters["entity_verdicts"]; got != 3 {
+		t.Errorf("scan span entity_verdicts = %d, want 3", got)
+	}
+}

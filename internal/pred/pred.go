@@ -324,6 +324,63 @@ func collectKeys(p Pred, out *[]IndexKey) {
 	}
 }
 
+// Project returns the part of p over attr alone that every subject
+// satisfying p also satisfies, and false when there is none. It keeps only
+// comparisons on attr that a missing attribute fails (=, LIKE, in and the
+// ordered ones), so a subject passing the projection carries attr: an And
+// keeps its projecting conjuncts, an Or projects only if every disjunct
+// does, and Not, != and not in never project. When nothing was dropped the
+// projection is p itself, so a caller can tell an exact projection by
+// identity. Storage evaluates the projection once per distinct indexed
+// value instead of once per entity.
+func Project(p Pred, attr string) (Pred, bool) {
+	switch v := p.(type) {
+	case *Cond:
+		if v.Attr != attr || v.Op == CmpNe || v.Op == CmpNotIn {
+			return nil, false
+		}
+		return v, true
+	case *And:
+		kept := make([]Pred, 0, len(v.Xs))
+		same := true
+		for _, x := range v.Xs {
+			px, ok := Project(x, attr)
+			if ok {
+				kept = append(kept, px)
+			}
+			same = same && ok && px == x
+		}
+		switch {
+		case len(kept) == 0:
+			return nil, false
+		case same:
+			return v, true
+		case len(kept) == 1:
+			return kept[0], true
+		}
+		return &And{Xs: kept}, true
+	case *Or:
+		if len(v.Xs) == 0 {
+			return nil, false
+		}
+		kept := make([]Pred, len(v.Xs))
+		same := true
+		for i, x := range v.Xs {
+			px, ok := Project(x, attr)
+			if !ok {
+				return nil, false
+			}
+			kept[i] = px
+			same = same && px == x
+		}
+		if same {
+			return v, true
+		}
+		return &Or{Xs: kept}, true
+	}
+	return nil, false
+}
+
 // RequiredSubstrings mines a predicate for substrings that must appear in
 // some attribute value of the subject whenever the predicate holds: the
 // chunks of a top-level LIKE pattern and the values of top-level exact

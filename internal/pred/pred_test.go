@@ -249,6 +249,43 @@ func TestIndexableKeys(t *testing.T) {
 	}
 }
 
+func TestProject(t *testing.T) {
+	name := types.AttrName
+	like := NewCond(name, CmpEq, "%passwd")
+	ordered := NewCond(name, CmpGe, "/b")
+	inWild := NewCond(name, CmpIn, "", "/a", "%log%")
+	owner := NewCond(types.AttrOwner, CmpEq, "root")
+
+	// Whole predicates over the attribute project onto themselves.
+	for _, p := range []Pred{like, ordered, inWild, AndOf(like, ordered), &Or{Xs: []Pred{like, inWild}}} {
+		if got, ok := Project(p, name); !ok || got != p {
+			t.Errorf("Project(%s) = %v, %v; want the predicate itself", p, got, ok)
+		}
+	}
+	// An And keeps its projecting conjuncts.
+	if got, ok := Project(AndOf(like, owner), name); !ok || got != like {
+		t.Errorf("Project(like && owner) = %v, %v; want like", got, ok)
+	}
+	if got, ok := Project(AndOf(like, owner, ordered), name); !ok || got.String() != AndOf(like, ordered).String() {
+		t.Errorf("Project(like && owner && ordered) = %v, %v; want like && ordered", got, ok)
+	}
+	// Nothing a missing attribute satisfies projects, nor does an Or with a
+	// disjunct on another attribute, nor the empty Or.
+	for _, p := range []Pred{
+		NewCond(name, CmpNe, "/a"),
+		NewCond(name, CmpNotIn, "", "/a"),
+		&Not{X: like},
+		&Or{Xs: []Pred{like, owner}},
+		&Or{},
+		owner,
+		True,
+	} {
+		if got, ok := Project(p, name); ok {
+			t.Errorf("Project(%s) = %v; want no projection", p, got)
+		}
+	}
+}
+
 // TestIndexKeysAreNecessary is the core index-correctness property: if the
 // predicate accepts an entity, then for every mined index key the entity's
 // attribute value is in the key's value set.

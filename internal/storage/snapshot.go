@@ -50,17 +50,20 @@ func (p *partView) timeRange(w timeutil.Window) (lo, hi int) {
 }
 
 // postingsInRange gathers posting-list positions for the plan's posting
-// candidate set, clipped to [lo, hi) and returned sorted so results keep
-// temporal order.
+// candidate set, clipped to [lo, hi) and to events whose op the query
+// accepts, and returned sorted so results keep temporal order. Filtering
+// on the op before the sort keeps a candidate's many other events (a
+// process's reads, when the pattern asks for its starts) out of it.
 func (p *partView) postingsInRange(sp *scanPlan, lo, hi int) []int32 {
 	lists := p.byObject
 	if sp.fromSubject {
 		lists = p.bySubject
 	}
+	ops := sp.q.Ops
 	var positions []int32
 	for id := range sp.postingCand() {
 		for _, pos := range lists[id] {
-			if int(pos) >= lo && int(pos) < hi {
+			if int(pos) >= lo && int(pos) < hi && ops.Contains(p.events[pos].Op) {
 				positions = append(positions, pos)
 			}
 		}
@@ -89,7 +92,7 @@ type Snapshot struct {
 
 	entities  map[types.EntityID]*types.Entity
 	byType    map[types.EntityType][]types.EntityID
-	entityIdx map[entityKey][]types.EntityID
+	entityIdx entityIndex
 	parts     []*partView
 
 	closeOnce sync.Once
@@ -272,16 +275,25 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 	// goroutine scans it (Scan still returns immediately, so composed
 	// siblings like per-day sub-scans and MPP segments stay parallel) and
 	// materializing one partition's matches is what the pre-cursor store
-	// did for every query. Limit still caps the scan.
-	if len(parts) == 1 {
-		p := parts[0]
+	// did for every query. A small posting walk over hot partitions only is
+	// cheaper than the pool's setup too, so that one goroutine walks its
+	// partitions in order. Limit still caps the scan, and a partition error
+	// fails it.
+	if len(parts) == 1 || smallHotWalk(sp, parts) {
 		return newAsyncErrCursor(ctx, func(cctx context.Context) ([]Match, error) {
 			var out []Match
-			err := sn.scanPartition(cctx, p, sp, func(m Match) bool {
-				out = append(out, m)
-				return q.Limit == 0 || len(out) < q.Limit
-			})
-			return out, err
+			full := false
+			for _, p := range parts {
+				err := sn.scanPartition(cctx, p, sp, func(m Match) bool {
+					out = append(out, m)
+					full = q.Limit > 0 && len(out) >= q.Limit
+					return !full
+				})
+				if err != nil || full || cctx.Err() != nil {
+					return out, err
+				}
+			}
+			return out, nil
 		}, onClose)
 	}
 
@@ -391,6 +403,23 @@ func (sn *Snapshot) producePartition(ctx context.Context, p *partView, sp *scanP
 // postingThreshold is the candidate-set size below which walking posting
 // lists beats scanning the time range, for hot and cold partitions alike.
 const postingThreshold = 128
+
+// smallHotWalk reports whether a scan walks posting lists over hot
+// partitions only, touching at most postingThreshold (candidate, partition)
+// lists in all. Such a walk is a handful of rows, and one producer serves
+// it faster than the pool starts; cold partitions and larger walks keep the
+// pool, whose parallelism pays for itself there (docs/STORAGE.md).
+func smallHotWalk(sp *scanPlan, parts []*partView) bool {
+	if !sp.usePostings || len(sp.postingCand())*len(parts) > postingThreshold {
+		return false
+	}
+	for _, p := range parts {
+		if len(p.cold) > 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // scanPlan is what Snapshot.scan decides once per query and every partition
 // scan of it reads.
@@ -507,64 +536,164 @@ func (sn *Snapshot) scanPartition(ctx context.Context, p *partView, sp *scanPlan
 }
 
 // candidateSet resolves the set of entity ids that can satisfy the
-// pattern's entity constraints, using the hash indexes where an exact-match
-// key exists and falling back to a typed entity scan for wildcard patterns.
-// It returns nil when the set cannot be bounded more cheaply than checking
-// the predicate per event during the scan.
+// pattern's entity constraints. In order it takes the scheduler's allowed
+// set, an exact-match probe of the entity hash index, the index's value
+// dictionary (wildcard, ordered and composite predicates over an indexed
+// attribute), and last the typed entity table. It returns nil when the set
+// cannot be bounded more cheaply than checking the predicate per event
+// during the scan. Every predicate evaluation it spends counts as an
+// entity verdict.
 func (sn *Snapshot) candidateSet(t types.EntityType, p pred.Pred, allowed map[types.EntityID]struct{}) map[types.EntityID]struct{} {
+	set, verdicts := sn.resolveCandidates(t, p, allowed)
+	if verdicts > 0 {
+		sn.store.scanStats[EntityVerdicts].Add(int64(verdicts))
+	}
+	return set
+}
+
+// resolveCandidates is candidateSet's body; it also returns the number of
+// predicate evaluations spent.
+func (sn *Snapshot) resolveCandidates(t types.EntityType, p pred.Pred, allowed map[types.EntityID]struct{}) (map[types.EntityID]struct{}, int) {
 	if allowed != nil {
 		// Intersect the scheduler-imposed set with the predicate.
 		out := make(map[types.EntityID]struct{}, len(allowed))
+		verdicts := 0
 		for id := range allowed {
 			e := sn.entities[id]
 			if e == nil || (t != types.EntityInvalid && e.Type != t) {
 				continue
 			}
-			if p == nil || p.Eval(e) {
-				out[id] = struct{}{}
+			if p != nil {
+				verdicts++
+				if !p.Eval(e) {
+					continue
+				}
 			}
+			out[id] = struct{}{}
 		}
-		return out
+		return out, verdicts
 	}
 	if p == nil || p.ConstraintCount() == 0 {
-		return nil // unconstrained: cheapest to check type during scan
+		return nil, 0 // unconstrained: cheapest to check type during scan
 	}
 	if !sn.opts.DisableIndexes {
-		if set, ok := sn.probeIndex(t, p); ok {
-			return set
+		if set, verdicts, ok := sn.probeIndex(t, p); ok {
+			return set, verdicts
+		}
+		if set, verdicts, ok := sn.probeValues(t, p); ok {
+			return set, verdicts
 		}
 	}
-	// Wildcard or non-indexed attribute: evaluate the predicate over the
-	// typed entity table once, which is far smaller than the event log.
+	// No indexed attribute bounds the predicate (agentid = "4", say):
+	// evaluate it over the typed entity table once, which is far smaller
+	// than the event log.
 	out := make(map[types.EntityID]struct{})
-	for _, id := range sn.byType[t] {
+	ids := sn.byType[t]
+	for _, id := range ids {
 		if p.Eval(sn.entities[id]) {
 			out[id] = struct{}{}
 		}
 	}
-	return out
+	return out, len(ids)
 }
 
 // probeIndex serves an exact-equality predicate from the entity hash index.
-// The candidate set from the index is a superset; the full predicate is
-// re-checked on each hit so composite predicates stay correct.
-func (sn *Snapshot) probeIndex(t types.EntityType, p pred.Pred) (map[types.EntityID]struct{}, bool) {
+// Of the predicate's indexable keys it probes the most selective — the one
+// whose values' id lists are shortest in total. The candidate set from the
+// index is a superset; the full predicate is re-checked on each hit so
+// composite predicates stay correct.
+func (sn *Snapshot) probeIndex(t types.EntityType, p pred.Pred) (map[types.EntityID]struct{}, int, bool) {
+	var best *pred.IndexKey
+	bestN := 0
 	keys := pred.IndexableKeys(p)
-	for _, k := range keys {
+	for i := range keys {
+		k := &keys[i]
 		if !attrIndexed(t, k.Attr) {
 			continue
 		}
-		out := make(map[types.EntityID]struct{})
+		n := 0
 		for _, val := range k.Vals {
-			for _, id := range sn.entityIdx[entityKey{typ: t, attr: k.Attr, val: val}] {
-				if p.Eval(sn.entities[id]) {
-					out[id] = struct{}{}
-				}
+			n += len(sn.entityIdx.ids[entityKey{typ: t, attr: k.Attr, val: val}])
+		}
+		if best == nil || n < bestN {
+			best, bestN = k, n
+		}
+	}
+	if best == nil {
+		return nil, 0, false
+	}
+	out := make(map[types.EntityID]struct{}, bestN)
+	for _, val := range best.Vals {
+		for _, id := range sn.entityIdx.ids[entityKey{typ: t, attr: best.Attr, val: val}] {
+			if p.Eval(sn.entities[id]) {
+				out[id] = struct{}{}
 			}
 		}
-		return out, true
 	}
-	return nil, false
+	return out, bestN, true
+}
+
+// probeValues serves a predicate that projects onto an indexed attribute
+// (pred.Project) from the index's value dictionary: the projection is
+// evaluated once per distinct value, and the full predicate re-checked on
+// each entity under a passing value, as probeIndex does — unless the
+// projection is the whole predicate, which the value's verdict then
+// decides for every entity under it. Of several projecting attributes it
+// takes the one with the fewest distinct values.
+func (sn *Snapshot) probeValues(t types.EntityType, p pred.Pred) (map[types.EntityID]struct{}, int, bool) {
+	var (
+		proj pred.Pred
+		attr string
+		vals []string
+	)
+	for _, a := range indexedAttrs[t] {
+		pa, ok := pred.Project(p, a)
+		if !ok {
+			continue
+		}
+		if vs := sn.entityIdx.vals[attrKey{typ: t, attr: a}]; proj == nil || len(vs) < len(vals) {
+			proj, attr, vals = pa, a, vs
+		}
+	}
+	if proj == nil {
+		return nil, 0, false
+	}
+	exact := proj == p
+	subj := &valueSubject{attr: attr}
+	out := make(map[types.EntityID]struct{})
+	verdicts := len(vals)
+	for _, v := range vals {
+		subj.val = v
+		if !proj.Eval(subj) {
+			continue
+		}
+		ids := sn.entityIdx.ids[entityKey{typ: t, attr: attr, val: v}]
+		if exact {
+			for _, id := range ids {
+				out[id] = struct{}{}
+			}
+			continue
+		}
+		verdicts += len(ids)
+		for _, id := range ids {
+			if p.Eval(sn.entities[id]) {
+				out[id] = struct{}{}
+			}
+		}
+	}
+	return out, verdicts, true
+}
+
+// valueSubject is a subject carrying one attribute, what probeValues
+// evaluates a projection on. One is reused across a probe's values, so the
+// probe allocates nothing per value.
+type valueSubject struct{ attr, val string }
+
+func (s *valueSubject) Attr(key string) (string, bool) {
+	if key != s.attr {
+		return "", false
+	}
+	return s.val, true
 }
 
 // selectPartitions applies spatial and temporal partition pruning over the

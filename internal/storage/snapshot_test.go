@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"aiql/internal/pred"
 	"aiql/internal/timeutil"
 	"aiql/internal/types"
 )
@@ -202,6 +203,42 @@ func TestInlineScanLimitAndRelease(t *testing.T) {
 	}
 	if n := st.LiveSnapshots(); n != 0 {
 		t.Fatalf("%d snapshots live after inline scan", n)
+	}
+}
+
+// TestSmallHotWalkMatchesPool: a posting walk over several hot partitions
+// runs on one producer, and answers exactly — order and Limit included —
+// as the producer pool's range scan does.
+func TestSmallHotWalkMatchesPool(t *testing.T) {
+	walk, _ := buildFixture(Options{})
+	pool, _ := buildFixture(Options{DisableIndexes: true})
+	for _, limit := range []int{0, 70, 50, 3} {
+		q := &DataQuery{
+			SubjType: types.EntityProcess, SubjPred: pred.NewCond(types.AttrExeName, pred.CmpEq, "/bin/%worker"),
+			ObjType: types.EntityFile, Ops: types.NewOpSet(types.OpWrite, types.OpRead), Limit: limit,
+		}
+		sn := walk.Snapshot()
+		sp := &scanPlan{q: q, subjCand: sn.candidateSet(q.SubjType, q.SubjPred, nil), usePostings: true, fromSubject: true}
+		if parts := sn.selectPartitions(q); len(parts) != 6 || !smallHotWalk(sp, parts) {
+			t.Fatalf("fixture no longer gives a small hot walk over 6 partitions (%d)", len(parts))
+		}
+		sn.Close()
+		got := walk.Run(context.Background(), q)
+		want := pool.Run(context.Background(), q)
+		if limit > 0 && len(want) != limit {
+			t.Fatalf("limit %d: pool returned %d matches", limit, len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("limit %d: walk %d matches, pool %d", limit, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Event.ID != want[i].Event.ID {
+				t.Fatalf("limit %d: order diverges at %d: %d vs %d", limit, i, got[i].Event.ID, want[i].Event.ID)
+			}
+		}
+	}
+	if n := walk.LiveCursors(); n != 0 {
+		t.Fatalf("%d cursors live after the walks", n)
 	}
 }
 

@@ -126,6 +126,60 @@ type entityKey struct {
 	val  string
 }
 
+// attrKey addresses one indexed attribute of one entity type.
+type attrKey struct {
+	typ  types.EntityType
+	attr string
+}
+
+// entityIndex is the entity attribute hash index over indexedAttrs: the ids
+// carrying each (type, attribute, value), and per (type, attribute) its
+// distinct values in first-seen order — the value dictionary candidate
+// resolution evaluates wildcard predicates against (Snapshot.candidateSet).
+// Both maps follow the copy-on-write rules: their slices only grow at the
+// tail, and the maps are cloned before a write while a snapshot may hold
+// them.
+type entityIndex struct {
+	ids  map[entityKey][]types.EntityID
+	vals map[attrKey][]string
+}
+
+func newEntityIndex() entityIndex {
+	return entityIndex{ids: make(map[entityKey][]types.EntityID), vals: make(map[attrKey][]string)}
+}
+
+// clone shallow-copies both maps; slice values keep sharing their arrays.
+func (x entityIndex) clone() entityIndex {
+	c := entityIndex{
+		ids:  make(map[entityKey][]types.EntityID, len(x.ids)),
+		vals: make(map[attrKey][]string, len(x.vals)),
+	}
+	for k, v := range x.ids {
+		c.ids[k] = v
+	}
+	for k, v := range x.vals {
+		c.vals[k] = v
+	}
+	return c
+}
+
+// add indexes e under each of its indexed attributes.
+func (x entityIndex) add(e *types.Entity) {
+	for _, attr := range indexedAttrs[e.Type] {
+		v, ok := e.Attrs[attr]
+		if !ok {
+			continue
+		}
+		k := entityKey{typ: e.Type, attr: attr, val: v}
+		ids, seen := x.ids[k]
+		if !seen {
+			ak := attrKey{typ: e.Type, attr: attr}
+			x.vals[ak] = append(x.vals[ak], v)
+		}
+		x.ids[k] = append(ids, e.ID)
+	}
+}
+
 // indexedAttrs lists, per entity type, the attributes served by hash
 // indexes — the attributes the paper says are queried frequently.
 var indexedAttrs = map[types.EntityType][]string{
@@ -163,13 +217,13 @@ type Store struct {
 	mu         sync.RWMutex
 	entities   map[types.EntityID]*types.Entity
 	byType     map[types.EntityType][]types.EntityID
-	entityIdx  map[entityKey][]types.EntityID
+	entityIdx  entityIndex
 	parts      map[partKey]*partition
 	partList   []*partition // kept sorted by (day, agent); snapshots copy it
 	eventCount int
 	generation uint64
 
-	// metaShared marks the three entity maps above as possibly referenced
+	// metaShared marks the entity maps and index above as possibly referenced
 	// by a live snapshot; the next entity insertion clones them first.
 	metaShared bool
 	// liveSnaps counts snapshots not yet closed. While zero, the shared
@@ -203,7 +257,9 @@ type ScanCounter int
 
 // The scan counters, in ScanCounters order. Of the blocks considered, the
 // zone maps skip some without touching them and the rest are decoded, so
-// BlocksDecoded + BlocksSkipped == BlocksConsidered.
+// BlocksDecoded + BlocksSkipped == BlocksConsidered. EntityVerdicts counts
+// predicate evaluations before any row is touched: per entity, or per
+// distinct value of an indexed attribute.
 const (
 	BlocksConsidered ScanCounter = iota
 	BlocksSkipped
@@ -216,6 +272,7 @@ const (
 	AttrZoneSkips
 	CompressedBytesRead
 	CompressedBytesDecoded
+	EntityVerdicts
 	numScanCounters
 )
 
@@ -235,6 +292,7 @@ var ScanCounters = [numScanCounters]struct{ Name, Help string }{
 	AttrZoneSkips:          {"attr_zone_skips", "Blocks skipped by attribute zone maps."},
 	CompressedBytesRead:    {"compressed_bytes_read", "Compressed block bytes read from sealed segments."},
 	CompressedBytesDecoded: {"compressed_bytes_decoded", "Bytes produced by block decompression."},
+	EntityVerdicts:         {"entity_verdicts", "Entity predicate evaluations spent resolving candidate sets."},
 }
 
 // scanCounters aggregates zone-map and hot-path effectiveness across all
@@ -260,7 +318,7 @@ func New(opts Options) *Store {
 		opts:      opts,
 		entities:  make(map[types.EntityID]*types.Entity),
 		byType:    make(map[types.EntityType][]types.EntityID),
-		entityIdx: make(map[entityKey][]types.EntityID),
+		entityIdx: newEntityIndex(),
 		parts:     make(map[partKey]*partition),
 	}
 }
@@ -390,11 +448,7 @@ func (s *Store) cowMetaLocked() {
 		for k, v := range s.byType {
 			byType[k] = v
 		}
-		entityIdx := make(map[entityKey][]types.EntityID, len(s.entityIdx))
-		for k, v := range s.entityIdx {
-			entityIdx[k] = v
-		}
-		s.entities, s.byType, s.entityIdx = entities, byType, entityIdx
+		s.entities, s.byType, s.entityIdx = entities, byType, s.entityIdx.clone()
 	}
 	s.metaShared = false
 }
@@ -426,12 +480,7 @@ func (s *Store) addEntityLocked(e *types.Entity) {
 	s.cowMetaLocked()
 	s.entities[e.ID] = e
 	s.byType[e.Type] = append(s.byType[e.Type], e.ID)
-	for _, attr := range indexedAttrs[e.Type] {
-		if v, ok := e.Attrs[attr]; ok {
-			k := entityKey{typ: e.Type, attr: attr, val: v}
-			s.entityIdx[k] = append(s.entityIdx[k], e.ID)
-		}
-	}
+	s.entityIdx.add(e)
 }
 
 // appendLocked appends events — sorted, so events[0] is the earliest — to a

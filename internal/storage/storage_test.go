@@ -292,7 +292,7 @@ func TestDuplicateEntityIngestIgnored(t *testing.T) {
 	e := &types.Entity{ID: 1, Type: types.EntityFile, Attrs: map[string]string{types.AttrName: "/f"}}
 	st.Ingest(&types.Dataset{Entities: []types.Entity{*e}})
 	st.Ingest(&types.Dataset{Entities: []types.Entity{*e}})
-	if got := len(st.entityIdx[entityKey{typ: types.EntityFile, attr: types.AttrName, val: "/f"}]); got != 1 {
+	if got := len(st.entityIdx.ids[entityKey{typ: types.EntityFile, attr: types.AttrName, val: "/f"}]); got != 1 {
 		t.Errorf("duplicate entity indexed %d times", got)
 	}
 }
