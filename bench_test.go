@@ -799,8 +799,10 @@ func benchClusterEngine() (*engine.Engine, error) {
 // BenchmarkClusterVsSingleNode prices the real multi-process topology:
 // identical engine and behaviour corpus, one run against the local store
 // and one scattered over HTTP to 3 worker shards and gathered back through
-// remote cursors. The delta is the wire cost (serialization, fan-out,
-// NDJSON decode) that docs/CLUSTER.md tells operators to budget for.
+// remote cursors. The delta is the wire cost (query marshaling, fan-out,
+// /scan frames in the storage batch codec on pooled connections) that
+// docs/CLUSTER.md tells operators to budget for. CI's bench-regress gates
+// the cluster-3-workers case's B/op and ns/op.
 func BenchmarkClusterVsSingleNode(b *testing.B) {
 	single := benchEngines()["aiql"]
 	clusterEng, err := benchClusterEngine()

@@ -213,9 +213,13 @@ func (c *Coordinator) Scan(ctx context.Context, q *storage.DataQuery) storage.Cu
 	if err != nil {
 		return storage.NewErrCursor(err)
 	}
-	body, err := json.Marshal(wq)
-	if err != nil {
-		return storage.NewErrCursor(err)
+	// Unreplicated, every target gets the same body; replicated, each gets
+	// its own (below), so the shared one is marshaled only when it is sent.
+	var body []byte
+	if c.replicas == 1 {
+		if body, err = json.Marshal(wq); err != nil {
+			return storage.NewErrCursor(err)
+		}
 	}
 	// Under a trace, the fan-out gets a "gather" span and each worker leg
 	// hangs off it (remote.go); the span ends when the gather cursor closes,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -227,7 +228,7 @@ func TestUnconstrainedScanFansOutEverywhere(t *testing.T) {
 }
 
 // deadWorkerCluster builds a 3-worker cluster whose last worker streams a
-// few valid records and then drops the connection mid-stream — the
+// valid batch frame and then drops the connection mid-stream — the
 // distributed analogue of kill -9 on a data node.
 func deadWorkerCluster(t *testing.T) (*cluster.Coordinator, []*worker, int) {
 	t.Helper()
@@ -246,12 +247,9 @@ func deadWorkerCluster(t *testing.T) (*cluster.Coordinator, []*worker, int) {
 			fmt.Fprintln(w, "{}")
 			return
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		fmt.Fprintln(w, `{"kind":"hdr","shard":2}`)
-		fmt.Fprintln(w, `{"kind":"ent","ent":{"id":1,"type":"process","agentid":1,"attrs":{"exe_name":"x"}}}`)
-		fmt.Fprintln(w, `{"kind":"row","ev":{"id":1,"agentid":1,"subject":1,"object":1,"op":"read","start":42},"subj":1,"obj":1}`)
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
+		sw := cluster.NewScanWriter(w, 2, 0)
+		if err := sw.Batch([]storage.Match{fakeMatch(1, 42)}); err != nil {
+			return
 		}
 		// Die without the end trailer: the coordinator must treat the
 		// truncated stream as a worker failure, not a short result.
@@ -267,6 +265,13 @@ func deadWorkerCluster(t *testing.T) (*cluster.Coordinator, []*worker, int) {
 		t.Fatalf("ingest: %v", err)
 	}
 	return coord, ws, 2
+}
+
+// fakeMatch is a one-row scan answer for the hand-written fake workers: a
+// process reading itself, the same entity on every row.
+func fakeMatch(id types.EventID, start int64) storage.Match {
+	p := &types.Entity{ID: 1, Type: types.EntityProcess, AgentID: 1, Attrs: map[string]string{"exe_name": "x"}}
+	return storage.Match{Event: &types.Event{ID: id, AgentID: 1, Subject: 1, Object: 1, Op: types.OpRead, Start: start}, Subj: p, Obj: p}
 }
 
 // TestWorkerDeathMidStreamIsTypedPartialFailure kills one worker while it
@@ -344,10 +349,7 @@ func TestScanCancellationPropagatesToWorkers(t *testing.T) {
 			fmt.Fprintln(w, "{}")
 			return
 		}
-		flusher, _ := w.(http.Flusher)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		fmt.Fprintln(w, `{"kind":"hdr","shard":0}`)
-		fmt.Fprintln(w, `{"kind":"ent","ent":{"id":1,"type":"process","agentid":1,"attrs":{"exe_name":"x"}}}`)
+		sw := cluster.NewScanWriter(w, 0, 0)
 		for i := 0; ; i++ {
 			select {
 			case <-r.Context().Done():
@@ -355,10 +357,9 @@ func TestScanCancellationPropagatesToWorkers(t *testing.T) {
 				return
 			case <-time.After(2 * time.Millisecond):
 			}
-			fmt.Fprintf(w, `{"kind":"row","ev":{"id":%d,"agentid":1,"subject":1,"object":1,"op":"read","start":%d},"subj":1,"obj":1}`+"\n", i, i)
-			if flusher != nil {
-				flusher.Flush()
-			}
+			// A write error only means the client is gone; the context
+			// case above sees it on the next turn.
+			_ = sw.Batch([]storage.Match{fakeMatch(types.EventID(i), int64(i))})
 		}
 	}))
 	t.Cleanup(endless.Close)
@@ -661,5 +662,141 @@ func TestIngestRetryDoesNotDuplicate(t *testing.T) {
 	}
 	if rs := ws[0].store.ReplStats(); rs.Duplicates == 0 {
 		t.Error("worker 0 recorded no duplicate suppression; the retry was not deduplicated by tag")
+	}
+}
+
+// countingListener counts the writes a server makes on its connections.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c, writes: l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestScanLegsReuseConnections runs 50 sequential coordinator scans, narrow
+// and wide, against one worker and counts the connections it accepts. A leg
+// read to its trailer and on to EOF goes back to the transport's pool, so
+// the scans share one connection. Every other scan has its trailer flushed
+// on its own and the chunked terminator sent after a pause, so the
+// coordinator must read on past the trailer to reach EOF. The test also
+// pins where that EOF normally comes from: a one-batch leg costs the worker
+// two writes, the batch frame and then the trailer with the terminator.
+func TestScanLegsReuseConnections(t *testing.T) {
+	st := storage.New(storage.Options{})
+	st.Ingest(gen.Scenario(gen.Config{Hosts: 10, Days: 3, BackgroundPerHostDay: 100, Seed: 7}))
+	s := server.New(st, engine.New(st, engine.Options{}), server.Options{})
+	s.SetShard(0)
+	h := s.Handler()
+	var opened, writes, scans atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.URL.Path == "/scan" && scans.Add(1)%2 == 0 {
+			w.(http.Flusher).Flush()
+			time.Sleep(2 * time.Millisecond)
+		}
+	}))
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Listener = &countingListener{Listener: ts.Listener, writes: &writes}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	coord, err := cluster.New([]string{ts.URL}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	wide := 0
+	for i := 0; i < 50; i++ {
+		q := scanDay(1+i%10, i%3)
+		if i%5 == 4 {
+			q = &storage.DataQuery{Ops: types.AllOps()}
+		}
+		rows, err := coord.Run(ctx, q)
+		if err != nil {
+			t.Fatalf("scan %d: %v", i, err)
+		}
+		wide = max(wide, len(rows))
+	}
+	if wide <= 2*storage.ScanBatchSize {
+		t.Fatalf("widest scan shipped %d rows; the test needs several batch frames per leg", wide)
+	}
+	if n := opened.Load(); n > 2 {
+		t.Errorf("50 sequential scans opened %d connections, want at most 2", n)
+	}
+
+	scans.Store(0)
+	before := writes.Load()
+	small := scanDay(1, 0)
+	small.Ops = types.OpSet(0).Add(types.OpConnect)
+	rows, err := coord.Run(ctx, small)
+	if err != nil || len(rows) == 0 || len(rows) > 16 {
+		t.Fatalf("one-batch scan: %d rows, %v", len(rows), err)
+	}
+	if got := writes.Load() - before; got != 2 {
+		t.Errorf("a one-batch leg took %d worker writes, want 2 (batch; trailer with the chunked terminator)", got)
+	}
+}
+
+// TestScanRefusesForeignContentType puts a worker answering /scan in the
+// retired NDJSON stream format (an older aiqld in a mixed-version cluster)
+// behind a coordinator: the leg must fail as a *WorkerError naming both
+// content types, and a /query through the coordinator's daemon as a 502.
+func TestScanRefusesForeignContentType(t *testing.T) {
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/scan" {
+			w.WriteHeader(http.StatusOK)
+			fmt.Fprintln(w, "{}")
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintln(w, `{"kind":"hdr","shard":0}`)
+		fmt.Fprintln(w, `{"kind":"ent","ent":{"id":1,"type":"process","agentid":1,"attrs":{"exe_name":"x"}}}`)
+		fmt.Fprintln(w, `{"kind":"row","ev":{"id":1,"agentid":1,"subject":1,"object":1,"op":"read","start":42},"subj":1,"obj":1}`)
+		fmt.Fprintln(w, `{"kind":"end","rows":1}`)
+	}))
+	t.Cleanup(old.Close)
+	coord, err := cluster.New([]string{old.URL}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = coord.Run(context.Background(), &storage.DataQuery{Ops: types.AllOps()})
+	var we *cluster.WorkerError
+	if !errors.As(err, &we) {
+		t.Fatalf("error is %T (%v), want a *cluster.WorkerError", err, err)
+	}
+	for _, ct := range []string{"application/x-ndjson", cluster.ScanContentType} {
+		if !strings.Contains(we.Error(), ct) {
+			t.Errorf("worker error %q does not name %q", we, ct)
+		}
+	}
+
+	cs := httptest.NewServer(server.NewCoordinator(coord, engine.New(coord, engine.Options{}), server.Options{}).Handler())
+	t.Cleanup(cs.Close)
+	resp, err := http.Post(cs.URL+"/query", "text/plain", strings.NewReader("proc p read file f return p, f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Errorf("/query through the coordinator answered %d, want 502", resp.StatusCode)
 	}
 }

@@ -3,11 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"aiql/internal/obs"
@@ -18,31 +18,23 @@ import (
 // remoteCursor streams one worker's /scan response as a storage.Cursor.
 // The HTTP request is issued immediately on creation (on a goroutine, so
 // sibling workers stream in parallel from the moment the coordinator's Scan
-// returns); Next decodes rows on the consumer's goroutine, with TCP flow
+// returns); Next decodes frames on the consumer's goroutine, with TCP flow
 // control providing the backpressure bounded channels provide locally.
 //
-// A stream that ends without the worker's explicit "end" trailer — the
-// connection died, the worker crashed mid-scan — surfaces as an error, so a
-// truncated result can never pass for a complete one.
+// A stream that ends without the worker's trailer — the connection died,
+// the worker crashed mid-scan — surfaces as an error, so a truncated result
+// can never pass for a complete one. A complete stream is read to EOF,
+// which returns its connection to the transport's pool.
 type remoteCursor struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	worker string
-	// shard is the logical shard this cursor gathers (reported in worker
-	// errors); workerIdx is the index of the worker actually contacted.
-	// They differ when a failover sends a shard's query to its replica.
-	shard     int
-	workerIdx int
+	// shard is the logical shard gathered (named in worker errors); the
+	// reader's workerIdx is the worker contacted, a replica after failover.
+	shard int
+	scanReader
 
 	respCh chan respOrErr
-	body   io.ReadCloser
-	dec    *json.Decoder
-
-	// entities interns "ent" records: rows reference entities by id.
-	entities map[types.EntityID]*types.Entity
-
-	rows   int
-	sawHdr bool
 	// span is the worker leg's trace span (nil when untraced); ended with
 	// the leg's row count when the cursor finishes.
 	span *obs.Span
@@ -60,15 +52,8 @@ type respOrErr struct {
 // the in-flight body read) promptly.
 func newRemoteCursor(ctx context.Context, client *http.Client, worker string, shard, workerIdx int, body []byte) *remoteCursor {
 	cctx, cancel := context.WithCancel(ctx)
-	c := &remoteCursor{
-		ctx:       cctx,
-		cancel:    cancel,
-		worker:    worker,
-		shard:     shard,
-		workerIdx: workerIdx,
-		respCh:    make(chan respOrErr, 1),
-		entities:  make(map[types.EntityID]*types.Entity),
-	}
+	c := &remoteCursor{ctx: cctx, cancel: cancel, worker: worker, shard: shard, respCh: make(chan respOrErr, 1)}
+	c.workerIdx = workerIdx
 	// Each leg gets its own child span under the scan's gather span, and the
 	// request carries the trace ID so the worker's logs and spans share it.
 	c.span = obs.SpanFromContext(ctx).Child("worker")
@@ -88,7 +73,7 @@ func newRemoteCursor(ctx context.Context, client *http.Client, worker string, sh
 			return
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("Accept", "application/x-ndjson")
+		req.Header.Set("Accept", ScanContentType)
 		if traceID != "" {
 			req.Header.Set(obs.TraceIDHeader, traceID)
 		}
@@ -98,7 +83,9 @@ func newRemoteCursor(ctx context.Context, client *http.Client, worker string, sh
 	return c
 }
 
-// connect waits for the response headers and validates the status line.
+// connect waits for the response headers and checks the status and the
+// content type. A worker answering in another wire format (an older aiqld
+// in a mixed-version cluster) is refused by name.
 func (c *remoteCursor) connect() error {
 	select {
 	case re := <-c.respCh:
@@ -111,8 +98,11 @@ func (c *remoteCursor) connect() error {
 			re.resp.Body.Close()
 			return fmt.Errorf("scan returned %s: %s", re.resp.Status, bytes.TrimSpace(msg))
 		}
-		c.body = re.resp.Body
-		c.dec = json.NewDecoder(re.resp.Body)
+		if ct := re.resp.Header.Get("Content-Type"); ct != ScanContentType {
+			re.resp.Body.Close()
+			return fmt.Errorf("scan answered Content-Type %q, want %q (is every node running the same aiqld?)", ct, ScanContentType)
+		}
+		c.body, c.bp, c.entities = re.resp.Body, framePool.Get().(*[]byte), make(map[types.EntityID]*types.Entity)
 		return nil
 	case <-c.ctx.Done():
 		return c.ctx.Err()
@@ -123,101 +113,24 @@ func (c *remoteCursor) Next(batch []storage.Match) int {
 	if c.done || len(batch) == 0 {
 		return 0
 	}
-	if c.dec == nil {
+	if c.body == nil {
 		if err := c.connect(); err != nil {
 			c.fail(err)
 			return 0
 		}
 	}
-	n := 0
-	for n < len(batch) {
-		var rec WireRecord
-		if err := c.dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				// EOF before the "end" trailer: the worker died mid-stream.
-				err = fmt.Errorf("stream truncated after %d rows: %w", c.rows, io.ErrUnexpectedEOF)
-			}
-			c.fail(err)
-			return 0
-		}
-		if !c.sawHdr {
-			// The protocol opens every stream with a hdr record; anything
-			// else means we are not talking to a worker /scan endpoint.
-			if rec.Kind != RecHdr {
-				c.fail(fmt.Errorf("stream opened with %q record, want %q", rec.Kind, RecHdr))
-				return 0
-			}
-			// A worker that knows its own index (-shard flag) must be the
-			// worker the coordinator contacted: answering from the wrong
-			// slot means the -workers order no longer matches the order
-			// the data was placed in, and every pruned query would be
-			// silently wrong. The check is against the contacted worker's
-			// index, not the logical shard — under replication a replica
-			// legitimately answers for a shard it is not. Workers without
-			// a shard label (-1) skip the check.
-			if rec.Shard >= 0 && rec.Shard != c.workerIdx {
-				c.fail(fmt.Errorf("worker identifies as shard %d, coordinator routed shard %d here (is -workers in placement order?)", rec.Shard, c.workerIdx))
-				return 0
-			}
-			c.sawHdr = true
-			continue
-		}
-		switch rec.Kind {
-		case RecHdr:
-			c.fail(errors.New("duplicate hdr record"))
-			return 0
-		case RecEnt:
-			if rec.Ent == nil {
-				c.fail(errors.New("malformed ent record"))
-				return 0
-			}
-			e, err := rec.Ent.Entity()
-			if err != nil {
-				c.fail(err)
-				return 0
-			}
-			c.entities[e.ID] = e
-		case RecRow:
-			m, err := c.decodeRow(&rec)
-			if err != nil {
-				c.fail(err)
-				return 0
-			}
-			batch[n] = m
-			n++
-			c.rows++
-		case RecEnd:
-			if rec.Rows != c.rows {
-				c.fail(fmt.Errorf("trailer says %d rows, stream carried %d", rec.Rows, c.rows))
-				return 0
-			}
-			c.finish(nil)
-			return n
-		case RecErr:
-			c.fail(fmt.Errorf("worker scan failed: %s", rec.Error))
-			return 0
-		default:
-			c.fail(fmt.Errorf("unknown record kind %q", rec.Kind))
-			return 0
-		}
+	n, err := c.read(batch)
+	if err != nil {
+		c.fail(err)
+		return 0
+	}
+	if n == 0 {
+		// The trailer checked out. Reading on to EOF (bounded) hands the
+		// connection back to the transport's pool; closing first drops it.
+		_, _ = io.Copy(io.Discard, io.LimitReader(c.body, 4<<10))
+		c.finish(nil)
 	}
 	return n
-}
-
-func (c *remoteCursor) decodeRow(rec *WireRecord) (storage.Match, error) {
-	if rec.Ev == nil {
-		return storage.Match{}, errors.New("malformed row record")
-	}
-	ev, err := rec.Ev.Event()
-	if err != nil {
-		return storage.Match{}, err
-	}
-	subj := c.entities[types.EntityID(rec.Subj)]
-	obj := c.entities[types.EntityID(rec.Obj)]
-	if subj == nil || obj == nil {
-		return storage.Match{}, fmt.Errorf("row references entity not sent on this stream (subj=%d obj=%d)", rec.Subj, rec.Obj)
-	}
-	return storage.Match{Event: ev, Subj: subj, Obj: obj}, nil
 }
 
 func (c *remoteCursor) Err() error { return c.err }
@@ -248,24 +161,115 @@ func (c *remoteCursor) finish(err error) {
 		c.span.Set("error", c.err.Error())
 	}
 	c.span.End()
+	// Canceling aborts a request still in flight; a response that arrived
+	// unread goes with its canceled context (see newRemoteCursor).
 	c.cancel()
 	if c.body != nil {
 		c.body.Close()
-		c.body = nil
+		framePool.Put(c.bp)
+		c.bp = nil
 	}
-	if c.respCh != nil {
-		// The request goroutine may still be in flight; the cancel above
-		// aborts it, and the buffered channel lets it exit without a reader.
-		// Drain opportunistically to close the body if it already arrived.
-		select {
-		case re := <-c.respCh:
-			if re.resp != nil {
-				re.resp.Body.Close()
-			}
-		default:
+}
+
+// scanReader decodes one ScanContentType stream into matches. It checks for
+// one header first, naming the contacted worker; known entity types and
+// operations; rows over entities sent earlier; and a trailer that counts
+// exactly the rows carried.
+type scanReader struct {
+	workerIdx int
+	body      io.ReadCloser // nil until connected
+	bp        *[]byte       // pooled payload buffer
+	entities  map[types.EntityID]*types.Entity
+	pending   []types.Event // rows decoded but not yet handed out
+	rows      int           // rows handed out
+	sawHdr    bool
+	ended     bool
+}
+
+// read fills batch from the current batch frame, reading frames only while
+// it holds no rows. It returns 0 and a nil error once a valid trailer is in.
+func (s *scanReader) read(batch []storage.Match) (int, error) {
+	for len(s.pending) == 0 && !s.ended {
+		if err := s.frame(); err != nil {
+			return 0, err
 		}
-		c.respCh = nil
 	}
-	c.dec = nil
-	c.entities = nil
+	n := min(len(batch), len(s.pending))
+	for i := range n {
+		ev := &s.pending[i]
+		batch[i] = storage.Match{Event: ev, Subj: s.entities[ev.Subject], Obj: s.entities[ev.Object]}
+	}
+	s.pending = s.pending[n:]
+	s.rows += n
+	return n, nil
+}
+
+// frame reads one frame and applies it.
+func (s *scanReader) frame() error {
+	var h [5]byte
+	_, err := io.ReadFull(s.body, h[:])
+	kind, size := h[0], binary.LittleEndian.Uint32(h[1:])
+	if err == nil && size > maxFrameBytes {
+		return fmt.Errorf("frame of %d bytes exceeds the %d-byte bound", size, maxFrameBytes)
+	} else if err == nil {
+		*s.bp = slices.Grow((*s.bp)[:0], int(size))[:size]
+		_, err = io.ReadFull(s.body, *s.bp)
+	}
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("stream truncated after %d rows: %w", s.rows, err)
+	}
+	p := *s.bp
+	switch {
+	case !s.sawHdr && kind != frameHeader:
+		return fmt.Errorf("stream opened with frame kind %d, want a header", kind)
+	case kind == frameHeader:
+		if s.sawHdr || size != 16 {
+			return fmt.Errorf("duplicate or malformed header frame (%d bytes)", size)
+		}
+		// A labelled worker (-shard; -1 is unlabelled) must be the one
+		// contacted: otherwise -workers is out of placement order and every
+		// pruned query would be silently wrong. A replica answers for a
+		// shard it is not, so the check is on the worker index.
+		if shard := int(int64(binary.LittleEndian.Uint64(p))); shard >= 0 && shard != s.workerIdx {
+			return fmt.Errorf("worker identifies as shard %d, coordinator routed shard %d here (is -workers in placement order?)", shard, s.workerIdx)
+		}
+		s.sawHdr = true
+	case kind == frameBatch:
+		ents, evs, err := storage.DecodeBatch(p)
+		if err != nil {
+			return err
+		}
+		for i := range ents {
+			if t := ents[i].Type; t == types.EntityInvalid || t > types.EntityNetwork {
+				return fmt.Errorf("cluster: unknown entity type %d", t)
+			}
+			s.entities[ents[i].ID] = &ents[i]
+		}
+		for i := range evs {
+			ev := &evs[i]
+			if ev.Op == types.OpInvalid || int(ev.Op) > types.NumOps {
+				return fmt.Errorf("cluster: unknown operation %d", ev.Op)
+			}
+			if s.entities[ev.Subject] == nil || s.entities[ev.Object] == nil {
+				return fmt.Errorf("row references entity not sent on this stream (subj=%d obj=%d)", ev.Subject, ev.Object)
+			}
+		}
+		s.pending = evs
+	case kind == frameEnd:
+		if size != 8 {
+			return fmt.Errorf("malformed end frame (%d bytes)", size)
+		}
+		if got := binary.LittleEndian.Uint64(p); got != uint64(s.rows) {
+			return fmt.Errorf("trailer says %d rows, stream carried %d", got, s.rows)
+		}
+		s.ended = true
+	case kind == frameErr:
+		return fmt.Errorf("worker scan failed: %s", p)
+	default:
+		return fmt.Errorf("unknown frame kind %d", kind)
+	}
+	return nil
 }

@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"net/http"
+	"sync"
 
 	"aiql/internal/pred"
 	"aiql/internal/storage"
@@ -47,26 +51,18 @@ type WireQuery struct {
 
 // EncodeQuery converts a data query to its wire form.
 func EncodeQuery(q *storage.DataQuery) (*WireQuery, error) {
-	w := &WireQuery{
-		Agents: q.Agents,
-		From:   q.Window.From, To: q.Window.To,
-		Limit:     q.Limit,
-		ForceScan: q.ForceScan,
-	}
+	w := &WireQuery{Agents: q.Agents, From: q.Window.From, To: q.Window.To, Limit: q.Limit, ForceScan: q.ForceScan}
 	if q.SubjType != types.EntityInvalid {
 		w.SubjType = q.SubjType.String()
 	}
 	if q.ObjType != types.EntityInvalid {
 		w.ObjType = q.ObjType.String()
 	}
-	var err error
-	if w.SubjPred, err = pred.Encode(q.SubjPred); err != nil {
-		return nil, err
-	}
-	if w.ObjPred, err = pred.Encode(q.ObjPred); err != nil {
-		return nil, err
-	}
-	if w.EvtPred, err = pred.Encode(q.EvtPred); err != nil {
+	var errs [3]error
+	w.SubjPred, errs[0] = pred.Encode(q.SubjPred)
+	w.ObjPred, errs[1] = pred.Encode(q.ObjPred)
+	w.EvtPred, errs[2] = pred.Encode(q.EvtPred)
+	if err := errors.Join(errs[:]...); err != nil {
 		return nil, err
 	}
 	for op := types.Op(1); int(op) <= types.NumOps; op++ {
@@ -81,31 +77,14 @@ func EncodeQuery(q *storage.DataQuery) (*WireQuery, error) {
 
 // DataQuery rebuilds the storage-level query on the worker side.
 func (w *WireQuery) DataQuery() (*storage.DataQuery, error) {
-	q := &storage.DataQuery{
-		Agents:    w.Agents,
-		Window:    timeutil.Window{From: w.From, To: w.To},
-		Limit:     w.Limit,
-		ForceScan: w.ForceScan,
-	}
-	var ok bool
-	if w.SubjType != "" {
-		if q.SubjType, ok = types.ParseEntityType(w.SubjType); !ok {
-			return nil, fmt.Errorf("cluster: unknown entity type %q", w.SubjType)
-		}
-	}
-	if w.ObjType != "" {
-		if q.ObjType, ok = types.ParseEntityType(w.ObjType); !ok {
-			return nil, fmt.Errorf("cluster: unknown entity type %q", w.ObjType)
-		}
-	}
-	var err error
-	if q.SubjPred, err = pred.Decode(w.SubjPred); err != nil {
-		return nil, err
-	}
-	if q.ObjPred, err = pred.Decode(w.ObjPred); err != nil {
-		return nil, err
-	}
-	if q.EvtPred, err = pred.Decode(w.EvtPred); err != nil {
+	q := &storage.DataQuery{Agents: w.Agents, Window: timeutil.Window{From: w.From, To: w.To}, Limit: w.Limit, ForceScan: w.ForceScan}
+	var errs [5]error
+	q.SubjType, errs[0] = decodeEntityType(w.SubjType)
+	q.ObjType, errs[1] = decodeEntityType(w.ObjType)
+	q.SubjPred, errs[2] = pred.Decode(w.SubjPred)
+	q.ObjPred, errs[3] = pred.Decode(w.ObjPred)
+	q.EvtPred, errs[4] = pred.Decode(w.EvtPred)
+	if err := errors.Join(errs[:]...); err != nil {
 		return nil, err
 	}
 	for _, name := range w.Ops {
@@ -120,15 +99,20 @@ func (w *WireQuery) DataQuery() (*storage.DataQuery, error) {
 	return q, nil
 }
 
-func encodeIDSet(set map[types.EntityID]struct{}) ([]uint64, bool) {
-	if set == nil {
-		return nil, false
+// decodeEntityType parses an entity type name; "" means any type.
+func decodeEntityType(name string) (types.EntityType, error) {
+	if t, ok := types.ParseEntityType(name); ok || name == "" {
+		return t, nil
 	}
+	return types.EntityInvalid, fmt.Errorf("cluster: unknown entity type %q", name)
+}
+
+func encodeIDSet(set map[types.EntityID]struct{}) ([]uint64, bool) {
 	ids := make([]uint64, 0, len(set))
 	for id := range set {
 		ids = append(ids, uint64(id))
 	}
-	return ids, true
+	return ids, set != nil
 }
 
 func decodeIDSet(ids []uint64, has bool) map[types.EntityID]struct{} {
@@ -142,98 +126,105 @@ func decodeIDSet(ids []uint64, has bool) map[types.EntityID]struct{} {
 	return set
 }
 
-// Stream record kinds on the /scan NDJSON response. The stream is
-//
-//	hdr (ent | row)* (end | err)
-//
-// Entities are interned: each distinct entity crosses the wire once, as an
-// "ent" record, before the first "row" referencing it; rows then carry the
-// event inline plus the subject/object entity ids. The explicit "end"
-// trailer is what lets the coordinator distinguish a complete result from a
-// connection that died mid-stream — a truncated stream must surface as a
-// worker failure, never as a short result.
+// ScanContentType is the media type of a /scan response: frames of a kind
+// byte, a u32 little-endian payload length and the payload, in the order
+// header batch* (end | err). A header carries the worker's shard (i64, -1
+// when unlabelled) and store generation (u64); a batch, one cursor batch in
+// the storage batch codec (storage.AppendBatch), holding the entities first
+// sent on this stream and the events, whose Subject and Object name each
+// row's entities; the end trailer, the row count (u64); an err frame, a
+// message. The trailer tells a complete result from a connection that died
+// mid-stream, which must surface as a worker failure, never a short result.
+const ScanContentType = "application/x-aiql-scan"
+
 const (
-	RecHdr = "hdr"
-	RecEnt = "ent"
-	RecRow = "row"
-	RecEnd = "end"
-	RecErr = "err"
+	frameHeader byte = iota + 1
+	frameBatch
+	frameEnd
+	frameErr
 )
 
-// WireRecord is one line of a /scan response stream.
-type WireRecord struct {
-	Kind string `json:"kind"`
-	// hdr payload.
-	Shard      int    `json:"shard,omitempty"`
-	Generation uint64 `json:"generation,omitempty"`
-	// ent payload.
-	Ent *WireEntity `json:"ent,omitempty"`
-	// row payload.
-	Ev   *WireEvent `json:"ev,omitempty"`
-	Subj uint64     `json:"subj,omitempty"`
-	Obj  uint64     `json:"obj,omitempty"`
-	// end payload.
-	Rows int `json:"rows,omitempty"`
-	// err payload.
-	Error string `json:"error,omitempty"`
+// maxFrameBytes bounds a payload before a reader allocates for it, far
+// above a batch of storage.ScanBatchSize rows and their entities. Frame
+// buffers on both ends of a stream come from framePool.
+const maxFrameBytes = 16 << 20
+
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// ScanWriter encodes a /scan response, the stream's only encoder. Each
+// entity crosses a stream once, in the first batch that references it.
+type ScanWriter struct {
+	w    http.ResponseWriter
+	bp   *[]byte // frames not yet written
+	sent map[types.EntityID]bool
+	ents []types.Entity
+	evs  []types.Event
+	rows int
 }
 
-// WireEntity mirrors types.Entity on the wire.
-type WireEntity struct {
-	ID      uint64            `json:"id"`
-	Type    string            `json:"type"`
-	AgentID int               `json:"agentid"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
+// NewScanWriter sets the response's content type and buffers the header
+// frame, which goes out with the first batch or with the trailer.
+func NewScanWriter(w http.ResponseWriter, shard int, generation uint64) *ScanWriter {
+	w.Header().Set("Content-Type", ScanContentType)
+	sw := &ScanWriter{w: w, bp: framePool.Get().(*[]byte), sent: make(map[types.EntityID]bool)}
+	*sw.bp = (*sw.bp)[:0]
+	sw.frame(frameHeader, func(b []byte) []byte {
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(b, uint64(int64(shard))), generation)
+	})
+	return sw
 }
 
-// NewWireEntity converts an entity for the wire.
-func NewWireEntity(e *types.Entity) *WireEntity {
-	return &WireEntity{ID: uint64(e.ID), Type: e.Type.String(), AgentID: e.AgentID, Attrs: e.Attrs}
-}
-
-// Entity rebuilds the entity on the coordinator side.
-func (w *WireEntity) Entity() (*types.Entity, error) {
-	t, ok := types.ParseEntityType(w.Type)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown entity type %q", w.Type)
+// Batch writes one cursor batch as a batch frame and flushes it, so a large
+// result streams batch by batch.
+func (sw *ScanWriter) Batch(ms []storage.Match) error {
+	sw.ents, sw.evs = sw.ents[:0], sw.evs[:0]
+	for _, m := range ms {
+		for _, e := range [2]*types.Entity{m.Subj, m.Obj} {
+			if !sw.sent[e.ID] {
+				sw.sent[e.ID] = true
+				sw.ents = append(sw.ents, *e)
+			}
+		}
+		sw.evs = append(sw.evs, *m.Event)
 	}
-	return &types.Entity{ID: types.EntityID(w.ID), Type: t, AgentID: w.AgentID, Attrs: w.Attrs}, nil
+	sw.rows += len(ms)
+	sw.frame(frameBatch, func(b []byte) []byte { return storage.AppendBatch(b, sw.ents, sw.evs) })
+	return sw.write(true)
 }
 
-// WireEvent mirrors types.Event on the wire.
-type WireEvent struct {
-	ID       uint64 `json:"id"`
-	AgentID  int    `json:"agentid"`
-	Subject  uint64 `json:"subject"`
-	Object   uint64 `json:"object"`
-	Op       string `json:"op"`
-	Start    int64  `json:"start"`
-	End      int64  `json:"end,omitempty"`
-	Seq      uint64 `json:"seq,omitempty"`
-	Amount   int64  `json:"amount,omitempty"`
-	FailCode int    `json:"failcode,omitempty"`
+// End writes the trailer unflushed: net/http sends it in one write with the
+// chunked terminator, so the client reads EOF with the last frame and its
+// transport can reuse the connection.
+func (sw *ScanWriter) End() error {
+	sw.frame(frameEnd, func(b []byte) []byte { return binary.LittleEndian.AppendUint64(b, uint64(sw.rows)) })
+	return sw.write(false)
 }
 
-// NewWireEvent converts an event for the wire.
-func NewWireEvent(ev *types.Event) *WireEvent {
-	return &WireEvent{
-		ID: uint64(ev.ID), AgentID: ev.AgentID,
-		Subject: uint64(ev.Subject), Object: uint64(ev.Object),
-		Op: ev.Op.String(), Start: ev.Start, End: ev.End,
-		Seq: ev.Seq, Amount: ev.Amount, FailCode: ev.FailCode,
+// Fail reports a scan error in-band, in place of the trailer.
+func (sw *ScanWriter) Fail(err error) error {
+	sw.frame(frameErr, func(b []byte) []byte { return append(b, err.Error()...) })
+	return sw.write(false)
+}
+
+// frame buffers one frame whose payload add appends.
+func (sw *ScanWriter) frame(kind byte, add func([]byte) []byte) {
+	b := append(*sw.bp, kind, 0, 0, 0, 0)
+	at := len(b)
+	b = add(b)
+	binary.LittleEndian.PutUint32(b[at-4:], uint32(len(b)-at))
+	*sw.bp = b
+}
+
+// write sends the buffered frames in one call and flushes a batch; the
+// last frame is left unflushed and releases the buffer.
+func (sw *ScanWriter) write(batch bool) error {
+	_, err := sw.w.Write(*sw.bp)
+	*sw.bp = (*sw.bp)[:0]
+	if f, ok := sw.w.(http.Flusher); ok && batch && err == nil {
+		f.Flush()
+	} else if !batch {
+		framePool.Put(sw.bp)
+		sw.bp = nil
 	}
-}
-
-// Event rebuilds the event on the coordinator side.
-func (w *WireEvent) Event() (*types.Event, error) {
-	op, ok := types.ParseOp(w.Op)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown operation %q", w.Op)
-	}
-	return &types.Event{
-		ID: types.EventID(w.ID), AgentID: w.AgentID,
-		Subject: types.EntityID(w.Subject), Object: types.EntityID(w.Object),
-		Op: op, Start: w.Start, End: w.End,
-		Seq: w.Seq, Amount: w.Amount, FailCode: w.FailCode,
-	}, nil
+	return err
 }

@@ -539,22 +539,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cur.Close()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if err := enc.Encode(&cluster.WireRecord{Kind: cluster.RecHdr, Shard: s.shard, Generation: s.store.Generation()}); err != nil {
-		return
-	}
-	flush()
-
-	sentEnts := make(map[uint64]struct{})
+	sw := cluster.NewScanWriter(w, s.shard, s.store.Generation())
 	batch := make([]storage.Match, storage.ScanBatchSize)
 	for {
 		n := cur.Next(batch)
@@ -562,40 +547,20 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		iq.AddRows(n)
-		for _, m := range batch[:n] {
-			if _, ok := sentEnts[uint64(m.Subj.ID)]; !ok {
-				sentEnts[uint64(m.Subj.ID)] = struct{}{}
-				if err := enc.Encode(&cluster.WireRecord{Kind: cluster.RecEnt, Ent: cluster.NewWireEntity(m.Subj)}); err != nil {
-					return
-				}
-			}
-			if _, ok := sentEnts[uint64(m.Obj.ID)]; !ok {
-				sentEnts[uint64(m.Obj.ID)] = struct{}{}
-				if err := enc.Encode(&cluster.WireRecord{Kind: cluster.RecEnt, Ent: cluster.NewWireEntity(m.Obj)}); err != nil {
-					return
-				}
-			}
-			if err := enc.Encode(&cluster.WireRecord{
-				Kind: cluster.RecRow, Ev: cluster.NewWireEvent(m.Event),
-				Subj: uint64(m.Subj.ID), Obj: uint64(m.Obj.ID),
-			}); err != nil {
-				return
-			}
-			rows++
+		if err := sw.Batch(batch[:n]); err != nil {
+			return
 		}
-		flush()
+		rows += n
 	}
 	if err := cur.Err(); err != nil {
 		// The stream is already underway; report the failure in-band. A
 		// canceled request needs no trailer — nobody is listening.
 		if r.Context().Err() == nil {
-			_ = enc.Encode(&cluster.WireRecord{Kind: cluster.RecErr, Error: err.Error()})
-			flush()
+			_ = sw.Fail(err)
 		}
 		return
 	}
-	_ = enc.Encode(&cluster.WireRecord{Kind: cluster.RecEnd, Rows: rows})
-	flush()
+	_ = sw.End()
 }
 
 // ndjsonRequested reports whether the client asked for streaming NDJSON.

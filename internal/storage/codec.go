@@ -167,7 +167,14 @@ func (d *decoder) event() types.Event {
 // encodeBatch serializes one ingest batch — the WAL record payload.
 func encodeBatch(entities []types.Entity, events []types.Event) []byte {
 	size := 8 + len(events)*eventWireBytes + len(entities)*32
-	buf := make([]byte, 0, size)
+	return AppendBatch(make([]byte, 0, size), entities, events)
+}
+
+// AppendBatch appends a batch in the WAL record layout to buf: a u32 count
+// and the entities, then a u32 count and the events. Besides the WAL, it is
+// the row payload of the cluster's /scan frames, so entities and events
+// cross the network in the same encoding they are journaled in.
+func AppendBatch(buf []byte, entities []types.Entity, events []types.Event) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entities)))
 	for i := range entities {
 		buf = appendEntity(buf, &entities[i])
@@ -179,9 +186,12 @@ func encodeBatch(entities []types.Entity, events []types.Event) []byte {
 	return buf
 }
 
-// decodeBatch parses a WAL record payload back into its entities and
-// events.
-func decodeBatch(payload []byte) ([]types.Entity, []types.Event, error) {
+// DecodeBatch parses a payload in AppendBatch's layout back into its
+// entities and events. Strings are copied out, so payload may be reused
+// once it returns. Like the rest of the codec it checks bounds, not
+// meaning: an entity type or operation outside this build's enums decodes
+// as is.
+func DecodeBatch(payload []byte) ([]types.Entity, []types.Event, error) {
 	d := &decoder{b: payload}
 	ne := d.u32()
 	if d.err != nil {

@@ -209,7 +209,7 @@ func (s *Store) ReplState(epoch string, shard int) ReplShardState {
 // DecodeBatchPayload parses an untagged batch payload — the wire form
 // /walship ships and /catchup applies — into a dataset.
 func DecodeBatchPayload(payload []byte) (*types.Dataset, error) {
-	entities, events, err := decodeBatch(payload)
+	entities, events, err := DecodeBatch(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +217,7 @@ func DecodeBatchPayload(payload []byte) (*types.Dataset, error) {
 }
 
 // taggedSentinel marks a WAL payload as tag-extended. An untagged payload
-// opens with its entity count, and decodeBatch rejects any count larger
+// opens with its entity count, and DecodeBatch rejects any count larger
 // than the payload itself — so the all-ones word can never open a valid
 // untagged batch, and the two encodings are unambiguous.
 const taggedSentinel = ^uint32(0)
@@ -230,14 +230,14 @@ func encodeTaggedBatch(tag ReplTag, entities []types.Entity, events []types.Even
 	buf = appendString(buf, tag.Epoch)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(tag.Shard)))
 	buf = binary.LittleEndian.AppendUint64(buf, tag.Seq)
-	return append(buf, encodeBatch(entities, events)...)
+	return AppendBatch(buf, entities, events)
 }
 
 // decodeMaybeTagged parses a WAL payload in either encoding, returning a
 // nil tag for plain batches.
 func decodeMaybeTagged(payload []byte) (*ReplTag, []types.Entity, []types.Event, error) {
 	if len(payload) < 4 || binary.LittleEndian.Uint32(payload) != taggedSentinel {
-		entities, events, err := decodeBatch(payload)
+		entities, events, err := DecodeBatch(payload)
 		return nil, entities, events, err
 	}
 	d := &decoder{b: payload, off: 4}
@@ -247,7 +247,7 @@ func decodeMaybeTagged(payload []byte) (*ReplTag, []types.Entity, []types.Event,
 	if d.err != nil {
 		return nil, nil, nil, d.err
 	}
-	entities, events, err := decodeBatch(payload[d.off:])
+	entities, events, err := DecodeBatch(payload[d.off:])
 	return tag, entities, events, err
 }
 
