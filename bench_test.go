@@ -486,72 +486,68 @@ func BenchmarkCursorVsMaterialize(b *testing.B) {
 // the measured work is the scan itself, not allocation of a giant result
 // slice.
 func countScan(b *testing.B, st *storage.Store, q *storage.DataQuery) int {
+	n, err := drainScan(context.Background(), st, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return n
+}
+
+// drainScan counts q's matches on st under ctx, scanning a copy of q as
+// the engine does.
+func drainScan(ctx context.Context, st *storage.Store, q *storage.DataQuery) (int, error) {
 	qc := *q
-	cur := st.Scan(context.Background(), &qc)
+	cur := st.Scan(ctx, &qc)
 	defer cur.Close()
 	total := 0
 	batch := make([]storage.Match, storage.ScanBatchSize)
 	for {
 		n := cur.Next(batch)
 		if n == 0 {
-			if err := cur.Err(); err != nil {
-				b.Fatal(err)
-			}
-			return total
+			return total, cur.Err()
 		}
 		total += n
 	}
 }
 
-// BenchmarkHotScanLike measures the hot columnar shadow on the workload it
-// was built for: a LIKE-dominated scan whose candidate set is too broad for
-// the posting lists, forcing a full range walk over in-memory partitions.
-// "columnar" answers through the batch kernel and per-dictionary verdict
-// bitmaps; "scalar" is the same scan with shadows disabled, paying two map
-// lookups and an interface call per row. Compare ns/op.
-func BenchmarkHotScanLike(b *testing.B) {
-	ds := benchDataset()
-	q := &storage.DataQuery{
+// hotLikeQuery is a LIKE-dominated scan whose candidate set is too broad
+// for the posting lists, forcing a full range walk over in-memory
+// partitions. Its volume predicate is selective: most rows are filtered, so
+// a scan measures the filter machinery rather than match delivery.
+func hotLikeQuery() *storage.DataQuery {
+	return &storage.DataQuery{
 		SubjType: types.EntityProcess,
 		SubjPred: pred.NewCond(types.AttrExeName, pred.CmpEq, "%e%"),
 		ObjType:  types.EntityFile,
 		Ops:      types.NewOpSet(types.OpRead, types.OpWrite),
-		// Selective volume predicate: most rows are filtered, so the
-		// benchmark measures the filter machinery rather than match
-		// delivery.
-		EvtPred: pred.NewCond(types.EvtAttrAmount, pred.CmpGe, "60000"),
+		EvtPred:  pred.NewCond(types.EvtAttrAmount, pred.CmpGe, "60000"),
 	}
-	for _, cfg := range []struct {
-		name string
-		opts storage.Options
-	}{
-		{"columnar", storage.Options{}},
-		{"scalar", storage.Options{DisableHotColumnar: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			st := storage.New(cfg.opts)
-			st.Ingest(ds)
-			count := func() int { return countScan(b, st, q) }
-			// Warm once so shadow build cost is not billed to iteration 0,
-			// and sanity-check the scan finds work.
-			if count() == 0 {
-				b.Fatal("LIKE scan matched nothing")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = count()
-			}
-			b.StopTimer()
-			ss := st.ScanStats()
-			if cfg.name == "columnar" && ss[storage.HotBatches] == 0 {
-				b.Fatal("columnar run never used the batch path")
-			}
-			if cfg.name == "scalar" && ss[storage.HotBatches] != 0 {
-				b.Fatal("scalar run used the batch path")
-			}
-		})
-	}
+}
+
+// BenchmarkHotScanLike measures the hot columnar shadow on the workload it
+// was built for, hotLikeQuery: the batch kernel and per-dictionary verdict
+// bitmaps instead of two map lookups and an interface call per row.
+func BenchmarkHotScanLike(b *testing.B) {
+	b.Run("columnar", func(b *testing.B) {
+		st := storage.New(storage.Options{})
+		st.Ingest(benchDataset())
+		q := hotLikeQuery()
+		count := func() int { return countScan(b, st, q) }
+		// Warm once so shadow build cost is not billed to iteration 0,
+		// and sanity-check the scan finds work.
+		if count() == 0 {
+			b.Fatal("LIKE scan matched nothing")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = count()
+		}
+		b.StopTimer()
+		if ss := st.ScanStats(); ss[storage.HotBatches] == 0 {
+			b.Fatal("columnar run never used the batch path")
+		}
+	})
 }
 
 // BenchmarkColdScanLike is BenchmarkHotScanLike's cold mirror: a LIKE on the
@@ -630,52 +626,33 @@ func BenchmarkColdScanLike(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceOverhead pins the cost of the scan-path trace hook on the
-// hot LIKE workload from BenchmarkHotScanLike. "bare" ablates the hook
-// entirely (Options.DisableScanSpans — no span lookup, no counter fold);
-// "disabled" is the production default with no trace on the context, i.e.
-// one context lookup per scan and nil-safe no-op span calls; "enabled"
-// carries a live span so the block counters fold into it on cursor close.
-// CI runs this with -count and gates disabled ≤ 1.02× bare via benchregress
-// -ratio: instrumentation nobody turned on must stay free on the hot path.
+// BenchmarkTraceOverhead measures the scan-path trace hook on the hot LIKE
+// workload from BenchmarkHotScanLike. "disabled" is the production default
+// with no trace on the context, i.e. one context lookup per scan and
+// nil-safe no-op span calls; "enabled" carries a live span so the block
+// counters fold into it on cursor close. TestUntracedScanAllocs pins the
+// disabled path's allocations.
 func BenchmarkTraceOverhead(b *testing.B) {
-	ds := benchDataset()
-	q := &storage.DataQuery{
-		SubjType: types.EntityProcess,
-		SubjPred: pred.NewCond(types.AttrExeName, pred.CmpEq, "%e%"),
-		ObjType:  types.EntityFile,
-		Ops:      types.NewOpSet(types.OpRead, types.OpWrite),
-		EvtPred:  pred.NewCond(types.EvtAttrAmount, pred.CmpGe, "60000"),
-	}
 	for _, cfg := range []struct {
 		name string
-		opts storage.Options
 		ctx  func() context.Context
 	}{
-		{"bare", storage.Options{DisableScanSpans: true}, context.Background},
-		{"disabled", storage.Options{}, context.Background},
-		{"enabled", storage.Options{}, func() context.Context {
+		{"disabled", context.Background},
+		{"enabled", func() context.Context {
 			tr := obs.NewTrace("")
 			return obs.WithSpan(obs.WithTrace(context.Background(), tr), tr.Span("bench"))
 		}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			st := storage.New(cfg.opts)
-			st.Ingest(ds)
-			ctx := cfg.ctx()
+			st := storage.New(storage.Options{})
+			st.Ingest(benchDataset())
+			ctx, q := cfg.ctx(), hotLikeQuery()
 			count := func() int {
-				qc := *q
-				cur := st.Scan(ctx, &qc)
-				defer cur.Close()
-				total := 0
-				batch := make([]storage.Match, storage.ScanBatchSize)
-				for {
-					n := cur.Next(batch)
-					if n == 0 {
-						return total
-					}
-					total += n
+				n, err := drainScan(ctx, st, q)
+				if err != nil {
+					b.Fatal(err)
 				}
+				return n
 			}
 			if count() == 0 {
 				b.Fatal("LIKE scan matched nothing")
@@ -686,6 +663,29 @@ func BenchmarkTraceOverhead(b *testing.B) {
 				_ = count()
 			}
 		})
+	}
+}
+
+// untracedScanAllocs is what one untraced hotLikeQuery scan over the bench
+// dataset allocates with two scan workers: the count the same scan had
+// when the trace hook could still be compiled out of it.
+const untracedScanAllocs = 750
+
+// TestUntracedScanAllocs is the deterministic gate on the trace hook's
+// cost when nobody traces: an untraced scan must allocate no more than a
+// scan without the hook did.
+func TestUntracedScanAllocs(t *testing.T) {
+	st := storage.New(storage.Options{Workers: 2})
+	st.Ingest(benchDataset())
+	q := hotLikeQuery()
+	scan := func() {
+		if n, err := drainScan(context.Background(), st, q); n == 0 || err != nil {
+			t.Fatalf("LIKE scan matched %d rows: %v", n, err)
+		}
+	}
+	scan() // build the columnar shadows
+	if got := testing.AllocsPerRun(10, scan); got > untracedScanAllocs {
+		t.Errorf("untraced scan allocates %.0f times, want at most %d", got, untracedScanAllocs)
 	}
 }
 

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"aiql/internal/bench"
 )
@@ -28,17 +26,6 @@ func main() {
 		"optional baseline file of `name ns/op` pairs; empty disables the wall-time gate")
 	nsFactor := flag.Float64("ns-factor", 5,
 		"fail when measured ns/op exceeds ns-factor x baseline (wide: machines differ)")
-	var ratios []ratioGate
-	flag.Func("ratio", "same-run ns/op ratio gate `num,den,max` (repeatable); "+
-		"fails when num exceeds max x den, e.g. -ratio 'BenchA/on,BenchA/off,1.02'",
-		func(v string) error {
-			g, err := parseRatioGate(v)
-			if err != nil {
-				return err
-			}
-			ratios = append(ratios, g)
-			return nil
-		})
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: benchregress [-baseline file] [-factor n] [-ns-baseline file] [-ns-factor n] bench-output.txt...")
@@ -65,33 +52,6 @@ func main() {
 		}
 		fmt.Printf("bench-regress: %d benchmarks within %.1fx of ns/op baseline\n", len(nsBaseline), *nsFactor)
 	}
-
-	for _, g := range ratios {
-		if err := bench.CheckNsOpRatio(nsop, g.num, g.den, g.max); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("bench-regress: %s within %.2fx of %s (%.0f vs %.0f ns/op)\n",
-			g.num, g.max, g.den, nsop[g.num], nsop[g.den])
-	}
-}
-
-// ratioGate is one -ratio argument: fail when num > max x den, both read
-// from the measured ns/op of this run.
-type ratioGate struct {
-	num, den string
-	max      float64
-}
-
-func parseRatioGate(v string) (ratioGate, error) {
-	parts := strings.Split(v, ",")
-	if len(parts) != 3 {
-		return ratioGate{}, fmt.Errorf("ratio %q: want num,den,max", v)
-	}
-	max, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-	if err != nil || max <= 0 {
-		return ratioGate{}, fmt.Errorf("ratio %q: bad max: %v", v, err)
-	}
-	return ratioGate{num: strings.TrimSpace(parts[0]), den: strings.TrimSpace(parts[1]), max: max}, nil
 }
 
 func loadBaseline(path string) map[string]float64 {

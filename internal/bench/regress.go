@@ -44,9 +44,8 @@ func parseBenchMetric(r io.Reader, re *regexp.Regexp) (map[string]float64, error
 			return nil, fmt.Errorf("bench line %q: %w", sc.Text(), err)
 		}
 		// With `-count N` each benchmark reports N times; keep the minimum.
-		// The best-of run is the least-interfered-with measurement, which is
-		// the standard noise-robust estimator for ratio gates (a genuine
-		// regression slows every run, scheduler noise only some).
+		// The best-of run is the least-interfered-with measurement (a
+		// genuine regression slows every run, scheduler noise only some).
 		if prev, ok := out[m[1]]; !ok || v < prev {
 			out[m[1]] = v
 		}
@@ -110,32 +109,6 @@ func CheckBOpRegression(baseline, measured map[string]float64, factor float64) e
 // wide factor (CI uses 5×): the gate exists to catch collapses, not noise.
 func CheckNsOpRegression(baseline, measured map[string]float64, factor float64) error {
 	return checkRegression("ns/op", baseline, measured, factor)
-}
-
-// CheckNsOpRatio gates one measured benchmark against another from the same
-// run: it fails when measured[num] exceeds max × measured[den]. Unlike the
-// baseline gates, both sides come from a single machine and process, so a
-// tight factor (CI uses 1.02 for BenchmarkTraceOverhead/disabled vs /bare)
-// is meaningful — run the benchmarks with -count so the min-of-N parsing
-// above absorbs scheduler noise. A missing side is an error: a renamed
-// benchmark must not silently un-gate itself.
-func CheckNsOpRatio(measured map[string]float64, num, den string, max float64) error {
-	n, ok := measured[num]
-	if !ok {
-		return fmt.Errorf("ns/op ratio: %s not measured", num)
-	}
-	d, ok := measured[den]
-	if !ok {
-		return fmt.Errorf("ns/op ratio: %s not measured", den)
-	}
-	if d <= 0 {
-		return fmt.Errorf("ns/op ratio: %s measured %.0f, cannot form a ratio", den, d)
-	}
-	if n > d*max {
-		return fmt.Errorf("ns/op ratio: %s is %.0f ns/op, %.3f× %s (%.0f ns/op); gate is %.2f×",
-			num, n, n/d, den, d, max)
-	}
-	return nil
 }
 
 func checkRegression(metric string, baseline, measured map[string]float64, factor float64) error {

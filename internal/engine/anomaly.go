@@ -1,11 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
+	"aiql/internal/storage"
 	"aiql/internal/timeutil"
 )
 
@@ -168,7 +169,12 @@ func (e *Engine) runAnomaly(exec *execution) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].Event.Start < matches[j].Event.Start })
+	// Time order, ties broken by host and sequence: the order in which
+	// groups first appear and which event a plain column reads.
+	slices.SortFunc(matches, func(a, b storage.Match) int {
+		return cmp.Or(cmp.Compare(a.Event.Start, b.Event.Start),
+			cmp.Compare(a.Event.AgentID, b.Event.AgentID), cmp.Compare(a.Event.Seq, b.Event.Seq))
+	})
 	span := exec.span.Child("window")
 	defer span.End()
 

@@ -5,270 +5,28 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"aiql/internal/obs"
-	"aiql/internal/parser"
+	"aiql/internal/refeval"
 	"aiql/internal/storage"
 	"aiql/internal/timeutil"
 	"aiql/internal/types"
 )
 
-// naiveGroupState carries the aggregate history of one group key across sliding
-// windows; series are oldest-first and include the current window as the
-// last element while that window is being evaluated. EWMA values are folded
-// incrementally per (alias, alpha) so long window sweeps stay linear.
-type naiveGroupState struct {
-	keyVals []string
-	series  map[string][]float64
-	ewma    map[ewmaKey]*ewmaState
-	present bool // had events in the current window
-}
-
-// naiveWindowEnv exposes one group's aggregate history to the having evaluator.
-// The last element of each series is the current window.
-type naiveWindowEnv struct {
-	g *naiveGroupState
-}
-
-func (e *naiveWindowEnv) Value(name string, hist int) (float64, bool) {
-	s, ok := e.g.series[name]
-	if !ok {
-		return 0, false
-	}
-	idx := len(s) - 1 - hist
-	if idx < 0 {
-		return 0, false
-	}
-	return s[idx], true
-}
-
-func (e *naiveWindowEnv) Series(name string) []float64 { return e.g.series[name] }
-
-// EWMA implements the incremental exponentially weighted moving average:
-// the state folds exactly the series prefix it has seen, so each window
-// adds O(1) work per (alias, alpha).
-func (e *naiveWindowEnv) EWMA(name string, alpha float64) (float64, bool) {
-	s, ok := e.g.series[name]
-	if !ok || len(s) == 0 {
-		return 0, false
-	}
-	k := ewmaKey{name: name, alpha: alpha}
-	st := e.g.ewma[k]
-	if st == nil {
-		st = &ewmaState{}
-		e.g.ewma[k] = st
-	}
-	for ; st.n < len(s); st.n++ {
-		if st.n == 0 {
-			st.val = s[0]
-		} else {
-			st.val = alpha*s[st.n] + (1-alpha)*st.val
-		}
-	}
-	return st.val, true
-}
-
-// naiveAnomaly is the oracle for runAnomaly: the straightforward loop that
-// visits every window of the scope and, in each, every group seen so far,
-// appending each group's aggregate (0 when it is absent) and evaluating
-// having for the groups present. It does windows × groups work and
-// allocates per (window, group); runAnomaly must answer exactly as it does.
-func naiveAnomaly(exec *execution) (*Result, error) {
-	plan := exec.plan
-	if len(plan.Patterns) != 1 {
-		return nil, fmt.Errorf("aiql: anomaly queries aggregate a single event pattern, found %d", len(plan.Patterns))
-	}
-	matches, err := exec.runPattern(0, nil)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].Event.Start < matches[j].Event.Start })
-
-	ts := newTupleSet(0, matches)
-
-	groups := make(map[string]*naiveGroupState)
-	var groupOrder []string
-
-	aggItems := make([]int, 0, len(plan.Return.Items))
-	for i := range plan.Return.Items {
-		if plan.Return.Items[i].Agg != nil {
-			aggItems = append(aggItems, i)
-		}
-	}
-
-	res := &Result{Columns: append([]string{"window"}, plan.Columns()...)}
-	res.DataQueries = exec.queries
-
-	// Group keys are precomputed once per match, not once per overlapping
-	// window.
-	keys := make([]string, len(matches))
-	keyVals := make([][]string, len(matches))
-	for i := range matches {
-		vals := make([]string, len(plan.GroupBy))
-		for k, gref := range plan.GroupBy {
-			vals[k] = colValue(ts, ts.rows[i], gref)
-		}
-		keyVals[i] = vals
-		keys[i] = strings.Join(vals, "\x00")
-	}
-
-	lo, hi := 0, 0
-	winRows := make(map[string][][]storage.Match)
-	for wStart := plan.Window.From; wStart < plan.Window.To; wStart += plan.Slide.Step {
-		if err := exec.checkCtx(); err != nil {
-			return nil, err
-		}
-		wEnd := wStart + plan.Slide.Length
-		// Advance the two pointers over the time-sorted matches.
-		for lo < len(matches) && matches[lo].Event.Start < wStart {
-			lo++
-		}
-		if hi < lo {
-			hi = lo
-		}
-		for hi < len(matches) && matches[hi].Event.Start < wEnd {
-			hi++
-		}
-
-		// Partition this window's matches by group key.
-		for _, g := range groups {
-			g.present = false
-		}
-		clear(winRows)
-		for i := lo; i < hi; i++ {
-			key := keys[i]
-			if _, ok := groups[key]; !ok {
-				groups[key] = &naiveGroupState{
-					keyVals: keyVals[i],
-					series:  make(map[string][]float64),
-					ewma:    make(map[ewmaKey]*ewmaState),
-				}
-				groupOrder = append(groupOrder, key)
-			}
-			groups[key].present = true
-			winRows[key] = append(winRows[key], ts.rows[i])
-		}
-
-		// Compute aggregates for every known group (absent groups record 0,
-		// so moving averages see the quiet windows too) and evaluate the
-		// having clause for groups active in this window.
-		for _, key := range groupOrder {
-			g := groups[key]
-			env := &naiveWindowEnv{g: g}
-			for _, ii := range aggItems {
-				item := &plan.Return.Items[ii]
-				v := naiveComputeAgg(item.Agg, ts, winRows[key])
-				g.series[item.Name] = append(g.series[item.Name], v)
-			}
-			if !g.present {
-				continue
-			}
-			keep := true
-			if plan.Having != nil {
-				ok, err := evalBool(plan.Having, env)
-				if err != nil {
-					return nil, err
-				}
-				keep = ok
-			}
-			if keep {
-				out := make([]string, 0, len(plan.Return.Items)+1)
-				out = append(out, timeutil.FormatMillis(wStart))
-				for i := range plan.Return.Items {
-					item := &plan.Return.Items[i]
-					if item.Agg != nil {
-						s := g.series[item.Name]
-						out = append(out, formatNum(s[len(s)-1]))
-					} else {
-						out = append(out, colValue(ts, winRows[key][0], item.Ref))
-					}
-				}
-				res.Rows = append(res.Rows, out)
-			}
-		}
-	}
-	if plan.Top > 0 && len(res.Rows) > plan.Top {
-		res.Rows = res.Rows[:plan.Top]
-	}
-	return res, nil
-}
-
-// naiveComputeAgg evaluates one aggregate over a group's rows.
-func naiveComputeAgg(a *AggSpec, ts *tupleSet, rows [][]storage.Match) float64 {
-	vals := make([]string, 0, len(rows))
-	for _, row := range rows {
-		if a.Arg != nil {
-			vals = append(vals, colValue(ts, row, a.Arg))
-		} else {
-			vals = append(vals, "")
-		}
-	}
-	if a.Distinct {
-		seen := make(map[string]struct{}, len(vals))
-		uniq := vals[:0]
-		for _, v := range vals {
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				uniq = append(uniq, v)
-			}
-		}
-		vals = uniq
-	}
-	switch a.Func {
-	case "count":
-		return float64(len(vals))
-	case "sum", "avg", "min", "max":
-		var sum, mn, mx float64
-		n := 0
-		for _, v := range vals {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				continue
-			}
-			if n == 0 {
-				mn, mx = f, f
-			}
-			if f < mn {
-				mn = f
-			}
-			if f > mx {
-				mx = f
-			}
-			sum += f
-			n++
-		}
-		switch a.Func {
-		case "sum":
-			return sum
-		case "avg":
-			if n == 0 {
-				return 0
-			}
-			return sum / float64(n)
-		case "min":
-			return mn
-		default:
-			return mx
-		}
-	}
-	return 0
-}
-
 // anomalyDay is the day the generated datasets center on.
 var anomalyDay, _ = timeutil.AtWindow("03/02/2017")
 
-// anomalyHead is the preamble of every compared query. Its pattern window
-// of three days is wider than any scope a case sets, so matches outside
-// the scope reach the window loop; its sliding window is replaced per case.
-const anomalyHead = `agentid = 1
-(from "03/01/2017" to "03/03/2017")
-window = 1 min, step = 10 sec
-proc p read || write file f as evt
-`
+// anomalyQuery writes one compared query: host 1, the scope as the query's
+// time window (second literals, the end inclusive), the sliding window in
+// milliseconds, and a read/write pattern.
+func anomalyQuery(scope timeutil.Window, length, step int64, ret string) string {
+	lit := func(t int64) string { return time.UnixMilli(t).UTC().Format("2006-01-02 15:04:05") }
+	return fmt.Sprintf("agentid = 1\n(from %q to %q)\nwindow = %d ms, step = %d ms\nproc p read || write file f as evt\n%s",
+		lit(scope.From), lit(scope.To-1000), length, step, ret)
+}
 
 // anomalyReturns covers every aggregate, count(distinct), history refs,
 // the moving averages, top, ungrouped and non-grouped columns, and two
@@ -305,10 +63,10 @@ var anomalySlides = [][2]int64{
 }
 
 // genAnomalyScope returns a scope of 10 minutes to 3 hours on anomalyDay,
-// not aligned to any step.
+// on whole seconds but not aligned to any step.
 func genAnomalyScope(rng *rand.Rand) timeutil.Window {
-	from := anomalyDay.From + rng.Int63n(6*3_600_000)
-	return timeutil.Window{From: from, To: from + 600_000 + rng.Int63n(3*3_600_000)}
+	from := anomalyDay.From + 1000*rng.Int63n(6*3_600)
+	return timeutil.Window{From: from, To: from + 1000*(600+rng.Int63n(3*3_600))}
 }
 
 // genAnomalyDataset generates up to 150 events around scope: in bursts
@@ -356,45 +114,27 @@ func genAnomalyDataset(rng *rand.Rand, scope timeutil.Window) *types.Dataset {
 	return types.NewDataset(ents, evs)
 }
 
-// compareAnomaly runs one query through runAnomaly and the oracle with the
-// given sliding window and scope, failing unless the answers are equal,
-// rows and their order included. It returns the number of rows.
-func compareAnomaly(t testing.TB, st *storage.Store, src string, slide SlideSpec, scope timeutil.Window) int {
+// compareAnomaly answers one query through the engine and the reference
+// evaluator, failing unless the answers are equal, rows and their order
+// included. It returns the number of rows.
+func compareAnomaly(t testing.TB, ds *types.Dataset, src string) int {
 	t.Helper()
-	q, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
+	st := storage.New(storage.Options{})
+	st.Ingest(ds)
+	got, gotErr := New(st, Options{}).Query(src)
+	want, wantErr := refeval.New(ds).Query(src)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("error %v, reference %v\n%s", gotErr, wantErr, src)
 	}
-	plan, err := Compile(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.Slide, plan.Window = &slide, scope
-	e := New(st, Options{})
-	run := func(f func(*execution) (*Result, error)) (*Result, error) {
-		ctx := context.Background()
-		return f(&execution{eng: e, backend: st, plan: plan, ctx: ctx, bud: &budget{ctx: ctx}})
-	}
-	got, gotErr := run(e.runAnomaly)
-	want, wantErr := run(naiveAnomaly)
-	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-		t.Fatalf("error %v, oracle %v\nslide %+v scope %+v\n%s", gotErr, wantErr, slide, scope, src)
-	}
-	if !reflect.DeepEqual(got, want) {
-		var g, w []string
-		if got != nil {
-			g = rowStrings(got.Rows)
-		}
-		if want != nil {
-			w = rowStrings(want.Rows)
-		}
-		t.Fatalf("answer differs from the oracle\nslide %+v scope %+v\n%s\ngot  %d rows %q\nwant %d rows %q",
-			slide, scope, src, len(g), g, len(w), w)
-	}
-	if got == nil {
+	if gotErr != nil {
 		return 0
 	}
-	return len(got.Rows)
+	g, w := rowStrings(got.Rows), rowStrings(want.Rows)
+	if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(g, w) {
+		t.Fatalf("answer differs from the reference evaluator\n%s\ngot  %q %d rows %q\nwant %q %d rows %q",
+			src, got.Columns, len(g), g, want.Columns, len(w), w)
+	}
+	return len(g)
 }
 
 func rowStrings(rows [][]string) []string {
@@ -415,10 +155,9 @@ func TestAnomalyMatchesOracle(t *testing.T) {
 	for s := 0; s < seeds; s++ {
 		for _, sl := range anomalySlides {
 			scope := genAnomalyScope(rng)
-			st := storage.New(storage.Options{})
-			st.Ingest(genAnomalyDataset(rng, scope))
+			ds := genAnomalyDataset(rng, scope)
 			for qi, ret := range anomalyReturns {
-				rows[qi] += compareAnomaly(t, st, anomalyHead+ret, SlideSpec{Length: sl[0], Step: sl[1]}, scope)
+				rows[qi] += compareAnomaly(t, ds, anomalyQuery(scope, sl[0], sl[1], ret))
 			}
 		}
 	}
@@ -439,10 +178,9 @@ func TestAnomalyMatchesOracleRandomSlides(t *testing.T) {
 	}
 	for i := 0; i < trials; i++ {
 		scope := genAnomalyScope(rng)
-		st := storage.New(storage.Options{})
-		st.Ingest(genAnomalyDataset(rng, scope))
-		slide := SlideSpec{Length: 1 + rng.Int63n(20*60_000), Step: 1_000 + rng.Int63n(15*60_000)}
-		compareAnomaly(t, st, anomalyHead+anomalyReturns[rng.Intn(len(anomalyReturns))], slide, scope)
+		ds := genAnomalyDataset(rng, scope)
+		length, step := 1+rng.Int63n(20*60_000), 1_000+rng.Int63n(15*60_000)
+		compareAnomaly(t, ds, anomalyQuery(scope, length, step, anomalyReturns[rng.Intn(len(anomalyReturns))]))
 	}
 }
 
@@ -453,10 +191,10 @@ func FuzzAnomalyWindow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, length, step uint32, query uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		scope := genAnomalyScope(rng)
-		st := storage.New(storage.Options{})
-		st.Ingest(genAnomalyDataset(rng, scope))
-		slide := SlideSpec{Length: 1 + int64(length)%(20*60_000), Step: 1_000 + int64(step)%(15*60_000)}
-		compareAnomaly(t, st, anomalyHead+anomalyReturns[int(query)%len(anomalyReturns)], slide, scope)
+		ds := genAnomalyDataset(rng, scope)
+		src := anomalyQuery(scope, 1+int64(length)%(20*60_000), 1_000+int64(step)%(15*60_000),
+			anomalyReturns[int(query)%len(anomalyReturns)])
+		compareAnomaly(t, ds, src)
 	})
 }
 

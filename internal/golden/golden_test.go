@@ -26,6 +26,7 @@ import (
 	"aiql/internal/engine"
 	"aiql/internal/gen"
 	"aiql/internal/queries"
+	"aiql/internal/refeval"
 	"aiql/internal/storage"
 )
 
@@ -81,17 +82,26 @@ top 10`},
 var (
 	engOnce sync.Once
 	engVal  *engine.Engine
+	refVal  *refeval.Evaluator
 )
 
 // goldenEngine builds the deterministic store once: SmallConfig with a
 // fixed seed is the reference dataset for every fixture.
 func goldenEngine() *engine.Engine {
 	engOnce.Do(func() {
+		ds := gen.Scenario(gen.SmallConfig())
 		st := storage.New(storage.Options{})
-		st.Ingest(gen.Scenario(gen.SmallConfig()))
+		st.Ingest(ds)
 		engVal = engine.New(st, engine.Options{})
+		refVal = refeval.New(ds)
 	})
 	return engVal
+}
+
+// goldenReference is the reference evaluator over goldenEngine's dataset.
+func goldenReference() *refeval.Evaluator {
+	goldenEngine()
+	return refVal
 }
 
 func allQueries() []queries.Query {
@@ -144,6 +154,24 @@ func TestGoldenCorpus(t *testing.T) {
 	var want map[string]fixtureResult
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatalf("parse %s: %v", fixturePath, err)
+	}
+
+	// The fixtures are the engine's own answers, so each is also held to the
+	// reference evaluator, which shares no code with the engine.
+	ref := goldenReference()
+	for _, q := range allQueries() {
+		w, ok := want[q.ID]
+		if !ok {
+			continue
+		}
+		ans, err := ref.Query(q.Src)
+		if err != nil {
+			t.Errorf("%s: reference evaluator: %v", q.ID, err)
+			continue
+		}
+		if err := ans.Check(w.Columns, w.Rows); err != nil {
+			t.Errorf("%s: fixture disagrees with the reference evaluator: %v", q.ID, err)
+		}
 	}
 
 	for id, g := range got {

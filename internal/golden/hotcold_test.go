@@ -8,15 +8,15 @@ import (
 	"aiql/internal/engine"
 	"aiql/internal/gen"
 	"aiql/internal/queries"
+	"aiql/internal/refeval"
 	"aiql/internal/storage"
 )
 
-// TestHotColdScanDifferential is the three-way property differential for
-// the batch scan paths: the same scenario answered (a) hot through the
-// columnar shadows, (b) hot through the per-event scalar loop, and (c) cold
-// from compressed segments must produce identical result sets over the
-// shared random-query distribution — and the counters must prove each store
-// really took its intended path.
+// TestHotColdScanDifferential holds the batch scan paths to the reference
+// evaluator: the same scenario answered (a) hot through the columnar
+// shadows and (b) cold from compressed segments must produce the reference
+// result sets over the shared random-query distribution — and the counters
+// must prove each store really took its intended path.
 func TestHotColdScanDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: scan-path differential run")
@@ -25,8 +25,7 @@ func TestHotColdScanDifferential(t *testing.T) {
 
 	hot := storage.New(storage.Options{})
 	hot.Ingest(ds)
-	scalar := storage.New(storage.Options{DisableHotColumnar: true})
-	scalar.Ingest(ds)
+	ref := refeval.New(ds)
 
 	// Ingest and compact in one incarnation, then reopen: recovery installs
 	// the segments as cold runs, so every event answer below comes off disk.
@@ -62,7 +61,6 @@ func TestHotColdScanDifferential(t *testing.T) {
 
 	engines := map[string]*engine.Engine{
 		"hot-columnar": engine.New(hot, engine.Options{}),
-		"hot-scalar":   engine.New(scalar, engine.Options{}),
 		"cold":         engine.New(p.Store, engine.Options{}),
 	}
 
@@ -83,17 +81,17 @@ func TestHotColdScanDifferential(t *testing.T) {
 			1+rng.Intn(5), day, h, day, h+1+rng.Intn(2), rng.Intn(60)))
 	}
 	for i, src := range srcs {
-		want := ""
-		for _, name := range []string{"hot-columnar", "hot-scalar", "cold"} {
+		want, err := ref.Query(src)
+		if err != nil {
+			t.Fatalf("query %d on the reference evaluator: %v\n%s", i, err, src)
+		}
+		for _, name := range []string{"hot-columnar", "cold"} {
 			res, err := engines[name].Query(src)
 			if err != nil {
 				t.Fatalf("query %d on %s: %v\n%s", i, name, err, src)
 			}
-			got := queries.Canonical(res.Rows)
-			if name == "hot-columnar" {
-				want = got
-			} else if got != want {
-				t.Errorf("query %d: %s disagrees with hot-columnar\n%s", i, name, src)
+			if err := want.Check(res.Columns, res.Rows); err != nil {
+				t.Errorf("query %d: %s disagrees with the reference evaluator: %v\n%s", i, name, err, src)
 			}
 		}
 	}
@@ -101,9 +99,6 @@ func TestHotColdScanDifferential(t *testing.T) {
 	hs := hot.ScanStats()
 	if hs[storage.HotBatches] == 0 || hs[storage.DictVerdictHits] == 0 {
 		t.Fatalf("hot-columnar store never used the batch path: %+v", hs)
-	}
-	if ss := scalar.ScanStats(); ss[storage.HotBatches] != 0 {
-		t.Fatalf("hot-scalar store used the batch path: %+v", ss)
 	}
 	cs := p.Store.ScanStats()
 	if cs[storage.CompressedBytesRead] == 0 || cs[storage.CompressedBytesDecoded] == 0 {

@@ -441,31 +441,34 @@ func splitNonEmpty(s, sep string) []string {
 	return out
 }
 
+// match anchors the leading chunk at the start of s and the trailing chunk
+// at its end, then places the middle chunks leftmost, in order, in what the
+// two anchors leave between them.
 func (p *likePattern) match(s string) bool {
-	if len(p.chunks) == 0 {
-		// Pattern was only wildcards ("%", "%%"): matches anything.
-		return true
-	}
-	rest := s
-	for i, chunk := range p.chunks {
-		var idx int
-		if i == 0 && p.leadAnchor {
-			if !strings.HasPrefix(rest, chunk) {
-				return false
-			}
-			idx = 0
-		} else {
-			idx = strings.Index(rest, chunk)
-			if idx < 0 {
-				return false
-			}
+	chunks := p.chunks
+	if p.leadAnchor && len(chunks) > 0 {
+		if !strings.HasPrefix(s, chunks[0]) {
+			return false
 		}
-		rest = rest[idx+len(chunk):]
+		s, chunks = s[len(chunks[0]):], chunks[1:]
 	}
 	if p.tailAnchor {
-		// Last chunk must sit at the end of the string.
-		last := p.chunks[len(p.chunks)-1]
-		return strings.HasSuffix(s, last) && len(rest) == 0
+		if len(chunks) == 0 {
+			// A pattern without %: the leading chunk was the whole of it.
+			return s == ""
+		}
+		last := chunks[len(chunks)-1]
+		if !strings.HasSuffix(s, last) {
+			return false
+		}
+		s, chunks = s[:len(s)-len(last)], chunks[:len(chunks)-1]
+	}
+	for _, chunk := range chunks {
+		i := strings.Index(s, chunk)
+		if i < 0 {
+			return false
+		}
+		s = s[i+len(chunk):]
 	}
 	return true
 }

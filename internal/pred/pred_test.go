@@ -43,6 +43,12 @@ func TestCondLikePatterns(t *testing.T) {
 		{"a%b%c", "aXbYcZ", false},
 		{"abc", "abc", true},
 		{"%etc%hosts", `C:\Windows\System32\drivers\etc\hosts`, true},
+		// The tail-anchored chunk also occurs earlier in the value.
+		{"%a", "a_a", true},
+		{"%.exe", "x.exe.exe", true},
+		{"a%b", "ab_b", true},
+		{"a%a", "a", false},
+		{"ab%b", "ab", false},
 	}
 	for _, tc := range cases {
 		c := NewCond(types.AttrName, CmpEq, tc.pattern)
@@ -71,12 +77,25 @@ func TestLikeMatchSubstringAgreement(t *testing.T) {
 }
 
 func TestLikeMatchAnchors(t *testing.T) {
-	f := func(prefix, hay string) bool {
-		if strings.ContainsRune(prefix, '%') {
+	// hay repeats the needle, so the first place it occurs is not the only
+	// place an anchored chunk may have to sit.
+	f := func(needle, a, b string, shape uint8) bool {
+		if strings.ContainsRune(needle, '%') {
 			return true
 		}
-		return LikeMatch(prefix+"%", hay) == strings.HasPrefix(hay, prefix) &&
-			LikeMatch("%"+prefix, hay) == strings.HasSuffix(hay, prefix)
+		var hay string
+		switch shape % 3 {
+		case 0:
+			hay = a + b
+		case 1:
+			hay = needle + a + needle + b
+		default:
+			hay = a + needle + b + needle
+		}
+		return LikeMatch(needle+"%", hay) == strings.HasPrefix(hay, needle) &&
+			LikeMatch("%"+needle, hay) == strings.HasSuffix(hay, needle) &&
+			LikeMatch(needle+"%"+needle, hay) == (len(hay) >= 2*len(needle) &&
+				strings.HasPrefix(hay, needle) && strings.HasSuffix(hay, needle))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -8,9 +8,10 @@
 //
 //	POST /query          execute one AIQL query (JSON {"query": "..."} or raw text)
 //	POST /ingest         append a JSON-lines trace batch (aiqlgen wire format)
-//	POST /scan           execute one storage-level data query, streaming NDJSON
-//	                     matches (the worker-facing endpoint of the cluster
-//	                     tier; store-backed servers only)
+//	POST /scan           execute one storage-level data query, streaming the
+//	                     matches as application/x-aiql-scan frames (the
+//	                     worker-facing endpoint of the cluster tier;
+//	                     store-backed servers only)
 //	POST /rules          register a standing AIQL rule (continuous query)
 //	GET  /rules          list standing rules; DELETE /rules/{id} unregisters
 //	GET  /subscribe/{id} live NDJSON/SSE stream of a rule's matches
@@ -456,10 +457,10 @@ func (s *Server) executeCluster(ctx context.Context, key, src string) (*QueryRes
 
 // handleScan is the worker-facing endpoint of the distributed tier: it
 // executes one storage-level data query (the cluster wire form) against
-// the local store and streams the matches back as NDJSON — a header
-// record, interned entity records, one row per match, and an explicit end
-// trailer so the coordinator can tell a complete stream from a truncated
-// one. The scan is bound to the request context: when the coordinator
+// the local store and streams the matches back as cluster.ScanContentType
+// frames — a header, batches in the storage batch codec carrying each
+// entity once, and an explicit end trailer so the coordinator can tell a
+// complete stream from a truncated one. The scan is bound to the request context: when the coordinator
 // cancels (query canceled, another worker failed), the cursor's producers
 // stop promptly.
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {

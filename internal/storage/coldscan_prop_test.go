@@ -86,55 +86,6 @@ func reopenCold(t *testing.T, dir string, opts storage.Options) *storage.Persist
 	return p
 }
 
-// refEntityOK is the reference's entity test, written from DataQuery's field
-// documentation rather than shared with the store.
-func refEntityOK(e *types.Entity, t types.EntityType, p pred.Pred, allowed map[types.EntityID]struct{}) bool {
-	if e == nil {
-		return false
-	}
-	if t != types.EntityInvalid && e.Type != t {
-		return false
-	}
-	if allowed != nil {
-		if _, ok := allowed[e.ID]; !ok {
-			return false
-		}
-	}
-	return p == nil || p.Eval(e)
-}
-
-// refScan filters fully decoded events row by row.
-func refScan(st *storage.Store, q *storage.DataQuery, events []types.Event) []types.Event {
-	var out []types.Event
-	for i := range events {
-		ev := &events[i]
-		if len(q.Agents) > 0 {
-			in := false
-			for _, a := range q.Agents {
-				in = in || a == ev.AgentID
-			}
-			if !in {
-				continue
-			}
-		}
-		if !q.Window.Contains(ev.Start) || !q.Ops.Contains(ev.Op) {
-			continue
-		}
-		if !refEntityOK(st.Entity(ev.Subject), q.SubjType, q.SubjPred, q.SubjAllowed) ||
-			!refEntityOK(st.Entity(ev.Object), q.ObjType, q.ObjPred, q.ObjAllowed) {
-			continue
-		}
-		if q.EvtPred != nil && !q.EvtPred.Eval(ev) {
-			continue
-		}
-		out = append(out, *ev)
-		if q.Limit > 0 && len(out) == q.Limit {
-			break
-		}
-	}
-	return out
-}
-
 // randomColdQueries draws data queries from the patterns of queries.Random
 // and bends them toward the cold scan's branches: all-hosts hunts, windows
 // whose edges fall inside blocks or exactly on their ends, event predicates the batch kernel takes
@@ -292,7 +243,7 @@ func TestColdScanMatchesFullDecode(t *testing.T) {
 			}
 			before := p.Store.ScanStats()
 			for qi, q := range qs {
-				want := refScan(p.Store, q, ref)
+				want := storage.RefScan(p.Store, q, ref)
 				qc := *q
 				c := p.Store.Scan(context.Background(), &qc)
 				got := storage.Drain(c)

@@ -36,10 +36,6 @@ import (
 // 1024-row batches, and the per-row residue is an op-set test plus two bit
 // probes.
 
-// hotShadowMinRows is the smallest hot row range worth shadowing: below it
-// the per-event path wins on build cost alone.
-const hotShadowMinRows = 256
-
 // hotShadowChunk is the batch granularity of scanHot — one kernel
 // invocation and one cancellation check per chunk, mirroring the cold
 // path's block size.
@@ -290,14 +286,9 @@ func (f *rowFilter) passes(op types.Op, sdi, odi uint32) bool {
 // scanHot scans rows [lo, hi) of a hot partition through its columnar
 // shadow: entity predicates collapse to per-dictionary verdict bitmaps,
 // event predicates run through the vectorized kernel per chunk, and each
-// row costs an op-set test plus two bit probes. Returns false when no
-// shadow is available (caller falls back to the per-event loop); emits are
-// row-identical to that loop by construction.
-func (sn *Snapshot) scanHot(ctx context.Context, p *partView, sp *scanPlan, lo, hi int, emit func(Match) bool) bool {
+// row costs an op-set test plus two bit probes. lo < hi.
+func (sn *Snapshot) scanHot(ctx context.Context, p *partView, sp *scanPlan, lo, hi int, emit func(Match) bool) {
 	sh := p.host.shadowFor(p.events, hi)
-	if sh == nil {
-		return false
-	}
 	stats, q := &sn.store.scanStats, sp.q
 
 	f := sn.newRowFilter(sp, sh.dict)
@@ -313,7 +304,7 @@ func (sn *Snapshot) scanHot(ctx context.Context, p *partView, sp *scanPlan, lo, 
 			chi = hi
 		}
 		if ctx.Err() != nil {
-			return true
+			return
 		}
 		stats[HotBatches].Add(1)
 		evtVec := false
@@ -335,9 +326,8 @@ func (sn *Snapshot) scanHot(ctx context.Context, p *partView, sp *scanPlan, lo, 
 				continue
 			}
 			if !emit(Match{Event: ev, Subj: f.ents[sdi], Obj: f.ents[odi]}) {
-				return true
+				return
 			}
 		}
 	}
-	return true
 }

@@ -13,10 +13,10 @@ import (
 	"aiql/internal/types"
 )
 
-// hotTestData builds a dataset sized and shaped for the hot columnar path:
-// enough rows per partition to clear hotShadowMinRows and enough matching
-// entities that wildcard predicates overflow the posting-list threshold and
-// land on the range scan.
+// hotTestData builds a dataset shaped for the hot columnar path: several
+// chunks per partition and enough matching entities that wildcard
+// predicates overflow the posting-list threshold and land on the range
+// scan.
 func hotTestData(nEvents int) ([]types.Entity, []types.Event) {
 	const base = int64(1488326400000) // 2017-03-01T00:00:00Z
 	var entities []types.Entity
@@ -81,7 +81,7 @@ func hotDiffQueries() []*DataQuery {
 			pred.NewCond(types.EvtAttrAmount, pred.CmpGe, "100"),
 			pred.NewCond(types.EvtAttrFailCode, pred.CmpEq, "0"))},
 		// optype is a string event attribute the kernel refuses: forces the
-		// per-row fallback inside scanHot.
+		// per-row event test inside scanHot.
 		{Ops: types.AllOps(), EvtPred: pred.NewCond(types.EvtAttrOpType, pred.CmpEq, "read")},
 		{Ops: types.AllOps(), Agents: []int{1}},
 		{Ops: types.AllOps(), Window: timeutil.Window{From: base + 200_000, To: base + 400_000}},
@@ -108,31 +108,40 @@ func matchesEqual(t *testing.T, label string, got, want []Match) {
 	}
 }
 
-// TestHotColumnarDifferential runs the battery against two stores holding
-// identical hot data — columnar shadows on and off — and requires
-// row-identical results, with the counters proving the batch path actually
-// served the enabled store.
+// matchesRef requires a scan's matches to be exactly the reference events,
+// in order, with their entities resolved.
+func matchesRef(t *testing.T, label string, got []Match, want []types.Event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches, reference %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if *got[i].Event != want[i] {
+			t.Fatalf("%s: match %d is %+v, reference %+v", label, i, *got[i].Event, want[i])
+		}
+		if got[i].Subj == nil || got[i].Subj.ID != want[i].Subject || got[i].Obj == nil || got[i].Obj.ID != want[i].Object {
+			t.Fatalf("%s: match %d resolved the wrong entities", label, i)
+		}
+	}
+}
+
+// TestHotColumnarDifferential runs the battery against a store holding the
+// data hot and requires exactly the rows, in order, that the row-by-row
+// reference filter finds, with the counters proving the batch path served
+// the scans.
 func TestHotColumnarDifferential(t *testing.T) {
 	entities, events := hotTestData(6000)
-	ds := types.NewDataset(entities, events)
 	hot := New(Options{})
-	hot.Ingest(ds)
-	scalar := New(Options{DisableHotColumnar: true})
-	scalar.Ingest(ds)
+	hot.Ingest(types.NewDataset(entities, events))
+	ref := ScanOrder(events)
 
 	for i, q := range hotDiffQueries() {
-		label := fmt.Sprintf("query %d", i)
 		qc := *q
-		qs := *q
-		matchesEqual(t, label, hot.Run(context.Background(), &qc), scalar.Run(context.Background(), &qs))
+		matchesRef(t, fmt.Sprintf("query %d", i), hot.Run(context.Background(), &qc), RefScan(hot, q, ref))
 	}
 
-	hs, ss := hot.ScanStats(), scalar.ScanStats()
-	if hs[HotBatches] == 0 || hs[DictVerdictHits] == 0 {
+	if hs := hot.ScanStats(); hs[HotBatches] == 0 || hs[DictVerdictHits] == 0 {
 		t.Fatalf("hot store never used the batch path: %+v", hs)
-	}
-	if ss[HotBatches] != 0 || ss[DictVerdictHits] != 0 {
-		t.Fatalf("DisableHotColumnar store used the batch path: %+v", ss)
 	}
 }
 
@@ -190,7 +199,7 @@ func TestHotShadowReuseAndStaleness(t *testing.T) {
 		}
 	}
 	st.mu.RUnlock()
-	if p == nil || len(p.events) < hotShadowMinRows {
+	if p == nil || len(p.events) == 0 {
 		t.Fatalf("no partition big enough to shadow")
 	}
 
@@ -216,8 +225,8 @@ func TestHotShadowReuseAndStaleness(t *testing.T) {
 }
 
 // TestHotShadowInvalidationOnResort ingests out of order so the partition
-// re-sorts, and requires scans before and after to stay identical to a
-// shadow-disabled reference fed the same sequence.
+// re-sorts, and requires scans before and after to match the row-by-row
+// reference over the same events.
 func TestHotShadowInvalidationOnResort(t *testing.T) {
 	entities, events := hotTestData(1200)
 	// Late batch that sorts before everything already ingested.
@@ -231,21 +240,18 @@ func TestHotShadowInvalidationOnResort(t *testing.T) {
 	}
 
 	hot := New(Options{})
-	scalar := New(Options{DisableHotColumnar: true})
-	for _, s := range []*Store{hot, scalar} {
-		s.Ingest(types.NewDataset(entities, events))
-	}
+	hot.Ingest(types.NewDataset(entities, events))
 	all := func() *DataQuery { return &DataQuery{Ops: types.AllOps()} }
-	matchesEqual(t, "pre-resort", hot.Run(context.Background(), all()), scalar.Run(context.Background(), all()))
+	matchesRef(t, "pre-resort", hot.Run(context.Background(), all()), RefScan(hot, all(), ScanOrder(events)))
 
 	hot.Ingest(&types.Dataset{Events: late})
-	scalar.Ingest(&types.Dataset{Events: late})
-	matchesEqual(t, "post-resort", hot.Run(context.Background(), all()), scalar.Run(context.Background(), all()))
+	ref := ScanOrder(append(append([]types.Event(nil), events...), late...))
+	matchesRef(t, "post-resort", hot.Run(context.Background(), all()), RefScan(hot, all(), ref))
 
 	q := &DataQuery{Ops: types.AllOps(), SubjType: types.EntityProcess,
 		SubjPred: pred.NewCond(types.AttrExeName, pred.CmpEq, "%alpha%")}
 	q2 := *q
-	matchesEqual(t, "post-resort pred", hot.Run(context.Background(), q), scalar.Run(context.Background(), &q2))
+	matchesRef(t, "post-resort pred", hot.Run(context.Background(), q), RefScan(hot, &q2, ref))
 }
 
 // TestHotShadowSnapshotPinned interleaves snapshot scans with mutating
@@ -326,20 +332,19 @@ func TestHotConcurrentScanIngest(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	ref := New(Options{DisableHotColumnar: true})
-	ref.Ingest(types.NewDataset(entities, events[:2000]))
+	ingested := append([]types.Event(nil), events[:2000]...)
 	for off := 2000; off < 4000; off += 250 {
-		batch := make([]types.Event, 250)
-		copy(batch, events[off:off+250])
+		batch := append([]types.Event(nil), events[off:off+250]...)
 		if off%500 == 0 {
 			for i := range batch {
 				batch[i].Start -= 250
 			}
 		}
-		ref.Ingest(&types.Dataset{Events: batch})
+		ingested = append(ingested, batch...)
 	}
+	ref := ScanOrder(ingested)
 	for i, q := range hotDiffQueries() {
-		qc, qr := *q, *q
-		matchesEqual(t, fmt.Sprintf("final query %d", i), st.Run(context.Background(), &qc), ref.Run(context.Background(), &qr))
+		qc := *q
+		matchesRef(t, fmt.Sprintf("final query %d", i), st.Run(context.Background(), &qc), RefScan(st, q, ref))
 	}
 }

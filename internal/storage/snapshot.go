@@ -213,10 +213,7 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 	// lifetime. The delta is approximate when scans run concurrently (the
 	// counters are store-global), which is the documented trade for keeping
 	// the per-block hot path free of per-scan bookkeeping.
-	var span *obs.Span
-	if !sn.opts.DisableScanSpans {
-		span = obs.SpanFromContext(ctx)
-	}
+	span := obs.SpanFromContext(ctx)
 	if span != nil {
 		before := sn.store.ScanStats()
 		prev := onClose
@@ -486,14 +483,14 @@ func (sn *Snapshot) scanPartition(ctx context.Context, p *partView, sp *scanPlan
 		return nil
 	}
 
-	// Large enough hot ranges go through the partition's columnar shadow:
-	// batch kernel plus dictionary verdict bitmaps instead of per-event
-	// interface calls. The posting path already touches only candidate rows,
-	// so it stays as is.
-	if !q.ForceScan && !sn.opts.DisableHotColumnar && !sp.usePostings && hi-lo >= hotShadowMinRows {
-		if sn.scanHot(ctx, p, sp, lo, hi, emit) {
-			return nil
-		}
+	// Hot ranges go through the partition's columnar shadow: batch kernel
+	// plus dictionary verdict bitmaps instead of per-event interface calls.
+	// Two walks test rows one at a time instead: a posting walk touches only
+	// candidate rows, and ForceScan models an executor without AIQL's
+	// entity pre-resolution, which the baselines must not outrun.
+	if !q.ForceScan && !sp.usePostings {
+		sn.scanHot(ctx, p, sp, lo, hi, emit)
+		return nil
 	}
 
 	check := func(pos int) (Match, bool) {

@@ -58,16 +58,6 @@ type Options struct {
 	// decoded and filtered row by row. Results are identical; only the work done
 	// differs — the pruning differential test runs on exactly this toggle.
 	DisableZoneMaps bool
-	// DisableHotColumnar turns off the hot partitions' columnar shadow:
-	// in-memory range scans evaluate predicates event by event instead of
-	// through the batch kernel and dictionary verdict bitmaps. Results are
-	// identical; the hot/columnar differential test runs on this toggle.
-	DisableHotColumnar bool
-	// DisableScanSpans ablates the per-scan trace hook (the span lookup and
-	// counter fold in Snapshot.scan). It exists so BenchmarkTraceOverhead can
-	// measure the disabled-tracing path against a genuinely uninstrumented
-	// scan; production code never sets it.
-	DisableScanSpans bool
 	// Workers bounds scan parallelism; 0 means GOMAXPROCS.
 	Workers int
 }
