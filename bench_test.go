@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 
 	"aiql/internal/bench"
+	"aiql/internal/cluster"
 	"aiql/internal/concise"
 	"aiql/internal/engine"
 	"aiql/internal/gen"
@@ -818,6 +819,41 @@ func BenchmarkClusterVsSingleNode(b *testing.B) {
 	b.Run("cluster-3-workers", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			runCorpus(b, clusterEng, bq)
+		}
+	})
+}
+
+// BenchmarkClusterIngest prices one replicated ingest end to end: an
+// in-process coordinator scatters the bench dataset at R=2 over 3 httptest
+// workers, so each shard's batch is encoded once, posted to its primary and
+// its replica, and decoded and applied on both. Workers are fresh per
+// iteration, outside the timer. CI's bench-regress gates its B/op and ns/op.
+func BenchmarkClusterIngest(b *testing.B) {
+	ds := benchDataset()
+	b.Run("3-workers-r2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			workers := make([]*httptest.Server, 3)
+			urls := make([]string, len(workers))
+			for w := range workers {
+				st := storage.New(storage.Options{})
+				workers[w] = httptest.NewServer(server.New(st, engine.New(st, engine.Options{}), server.Options{}).Handler())
+				urls[w] = workers[w].URL
+			}
+			coord, err := cluster.New(urls, cluster.Options{Placement: mpp.SemanticsAware, Replicas: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			err = coord.Ingest(context.Background(), ds)
+			b.StopTimer()
+			for _, w := range workers {
+				w.Close()
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
 	})
 }

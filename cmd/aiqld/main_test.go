@@ -13,6 +13,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"aiql/internal/cluster"
+	"aiql/internal/storage"
 )
 
 func buildAiqld(t *testing.T) string {
@@ -460,8 +463,7 @@ func TestReadyzGatesBoot(t *testing.T) {
 			return
 		}
 		<-release // hold the stream until the test saw /readyz 503
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		fmt.Fprintln(w, `{"kind":"end","count":0}`)
+		_ = cluster.WriteShip(w, func(func([]byte) error) ([]storage.ReplShardState, error) { return nil, nil })
 	}))
 	defer peer.Close()
 

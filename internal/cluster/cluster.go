@@ -1,6 +1,6 @@
 // Package cluster is the networked scatter/gather tier: a coordinator
 // aiqld fans each data query out over HTTP to worker aiqld shards and
-// merges their NDJSON row streams back into the engine's cursor contract.
+// merges their /scan frame streams back into the engine's cursor contract.
 //
 // Where internal/mpp emulates the paper's master/data-node deployment
 // (Sec. 3.2, Fig. 7) in-process over local stores, this package runs it as
@@ -40,7 +40,6 @@ import (
 	"aiql/internal/mpp"
 	"aiql/internal/obs"
 	"aiql/internal/storage"
-	"aiql/internal/trace"
 	"aiql/internal/types"
 )
 
@@ -275,14 +274,15 @@ func (c *Coordinator) Run(ctx context.Context, q *storage.DataQuery) ([]storage.
 // shard under the coordinator's placement (round-robin under
 // mpp.ArrivalOrder), entities are broadcast to every worker — the same
 // dimension-table replication the in-process cluster applies. Every
-// shard's batch carries a replication tag (epoch, shard, seq), so the
-// worker-side apply is idempotent and a transient failure is retried
-// without double-counting events. Under Replicas: 2 each batch posts to
-// the shard's primary and its ring-successor replica with the same tag; a
-// shard fails only when both copies fail, and a shard that landed on only
-// one copy counts as degraded, not failed (the missing copy catches up
-// from the survivor's WAL). Any shard failure returns a *PartialError
-// naming the shards that did not land.
+// shard's batch is posted in the WAL record layout (BatchContentType) with
+// a replication tag (epoch, shard, seq), so the worker-side apply is
+// idempotent and a transient failure is retried without double-counting
+// events. Under Replicas: 2 each batch posts to the shard's primary and its
+// ring-successor replica with the same tag; a shard fails only when both
+// copies fail, and a shard that landed on only one copy counts as degraded,
+// not failed (the missing copy catches up from the survivor's WAL). Any
+// shard failure returns a *PartialError naming the shards that did not
+// land.
 func (c *Coordinator) Ingest(ctx context.Context, ds *types.Dataset) error {
 	c.ingests.Add(1)
 	n := len(c.workers)
@@ -298,116 +298,94 @@ func (c *Coordinator) Ingest(ctx context.Context, ds *types.Dataset) error {
 	}
 	c.rseqMu.Unlock()
 
-	errs := make([]*WorkerError, n)
+	return c.eachWorker(ctx, "ingest", func(s int) error {
+		// Encoded once: the primary, the replica and any retry send these
+		// same bytes.
+		body := storage.EncodeBatch(&tags[s], ds.Entities, shards[s])
+		perr := c.postIngest(ctx, s, body, "primary")
+		replica := c.placement.Replica(s, n)
+		if c.replicas == 1 || replica < 0 {
+			return perr
+		}
+		rerr := c.postIngest(ctx, replica, body, "replica")
+		switch {
+		case perr != nil && rerr != nil:
+			return fmt.Errorf("both copies failed: primary: %v; replica (%s): %v", perr, c.workers[replica], rerr)
+		case perr != nil || rerr != nil:
+			// One copy landed: the batch is durable and queryable; the
+			// missing copy is a catch-up away, not a data loss.
+			c.degraded.Add(1)
+		}
+		return nil
+	})
+}
+
+// eachWorker runs fn for every worker concurrently and folds the workers it
+// failed for into one *PartialError, nil when none failed.
+func (c *Coordinator) eachWorker(ctx context.Context, op string, fn func(shard int) error) error {
+	errs := make([]error, len(c.workers))
 	var wg sync.WaitGroup
-	for i := range c.workers {
+	for shard := range c.workers {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			// Encoded once: the primary, the replica and any retry send
-			// these same bytes.
-			var body bytes.Buffer
-			if err := trace.Write(&body, types.NewDataset(ds.Entities, shards[s])); err != nil {
-				errs[s] = &WorkerError{Worker: c.workers[s], Shard: s, Err: err}
-				return
-			}
-			perr := c.postIngest(ctx, s, body.Bytes(), tags[s], "primary")
-			replica := -1
-			if c.replicas > 1 {
-				replica = c.placement.Replica(s, n)
-			}
-			if replica < 0 {
-				if perr != nil {
-					errs[s] = &WorkerError{Worker: c.workers[s], Shard: s, Err: perr}
-				}
-				return
-			}
-			rerr := c.postIngest(ctx, replica, body.Bytes(), tags[s], "replica")
-			switch {
-			case perr == nil && rerr == nil:
-			case perr != nil && rerr != nil:
-				errs[s] = &WorkerError{Worker: c.workers[s], Shard: s,
-					Err: fmt.Errorf("both copies failed: primary: %v; replica (%s): %v", perr, c.workers[replica], rerr)}
-			default:
-				// One copy landed: the batch is durable and queryable; the
-				// missing copy is a catch-up away, not a data loss.
-				c.degraded.Add(1)
-			}
-		}(i)
+			errs[shard] = fn(shard)
+		}()
 	}
 	wg.Wait()
 	var failed []*WorkerError
-	for _, e := range errs {
-		if e != nil {
-			failed = append(failed, e)
+	for shard, err := range errs {
+		if err != nil {
+			failed = append(failed, &WorkerError{Worker: c.workers[shard], Shard: shard, Err: err})
 		}
 	}
-	if len(failed) > 0 {
-		c.failures.Add(uint64(len(failed)))
-		return &PartialError{Op: "ingest", Workers: n, Contacted: n, TraceID: obs.TraceID(ctx), Failed: failed}
+	if len(failed) == 0 {
+		return nil
 	}
-	return nil
+	c.failures.Add(uint64(len(failed)))
+	return &PartialError{Op: op, Workers: len(c.workers), Contacted: len(c.workers), TraceID: obs.TraceID(ctx), Failed: failed}
 }
 
-// postIngest posts one shard's encoded batch to one worker, retrying once
+// postIngest posts one shard's tagged batch to one worker, retrying once
 // on a transient failure (transport error or 5xx status). The retry is safe
 // because the tag makes the worker-side apply idempotent: a response lost
 // after the worker applied the batch re-posts as a no-op.
-func (c *Coordinator) postIngest(ctx context.Context, worker int, body []byte, tag storage.ReplTag, role string) error {
+func (c *Coordinator) postIngest(ctx context.Context, worker int, body []byte, role string) error {
 	var err error
 	for attempt := 0; attempt < 2; attempt++ {
 		if attempt > 0 {
 			c.ingestRetries.Add(1)
 		}
-		err = c.ingestWorker(ctx, worker, body, tag, role)
-		if err == nil || ctx.Err() != nil || !retryableIngest(err) {
+		var code int
+		if code, err = c.ingestWorker(ctx, worker, body, role); err == nil || ctx.Err() != nil || (code > 0 && code < 500) {
 			return err
 		}
 	}
 	return err
 }
 
-// ingestStatusError is a non-200 /ingest response; retryableIngest treats
-// 5xx as transient and 4xx as permanent.
-type ingestStatusError struct {
-	code int
-	msg  string
-}
-
-func (e *ingestStatusError) Error() string {
-	return fmt.Sprintf("ingest returned status %d: %s", e.code, e.msg)
-}
-
-func retryableIngest(err error) bool {
-	if se, ok := err.(*ingestStatusError); ok {
-		return se.code >= 500
-	}
-	return true // transport-level failure: connection refused/reset, EOF
-}
-
-func (c *Coordinator) ingestWorker(ctx context.Context, worker int, body []byte, tag storage.ReplTag, role string) error {
+// ingestWorker makes one /ingest request and returns its status code (0
+// when the transport failed) and an error unless the worker answered 200.
+func (c *Coordinator) ingestWorker(ctx context.Context, worker int, body []byte, role string) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.workers[worker]+"/ingest", bytes.NewReader(body))
 	if err != nil {
-		return err
+		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
+	req.Header.Set("Content-Type", BatchContentType)
+	req.Header.Set(ReplRoleHeader, role)
 	if id := obs.TraceID(ctx); id != "" {
 		req.Header.Set(obs.TraceIDHeader, id)
 	}
-	req.Header.Set("X-Aiql-Repl-Epoch", tag.Epoch)
-	req.Header.Set("X-Aiql-Repl-Shard", fmt.Sprint(tag.Shard))
-	req.Header.Set("X-Aiql-Repl-Seq", fmt.Sprint(tag.Seq))
-	req.Header.Set("X-Aiql-Repl-Role", role)
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer resp.Body.Close()
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return &ingestStatusError{code: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
+		return resp.StatusCode, fmt.Errorf("ingest returned status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return nil
+	return resp.StatusCode, nil
 }
 
 // Stats is a snapshot of the coordinator's scatter/gather counters.

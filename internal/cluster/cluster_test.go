@@ -1,12 +1,16 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,6 +26,7 @@ import (
 	"aiql/internal/storage"
 	"aiql/internal/timeutil"
 	"aiql/internal/types"
+	"aiql/internal/wal"
 )
 
 // worker is one httptest-backed aiqld worker shard.
@@ -799,4 +804,118 @@ func TestScanRefusesForeignContentType(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Errorf("/query through the coordinator answered %d, want 502", resp.StatusCode)
 	}
+}
+
+// TestCatchUpRefusesForeignContentType points a catch-up at a peer that
+// answers /walship in the retired NDJSON ship format: the pull must fail
+// naming both content types and apply nothing.
+func TestCatchUpRefusesForeignContentType(t *testing.T) {
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintln(w, `{"kind":"end","count":0}`)
+	}))
+	t.Cleanup(old.Close)
+	p, err := storage.OpenPersistent(t.TempDir(), storage.PersistOptions{FlushInterval: -1, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	_, err = server.CatchUp(context.Background(), p, old.URL, nil)
+	if err == nil {
+		t.Fatal("catch-up from an NDJSON peer succeeded")
+	}
+	for _, ct := range []string{"application/x-ndjson", cluster.ShipContentType} {
+		if !strings.Contains(err.Error(), ct) {
+			t.Errorf("catch-up error %q does not name %q", err, ct)
+		}
+	}
+	if p.Store.EventCount() != 0 {
+		t.Errorf("refused catch-up applied %d events", p.Store.EventCount())
+	}
+}
+
+// TestReplicatedBatchHasOneByteForm follows one tag through a durable
+// worker: the body the coordinator posted to /ingest, the worker's WAL
+// record and the /walship frame must all decode to the same tag, entities
+// and events, in order. The WAL record and the frame are the same bytes;
+// the posted body matches them byte for byte only up to the order of each
+// entity's attributes, which the codec writes in map order.
+func TestReplicatedBatchHasOneByteForm(t *testing.T) {
+	dir := t.TempDir()
+	p, err := storage.OpenPersistent(dir, storage.PersistOptions{SyncEveryBatch: true, FlushInterval: -1, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.NewPersistent(p, engine.New(p.Store, engine.Options{}), server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	var posted []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/ingest" {
+			posted, _ = io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(posted))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	coord, err := cluster.New([]string{ts.URL}, cluster.Options{Placement: mpp.SemanticsAware})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Ingest(context.Background(), gen.Scenario(gen.Config{Hosts: 10, Days: 3, BackgroundPerHostDay: 5, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + "/walship")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shipped [][]byte
+	_, err = cluster.ReadShip(resp.Body, func(payload []byte) error {
+		shipped = append(shipped, bytes.Clone(payload))
+		return nil
+	})
+	resp.Body.Close()
+	if err != nil || len(shipped) != 1 {
+		t.Fatalf("/walship shipped %d records: %v", len(shipped), err)
+	}
+
+	ts.Close()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	var records [][]byte
+	if err := log.Replay(0, func(_ uint64, payload []byte) error {
+		records = append(records, bytes.Clone(payload))
+		return nil
+	}); err != nil || len(records) != 1 {
+		t.Fatalf("WAL holds %d records: %v", len(records), err)
+	}
+
+	forms := map[string][]byte{"posted body": posted, "WAL record": records[0], "/walship frame": shipped[0]}
+	tag, ents, evs, err := storage.DecodeMaybeTagged(posted)
+	if err != nil || tag == nil || len(evs) == 0 {
+		t.Fatalf("posted body: tag %v, %d events: %v", tag, len(evs), err)
+	}
+	for name, form := range forms {
+		tag2, ents2, evs2, err := storage.DecodeMaybeTagged(form)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if *tag2 != *tag || !reflect.DeepEqual(ents2, ents) || !reflect.DeepEqual(evs2, evs) {
+			t.Errorf("%s decodes to tag %v, %d entities, %d events; the posted body to %v, %d, %d",
+				name, tag2, len(ents2), len(evs2), tag, len(ents), len(evs))
+		}
+	}
+	if !bytes.Equal(records[0], shipped[0]) {
+		t.Error("the /walship frame is not the WAL record's bytes")
+	}
+	t.Logf("posted body byte-equal to the WAL record: %v (lengths %d, %d)", bytes.Equal(posted, records[0]), len(posted), len(records[0]))
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 
 	"aiql/internal/obs"
@@ -98,9 +97,9 @@ func (c *remoteCursor) connect() error {
 			re.resp.Body.Close()
 			return fmt.Errorf("scan returned %s: %s", re.resp.Status, bytes.TrimSpace(msg))
 		}
-		if ct := re.resp.Header.Get("Content-Type"); ct != ScanContentType {
+		if err := WantContentType(re.resp.Header, ScanContentType); err != nil {
 			re.resp.Body.Close()
-			return fmt.Errorf("scan answered Content-Type %q, want %q (is every node running the same aiqld?)", ct, ScanContentType)
+			return fmt.Errorf("scan %w", err)
 		}
 		c.body, c.bp, c.entities = re.resp.Body, framePool.Get().(*[]byte), make(map[types.EntityID]*types.Entity)
 		return nil
@@ -206,28 +205,16 @@ func (s *scanReader) read(batch []storage.Match) (int, error) {
 
 // frame reads one frame and applies it.
 func (s *scanReader) frame() error {
-	var h [5]byte
-	_, err := io.ReadFull(s.body, h[:])
-	kind, size := h[0], binary.LittleEndian.Uint32(h[1:])
-	if err == nil && size > maxFrameBytes {
-		return fmt.Errorf("frame of %d bytes exceeds the %d-byte bound", size, maxFrameBytes)
-	} else if err == nil {
-		*s.bp = slices.Grow((*s.bp)[:0], int(size))[:size]
-		_, err = io.ReadFull(s.body, *s.bp)
-	}
+	kind, p, err := readFrame(s.body, s.bp)
 	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
 		return fmt.Errorf("stream truncated after %d rows: %w", s.rows, err)
 	}
-	p := *s.bp
 	switch {
 	case !s.sawHdr && kind != frameHeader:
 		return fmt.Errorf("stream opened with frame kind %d, want a header", kind)
 	case kind == frameHeader:
-		if s.sawHdr || size != 16 {
-			return fmt.Errorf("duplicate or malformed header frame (%d bytes)", size)
+		if s.sawHdr || len(p) != 16 {
+			return fmt.Errorf("duplicate or malformed header frame (%d bytes)", len(p))
 		}
 		// A labelled worker (-shard; -1 is unlabelled) must be the one
 		// contacted: otherwise -workers is out of placement order and every
@@ -259,8 +246,8 @@ func (s *scanReader) frame() error {
 		}
 		s.pending = evs
 	case kind == frameEnd:
-		if size != 8 {
-			return fmt.Errorf("malformed end frame (%d bytes)", size)
+		if len(p) != 8 {
+			return fmt.Errorf("malformed end frame (%d bytes)", len(p))
 		}
 		if got := binary.LittleEndian.Uint64(p); got != uint64(s.rows) {
 			return fmt.Errorf("trailer says %d rows, stream carried %d", got, s.rows)

@@ -137,28 +137,21 @@ func (c *Coordinator) RegisterRule(ctx context.Context, spec stream.RuleSpec) (*
 		id    string
 	}
 	var mu sync.Mutex
-	var failed []*WorkerError
 	var landed []regTarget
-	var wg sync.WaitGroup
-	for shard := range c.workers {
+	err = c.eachWorker(ctx, "rules", func(shard int) error {
+		var errs []error
 		for _, ws := range specs {
-			wg.Add(1)
-			go func(shard int, ws stream.RuleSpec) {
-				defer wg.Done()
-				err := c.postRule(ctx, shard, &ws)
-				mu.Lock()
-				if err != nil {
-					failed = append(failed, &WorkerError{Worker: c.workers[shard], Shard: shard, Err: err})
-				} else {
-					landed = append(landed, regTarget{shard: shard, id: ws.ID})
-				}
-				mu.Unlock()
-			}(shard, ws)
+			if err := c.postRule(ctx, shard, &ws); err != nil {
+				errs = append(errs, err)
+				continue
+			}
+			mu.Lock()
+			landed = append(landed, regTarget{shard: shard, id: ws.ID})
+			mu.Unlock()
 		}
-	}
-	wg.Wait()
-
-	if len(failed) > 0 {
+		return errors.Join(errs...)
+	})
+	if err != nil {
 		// Roll back exactly the registrations this call created, so no
 		// worker keeps matching for a rule the coordinator refused —
 		// and a pre-existing worker rule that caused a duplicate-id
@@ -169,8 +162,7 @@ func (c *Coordinator) RegisterRule(ctx context.Context, spec stream.RuleSpec) (*
 		c.rulesMu.Lock()
 		delete(c.rules, id)
 		c.rulesMu.Unlock()
-		c.failures.Add(uint64(len(failed)))
-		return nil, &PartialError{Op: "rules", Workers: len(c.workers), Contacted: len(c.workers), Failed: failed}
+		return nil, err
 	}
 	info := &stream.RuleInfo{
 		ID: id, Query: spec.Query, Columns: plan.Columns(),
@@ -193,28 +185,13 @@ func (c *Coordinator) DeleteRule(ctx context.Context, id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRule, id)
 	}
-	var failed []*WorkerError
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for shard := range c.workers {
+	return c.eachWorker(ctx, "rules", func(shard int) error {
+		var errs []error
 		for _, wid := range cr.workerRuleIDs() {
-			wg.Add(1)
-			go func(shard int, wid string) {
-				defer wg.Done()
-				if err := c.deleteWorkerRule(ctx, shard, wid); err != nil {
-					mu.Lock()
-					failed = append(failed, &WorkerError{Worker: c.workers[shard], Shard: shard, Err: err})
-					mu.Unlock()
-				}
-			}(shard, wid)
+			errs = append(errs, c.deleteWorkerRule(ctx, shard, wid))
 		}
-	}
-	wg.Wait()
-	if len(failed) > 0 {
-		c.failures.Add(uint64(len(failed)))
-		return &PartialError{Op: "rules", Workers: len(c.workers), Contacted: len(c.workers), Failed: failed}
-	}
-	return nil
+		return errors.Join(errs...)
+	})
 }
 
 // Rules lists the coordinator's registered rules, with matched/emitted
@@ -229,27 +206,12 @@ func (c *Coordinator) Rules(ctx context.Context) ([]stream.RuleInfo, error) {
 
 	// One listing per worker, concurrently.
 	workerInfos := make([]map[string]stream.RuleInfo, len(c.workers))
-	var failed []*WorkerError
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for shard := range c.workers {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			infos, err := c.listWorkerRules(ctx, shard)
-			if err != nil {
-				mu.Lock()
-				failed = append(failed, &WorkerError{Worker: c.workers[shard], Shard: shard, Err: err})
-				mu.Unlock()
-				return
-			}
-			workerInfos[shard] = infos
-		}(shard)
-	}
-	wg.Wait()
-	if len(failed) > 0 {
-		c.failures.Add(uint64(len(failed)))
-		return nil, &PartialError{Op: "rules", Workers: len(c.workers), Contacted: len(c.workers), Failed: failed}
+	err := c.eachWorker(ctx, "rules", func(shard int) (err error) {
+		workerInfos[shard], err = c.listWorkerRules(ctx, shard)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	out := make([]stream.RuleInfo, 0, len(crs))

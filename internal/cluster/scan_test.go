@@ -82,22 +82,19 @@ func decodeScan(stream []byte, workerIdx, per int) ([]storage.Match, error, int)
 // truncates or corrupts the bytes, and decodes them through the remote
 // cursor's frame reader. It must never panic; an untouched stream must
 // round-trip; and no stream may decode successfully unless the last frame
-// it consumed is a trailer counting exactly the rows delivered.
+// it consumed is a trailer counting exactly the rows delivered. The same
+// inputs drive a /walship stream through ReadShip (fuzzShipStream), which
+// shares the frame reader.
 func FuzzScanStream(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint8(64), uint8(7), uint32(0), uint32(0), byte(0))
 	f.Add(int64(2), uint16(5), uint8(255), uint8(3), uint32(40), uint32(0), byte(0))
 	f.Add(int64(3), uint16(700), uint8(100), uint8(255), uint32(0), uint32(25), byte(0x80))
 	f.Add(int64(4), uint16(0), uint8(1), uint8(1), uint32(0), uint32(2), byte(1))
 	f.Fuzz(func(t *testing.T, seed int64, nrows uint16, per, consume uint8, cut, flip uint32, mask byte) {
+		fuzzShipStream(t, seed, int(nrows)%50, cut, flip, mask)
 		rng := rand.New(rand.NewSource(seed))
 		ms := randomMatches(rng, int(nrows)%1000)
-		stream := encodeScan(t, 1, ms, 1+int(per))
-		if cut > 0 {
-			stream = stream[:int(cut)%len(stream)]
-		}
-		if mask != 0 && len(stream) > 0 {
-			stream[int(flip)%len(stream)] ^= mask
-		}
+		stream := mutate(encodeScan(t, 1, ms, 1+int(per)), cut, flip, mask)
 		got, err, used := decodeScan(stream, 1, 1+int(consume))
 		if err == nil {
 			var want [13]byte
@@ -127,6 +124,85 @@ func FuzzScanStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// mutate cuts stream to cut%len bytes (cut > 0) and flips the byte at
+// flip%len with mask.
+func mutate(stream []byte, cut, flip uint32, mask byte) []byte {
+	if cut > 0 {
+		stream = stream[:int(cut)%len(stream)]
+	}
+	if mask != 0 && len(stream) > 0 {
+		stream[int(flip)%len(stream)] ^= mask
+	}
+	return stream
+}
+
+// fuzzShipStream encodes nrec random tagged batches through WriteShip,
+// mutates the stream as FuzzScanStream does, and decodes it through
+// ReadShip with an apply that only collects the payloads. It must never
+// panic; an untouched stream must round-trip records and applied-state;
+// a cut one must fail with io.ErrUnexpectedEOF; and no stream may decode
+// successfully unless the last frame it consumed is a trailer counting
+// exactly the records delivered.
+func fuzzShipStream(t *testing.T, seed int64, nrec int, cut, flip uint32, mask byte) {
+	rng := rand.New(rand.NewSource(seed))
+	var want [][]byte
+	for i := range nrec {
+		var ents []types.Entity
+		var evs []types.Event
+		for _, m := range randomMatches(rng, 1+rng.Intn(8)) {
+			ents, evs = append(ents, *m.Subj, *m.Obj), append(evs, *m.Event)
+		}
+		want = append(want, storage.EncodeBatch(&storage.ReplTag{Epoch: "e", Shard: rng.Intn(3), Seq: uint64(i + 1)}, ents, evs))
+	}
+	states := []storage.ReplShardState{{Epoch: "e", Shard: 1, Watermark: uint64(nrec), Sparse: []uint64{uint64(nrec) + 2}}}
+	rec := httptest.NewRecorder()
+	err := WriteShip(rec, func(emit func([]byte) error) ([]storage.ReplShardState, error) {
+		for _, payload := range want {
+			if err := emit(payload); err != nil {
+				return nil, err
+			}
+		}
+		return states, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != ShipContentType {
+		t.Fatalf("WriteShip answered Content-Type %q", ct)
+	}
+	stream := mutate(rec.Body.Bytes(), cut, flip, mask)
+	r := bytes.NewReader(stream)
+	var got [][]byte
+	gotStates, err := ReadShip(r, func(payload []byte) error {
+		got = append(got, bytes.Clone(payload))
+		return nil
+	})
+	if err == nil {
+		// Walk the consumed frames: the last must be a trailer counting
+		// exactly the records delivered.
+		used, last := len(stream)-r.Len(), 0
+		for off := 0; off < used; off += 5 + int(binary.LittleEndian.Uint32(stream[off+1:])) {
+			last = off
+		}
+		if stream[last] != frameEnd || binary.LittleEndian.Uint64(stream[last+5:]) != uint64(len(got)) {
+			t.Fatalf("ship decoded %d records without a trailer counting them", len(got))
+		}
+	}
+	switch {
+	case cut == 0 && mask == 0:
+		if err != nil {
+			t.Fatalf("untouched ship stream: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 || !reflect.DeepEqual(gotStates, states) {
+			t.Fatalf("ship round trip: %d records and state %+v, want %d and %+v", len(got), gotStates, len(want), states)
+		}
+	case mask == 0:
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("ship stream cut to %d bytes: error %v, want io.ErrUnexpectedEOF", len(stream), err)
+		}
+	}
 }
 
 // TestScanFrameDecodeAllocs bounds what decoding a batch frame allocates:

@@ -2,15 +2,19 @@ package cluster
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"sync"
 
 	"aiql/internal/pred"
 	"aiql/internal/storage"
 	"aiql/internal/timeutil"
 	"aiql/internal/types"
+	"aiql/internal/wal"
 )
 
 // WireQuery is the JSON form of a storage.DataQuery as POSTed to a worker's
@@ -126,16 +130,33 @@ func decodeIDSet(ids []uint64, has bool) map[types.EntityID]struct{} {
 	return set
 }
 
-// ScanContentType is the media type of a /scan response: frames of a kind
-// byte, a u32 little-endian payload length and the payload, in the order
-// header batch* (end | err). A header carries the worker's shard (i64, -1
-// when unlabelled) and store generation (u64); a batch, one cursor batch in
-// the storage batch codec (storage.AppendBatch), holding the entities first
-// sent on this stream and the events, whose Subject and Object name each
-// row's entities; the end trailer, the row count (u64); an err frame, a
-// message. The trailer tells a complete result from a connection that died
-// mid-stream, which must surface as a worker failure, never a short result.
-const ScanContentType = "application/x-aiql-scan"
+// Every server-to-server stream is a sequence of frames: a kind byte, a u32
+// little-endian payload length and the payload. frameWriter.frame appends
+// the only frame header and readFrame reads it, for /scan and /walship
+// alike; a /walship batch frame carries a coordinator's /ingest body.
+const (
+	// ScanContentType is the media type of a /scan response: frames in the
+	// order header batch* (end | err). A header carries the worker's shard
+	// (i64, -1 when unlabelled) and store generation (u64); a batch, one
+	// cursor batch in the storage batch codec (storage.AppendBatch), holding
+	// the entities first sent on this stream and the events, whose Subject
+	// and Object name each row's entities; the end trailer, the row count
+	// (u64); an err frame, a message. The trailer tells a complete result
+	// from a connection that died mid-stream, which must surface as a worker
+	// failure, never a short result.
+	ScanContentType = "application/x-aiql-scan"
+	// ShipContentType is the media type of a /walship response: frames in
+	// the order batch* (end | err). A batch is one WAL record's payload
+	// unmodified; the end trailer, the record count (u64) and the shipper's
+	// applied-state (JSON, the repl-state.json layout).
+	ShipContentType = "application/x-aiql-walship"
+	// BatchContentType is the media type of a coordinator's /ingest body:
+	// one tagged batch, the WAL record layout (storage.EncodeBatch).
+	BatchContentType = "application/x-aiql-batch"
+	// ReplRoleHeader names the copy a tagged /ingest delivers: "primary" or
+	// "replica".
+	ReplRoleHeader = "X-Aiql-Repl-Role"
+)
 
 const (
 	frameHeader byte = iota + 1
@@ -144,18 +165,97 @@ const (
 	frameErr
 )
 
-// maxFrameBytes bounds a payload before a reader allocates for it, far
-// above a batch of storage.ScanBatchSize rows and their entities. Frame
-// buffers on both ends of a stream come from framePool.
-const maxFrameBytes = 16 << 20
+// maxFrameBytes bounds a frame's payload at a WAL record's bound, the
+// largest payload any stream carries. readFrame grows its buffer as the
+// payload arrives, so a corrupt length costs at most the bytes sent.
+const maxFrameBytes = wal.MaxRecordBytes
 
+// framePool holds the frame buffers on both ends of a stream.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readFrame reads one frame into *buf and returns its kind and payload,
+// which *buf holds until the next call. Every stream ends in its own
+// trailer, so an EOF anywhere is io.ErrUnexpectedEOF.
+func readFrame(r io.Reader, buf *[]byte) (byte, []byte, error) {
+	var h [5]byte
+	_, err := io.ReadFull(r, h[:])
+	size := int(binary.LittleEndian.Uint32(h[1:]))
+	if err == nil && size > maxFrameBytes {
+		return 0, nil, fmt.Errorf("frame of %d bytes exceeds the %d-byte bound", size, maxFrameBytes)
+	}
+	b := (*buf)[:0]
+	for err == nil && len(b) < size {
+		n := min(size-len(b), 1<<20)
+		b = slices.Grow(b, n)
+		var m int
+		m, err = io.ReadFull(r, b[len(b):len(b)+n])
+		b = b[:len(b)+m]
+	}
+	*buf = b
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return h[0], b, err
+}
+
+// frameWriter buffers a response's frames in a pooled buffer and writes
+// them out; ScanWriter and WriteShip are built on it.
+type frameWriter struct {
+	w  http.ResponseWriter
+	bp *[]byte // frames not yet written
+}
+
+func newFrameWriter(w http.ResponseWriter, contentType string) frameWriter {
+	w.Header().Set("Content-Type", contentType)
+	fw := frameWriter{w: w, bp: framePool.Get().(*[]byte)}
+	*fw.bp = (*fw.bp)[:0]
+	return fw
+}
+
+// frame buffers one frame whose payload add appends.
+func (fw *frameWriter) frame(kind byte, add func([]byte) []byte) {
+	b := append(*fw.bp, kind, 0, 0, 0, 0)
+	at := len(b)
+	b = add(b)
+	binary.LittleEndian.PutUint32(b[at-4:], uint32(len(b)-at))
+	*fw.bp = b
+}
+
+// write sends the buffered frames in one call and flushes them mid-stream.
+// The last frame is left unflushed: net/http sends it in one write with the
+// chunked terminator, so the client reads EOF with it and its transport can
+// reuse the connection. It releases the buffer.
+func (fw *frameWriter) write(last bool) error {
+	_, err := fw.w.Write(*fw.bp)
+	*fw.bp = (*fw.bp)[:0]
+	if f, ok := fw.w.(http.Flusher); ok && !last && err == nil {
+		f.Flush()
+	} else if last {
+		framePool.Put(fw.bp)
+		fw.bp = nil
+	}
+	return err
+}
+
+// Fail reports an error in-band, in place of the trailer.
+func (fw *frameWriter) Fail(err error) error {
+	fw.frame(frameErr, func(b []byte) []byte { return append(b, err.Error()...) })
+	return fw.write(true)
+}
+
+// WantContentType refuses a peer's response in another wire format (an
+// older aiqld in a mixed-version cluster), naming both types.
+func WantContentType(h http.Header, want string) error {
+	if ct := h.Get("Content-Type"); ct != want {
+		return fmt.Errorf("answered Content-Type %q, want %q (is every node running the same aiqld?)", ct, want)
+	}
+	return nil
+}
 
 // ScanWriter encodes a /scan response, the stream's only encoder. Each
 // entity crosses a stream once, in the first batch that references it.
 type ScanWriter struct {
-	w    http.ResponseWriter
-	bp   *[]byte // frames not yet written
+	frameWriter
 	sent map[types.EntityID]bool
 	ents []types.Entity
 	evs  []types.Event
@@ -165,9 +265,7 @@ type ScanWriter struct {
 // NewScanWriter sets the response's content type and buffers the header
 // frame, which goes out with the first batch or with the trailer.
 func NewScanWriter(w http.ResponseWriter, shard int, generation uint64) *ScanWriter {
-	w.Header().Set("Content-Type", ScanContentType)
-	sw := &ScanWriter{w: w, bp: framePool.Get().(*[]byte), sent: make(map[types.EntityID]bool)}
-	*sw.bp = (*sw.bp)[:0]
+	sw := &ScanWriter{frameWriter: newFrameWriter(w, ScanContentType), sent: make(map[types.EntityID]bool)}
 	sw.frame(frameHeader, func(b []byte) []byte {
 		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(b, uint64(int64(shard))), generation)
 	})
@@ -189,42 +287,65 @@ func (sw *ScanWriter) Batch(ms []storage.Match) error {
 	}
 	sw.rows += len(ms)
 	sw.frame(frameBatch, func(b []byte) []byte { return storage.AppendBatch(b, sw.ents, sw.evs) })
+	return sw.write(false)
+}
+
+// End writes the trailer.
+func (sw *ScanWriter) End() error {
+	sw.frame(frameEnd, func(b []byte) []byte { return binary.LittleEndian.AppendUint64(b, uint64(sw.rows)) })
 	return sw.write(true)
 }
 
-// End writes the trailer unflushed: net/http sends it in one write with the
-// chunked terminator, so the client reads EOF with the last frame and its
-// transport can reuse the connection.
-func (sw *ScanWriter) End() error {
-	sw.frame(frameEnd, func(b []byte) []byte { return binary.LittleEndian.AppendUint64(b, uint64(sw.rows)) })
-	return sw.write(false)
-}
-
-// Fail reports a scan error in-band, in place of the trailer.
-func (sw *ScanWriter) Fail(err error) error {
-	sw.frame(frameErr, func(b []byte) []byte { return append(b, err.Error()...) })
-	return sw.write(false)
-}
-
-// frame buffers one frame whose payload add appends.
-func (sw *ScanWriter) frame(kind byte, add func([]byte) []byte) {
-	b := append(*sw.bp, kind, 0, 0, 0, 0)
-	at := len(b)
-	b = add(b)
-	binary.LittleEndian.PutUint32(b[at-4:], uint32(len(b)-at))
-	*sw.bp = b
-}
-
-// write sends the buffered frames in one call and flushes a batch; the
-// last frame is left unflushed and releases the buffer.
-func (sw *ScanWriter) write(batch bool) error {
-	_, err := sw.w.Write(*sw.bp)
-	*sw.bp = (*sw.bp)[:0]
-	if f, ok := sw.w.(http.Flusher); ok && batch && err == nil {
-		f.Flush()
-	} else if !batch {
-		framePool.Put(sw.bp)
-		sw.bp = nil
+// WriteShip answers a /walship request: ship emits each WAL record's
+// payload and returns the applied-state the trailer carries.
+func WriteShip(w http.ResponseWriter, ship func(emit func(payload []byte) error) ([]storage.ReplShardState, error)) error {
+	fw, records := newFrameWriter(w, ShipContentType), 0
+	states, err := ship(func(payload []byte) error {
+		records++
+		fw.frame(frameBatch, func(b []byte) []byte { return append(b, payload...) })
+		return fw.write(false)
+	})
+	if err != nil {
+		return fw.Fail(err)
 	}
-	return err
+	js, _ := json.Marshal(states)
+	fw.frame(frameEnd, func(b []byte) []byte {
+		return append(binary.LittleEndian.AppendUint64(b, uint64(records)), js...)
+	})
+	return fw.write(true)
+}
+
+// ReadShip decodes a /walship response body, handing each record's payload
+// to apply in order (the payload is reused once apply returns), and returns
+// the shipper's applied-state once a trailer counting exactly the records
+// delivered is in.
+func ReadShip(body io.Reader, apply func(payload []byte) error) ([]storage.ReplShardState, error) {
+	bp := framePool.Get().(*[]byte)
+	defer framePool.Put(bp)
+	for records := 0; ; {
+		kind, p, err := readFrame(body, bp)
+		if err != nil {
+			return nil, fmt.Errorf("ship stream truncated after %d records: %w", records, err)
+		}
+		switch kind {
+		case frameBatch:
+			if err := apply(p); err != nil {
+				return nil, err
+			}
+			records++
+		case frameEnd:
+			if len(p) < 8 || binary.LittleEndian.Uint64(p) != uint64(records) {
+				return nil, fmt.Errorf("ship trailer does not count the %d records delivered", records)
+			}
+			var states []storage.ReplShardState
+			if err := json.Unmarshal(p[8:], &states); err != nil {
+				return nil, fmt.Errorf("malformed ship trailer: %w", err)
+			}
+			return states, nil
+		case frameErr:
+			return nil, fmt.Errorf("peer ship failed: %s", p)
+		default:
+			return nil, fmt.Errorf("unknown frame kind %d on a ship stream", kind)
+		}
+	}
 }

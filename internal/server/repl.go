@@ -1,16 +1,18 @@
 package server
 
-// Replication endpoints and helpers: the tagged /ingest path (idempotent
-// apply by coordinator batch tag), the home-shard scan filter replicated
-// workers apply, and the WAL-ship / catch-up pair a restarted replica uses
-// to pull the batches it missed from the shard's other copy-holder. See
-// docs/CLUSTER.md.
+// Replication endpoints and helpers: the one apply of a tagged batch
+// (idempotent by coordinator batch tag) behind a coordinator's /ingest and
+// a catch-up, the home-shard scan filter replicated workers apply, and the
+// WAL-ship / catch-up pair a restarted replica uses to pull the batches it
+// missed from the shard's other copy-holder. A tagged batch has one byte
+// form everywhere: the WAL record payload (storage.EncodeBatch) is
+// the /ingest body and each /walship batch frame. See docs/CLUSTER.md.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,30 +20,37 @@ import (
 	"strconv"
 	"strings"
 
+	"aiql/internal/cluster"
 	"aiql/internal/mpp"
 	"aiql/internal/storage"
 	"aiql/internal/timeutil"
+	"aiql/internal/types"
 )
 
-// replTagFromRequest parses the replication headers a coordinator (or a
-// catch-up pull) attaches to /ingest: a nil tag on an untagged request, an
-// error when the headers are present but malformed. quiet reports whether
-// the batch should skip the standing-rule observer: replica copies and
-// catch-up transfers re-deliver data the primary's ingest already
-// evaluated, and rules must fire once per batch, not once per copy.
-func replTagFromRequest(r *http.Request) (tag *storage.ReplTag, quiet bool, err error) {
-	epoch := r.Header.Get("X-Aiql-Repl-Epoch")
-	if epoch == "" {
-		return nil, false, nil
+// errBadBatch marks a tagged-batch payload that does not decode or carries
+// no tag: the sender's fault, answered 400 on /ingest.
+var errBadBatch = errors.New("malformed replication batch")
+
+// applyTagged decodes one tagged batch and applies it through w, exactly
+// once per tag: a coordinator's /ingest body and every batch a catch-up
+// pulls go through here. quiet skips the standing-rule observer: replica
+// copies and catch-up transfers re-deliver data the primary's ingest
+// already evaluated, and rules must fire once per batch, not once per copy.
+// It reports whether the batch was applied (false: a duplicate tag).
+func applyTagged(w batchWriter, payload []byte, quiet bool) (*types.Dataset, bool, error) {
+	tag, ents, evs, err := storage.DecodeMaybeTagged(payload)
+	if err == nil && tag == nil {
+		err = errors.New("batch carries no replication tag")
 	}
-	shard, serr := strconv.Atoi(r.Header.Get("X-Aiql-Repl-Shard"))
-	seq, qerr := strconv.ParseUint(r.Header.Get("X-Aiql-Repl-Seq"), 10, 64)
-	if serr != nil || qerr != nil || shard < 0 || seq == 0 {
-		return nil, false, fmt.Errorf("malformed replication headers (shard %q, seq %q)",
-			r.Header.Get("X-Aiql-Repl-Shard"), r.Header.Get("X-Aiql-Repl-Seq"))
+	if err != nil {
+		return nil, false, fmt.Errorf("%w: %v", errBadBatch, err)
 	}
-	role := r.Header.Get("X-Aiql-Repl-Role")
-	return &storage.ReplTag{Epoch: epoch, Shard: shard, Seq: seq}, role == "replica" || role == "catchup", nil
+	ds := types.NewDataset(ents, evs)
+	applied, err := w.IngestBatch(tag, ds, quiet)
+	if err != nil {
+		return nil, false, fmt.Errorf("apply %s: %w", tag, err)
+	}
+	return ds, applied, nil
 }
 
 // shardFilterCursor narrows a store scan to rows whose home shard (under
@@ -100,51 +109,23 @@ func (c *shardFilterCursor) Next(batch []storage.Match) int {
 func (c *shardFilterCursor) Err() error { return c.inner.Err() }
 func (c *shardFilterCursor) Close()     { c.inner.Close() }
 
-// shipRecord is one NDJSON line of a /walship response: a tagged batch
-// ("tag"), the explicit end trailer carrying the shipper's applied-state
-// for the requested shards ("end"), or an in-band failure ("error"). The
-// trailer lets the puller prove it now covers everything the peer applied
-// — or detect that compaction folded needed history into segments.
-type shipRecord struct {
-	Kind  string                   `json:"kind"`
-	Epoch string                   `json:"epoch,omitempty"`
-	Shard int                      `json:"shard,omitempty"`
-	Seq   uint64                   `json:"seq,omitempty"`
-	Batch []byte                   `json:"batch,omitempty"`
-	Count int                      `json:"count,omitempty"`
-	State []storage.ReplShardState `json:"state,omitempty"`
-	Error string                   `json:"error,omitempty"`
-}
-
 // handleWalShip streams every tagged WAL record for the requested shards
-// (?shards=0,2; all shards when absent) as NDJSON. Durable workers only —
-// the WAL is the replication log. Compaction is held off for the duration,
-// so the stream is a consistent snapshot of the log.
+// (?shards=0,2; all shards when absent) as a cluster.ShipContentType frame
+// stream: each record's payload unmodified, then a trailer carrying the
+// record count and this store's applied-state for those shards, which lets
+// the puller prove it now covers everything this peer applied, or detect
+// that compaction folded needed history into segments. Durable workers
+// only: the WAL is the replication log. Compaction is held off for the
+// duration, so the stream is a consistent snapshot of the log.
 func (s *Server) handleWalShip(w http.ResponseWriter, r *http.Request) {
 	shards, err := parseShardSet(r.URL.Query().Get("shards"))
 	if err != nil {
 		s.httpTraceError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	count := 0
-	states, err := s.durable.ShipReplicated(shards, func(tag storage.ReplTag, payload []byte) error {
-		count++
-		return enc.Encode(&shipRecord{
-			Kind: "tag", Epoch: tag.Epoch, Shard: tag.Shard, Seq: tag.Seq, Batch: payload,
-		})
+	_ = cluster.WriteShip(w, func(emit func([]byte) error) ([]storage.ReplShardState, error) {
+		return s.durable.ShipReplicated(shards, emit)
 	})
-	if err != nil {
-		_ = enc.Encode(&shipRecord{Kind: "error", Error: err.Error()})
-		return
-	}
-	_ = enc.Encode(&shipRecord{Kind: "end", Count: count, State: states})
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 func parseShardSet(csv string) (map[int]bool, error) {
@@ -190,7 +171,7 @@ func (s *Server) handleCatchup(w http.ResponseWriter, r *http.Request) {
 	resp, err := CatchUp(r.Context(), s.durable, req.From, req.Shards)
 	if err != nil {
 		status := http.StatusBadGateway
-		if isHistoryGap(err) {
+		if _, gap := err.(*historyGapError); gap {
 			// The peer compacted WAL records this store never applied:
 			// catch-up cannot close the gap; the operator must re-seed
 			// from a fresh copy.
@@ -210,11 +191,6 @@ type historyGapError struct{ state storage.ReplShardState }
 func (e *historyGapError) Error() string {
 	return fmt.Sprintf("catchup: peer history for epoch %s shard %d compacted past this store's state (peer watermark %d); re-seed required",
 		e.state.Epoch, e.state.Shard, e.state.Watermark)
-}
-
-func isHistoryGap(err error) bool {
-	_, ok := err.(*historyGapError)
-	return ok
 }
 
 // CatchUp pulls the peer's tagged WAL history for the given shards (all
@@ -251,52 +227,27 @@ func CatchUp(ctx context.Context, durable *storage.Persistent, from string, shar
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		return nil, fmt.Errorf("catchup: peer returned %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
-
+	if err := cluster.WantContentType(resp.Header, cluster.ShipContentType); err != nil {
+		return nil, fmt.Errorf("catchup: peer %w", err)
+	}
 	out := &CatchupResponse{}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 512<<20)
-	sawEnd := false
-	var peerStates []storage.ReplShardState
-	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
+	peerStates, err := cluster.ReadShip(resp.Body, func(payload []byte) error {
+		// Quiet: catch-up re-delivers data whose original ingest
+		// already fed the standing rules on the shard's primary.
+		_, applied, err := applyTagged(durable, payload, true)
+		if err != nil {
+			return err
 		}
-		var rec shipRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("catchup: malformed ship record: %w", err)
+		out.Records++
+		if applied {
+			out.Applied++
+		} else {
+			out.Duplicates++
 		}
-		switch rec.Kind {
-		case "tag":
-			ds, err := storage.DecodeBatchPayload(rec.Batch)
-			if err != nil {
-				return nil, fmt.Errorf("catchup: batch for %s/%d/%d: %w", rec.Epoch, rec.Shard, rec.Seq, err)
-			}
-			tag := storage.ReplTag{Epoch: rec.Epoch, Shard: rec.Shard, Seq: rec.Seq}
-			// Quiet: catch-up re-delivers data whose original ingest
-			// already fed the standing rules on the shard's primary.
-			applied, err := durable.IngestBatch(&tag, ds, true)
-			if err != nil {
-				return nil, fmt.Errorf("catchup: apply %s: %w", tag, err)
-			}
-			out.Records++
-			if applied {
-				out.Applied++
-			} else {
-				out.Duplicates++
-			}
-		case "end":
-			sawEnd = true
-			peerStates = rec.State
-		case "error":
-			return nil, fmt.Errorf("catchup: peer ship failed: %s", rec.Error)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("catchup: stream: %w", err)
-	}
-	if !sawEnd {
-		return nil, fmt.Errorf("catchup: ship stream truncated (no end trailer): %w", io.ErrUnexpectedEOF)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("catchup: %w", err)
 	}
 	// Gap check: everything the peer has applied for these shards must now
 	// be applied here too. Anything missing was folded into the peer's

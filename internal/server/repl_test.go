@@ -1,9 +1,9 @@
 package server_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,10 +12,12 @@ import (
 	"strings"
 	"testing"
 
+	"aiql/internal/cluster"
 	"aiql/internal/engine"
 	"aiql/internal/gen"
 	"aiql/internal/server"
 	"aiql/internal/storage"
+	"aiql/internal/trace"
 )
 
 // taggedBatch builds one self-contained NDJSON ingest batch: a process, a
@@ -29,19 +31,21 @@ func taggedBatch(k int) string {
 `, 100+k, k, 200+k, k, 300+k, 100+k, 200+k, day+int64(k)*1000, k)
 }
 
-// postTagged posts a batch with the replication headers a coordinator
-// attaches, returning the decoded response.
+// postTagged posts a batch as a coordinator does, one tagged batch in the
+// WAL record layout, returning the decoded response.
 func postTagged(t *testing.T, url string, shard int, seq uint64, role, batch string) *server.IngestResponse {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/ingest", strings.NewReader(batch))
+	ds, err := trace.Read(strings.NewReader(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	req.Header.Set("X-Aiql-Repl-Epoch", "e1")
-	req.Header.Set("X-Aiql-Repl-Shard", fmt.Sprint(shard))
-	req.Header.Set("X-Aiql-Repl-Seq", fmt.Sprint(seq))
-	req.Header.Set("X-Aiql-Repl-Role", role)
+	payload := storage.EncodeBatch(&storage.ReplTag{Epoch: "e1", Shard: shard, Seq: seq}, ds.Entities, ds.Events)
+	req, err := http.NewRequest(http.MethodPost, url+"/ingest", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", cluster.BatchContentType)
+	req.Header.Set(cluster.ReplRoleHeader, role)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +152,8 @@ func TestCatchUpAcrossCrashWindow(t *testing.T) {
 	}
 
 	// A proxy of the primary's /walship that forwards the first three
-	// NDJSON lines (two the replica already has, ONE it is missing) and
-	// then drops the connection — the peer dying mid-ship.
+	// frames (two the replica already has, ONE it is missing) and then
+	// drops the connection — the peer dying mid-ship.
 	cutProxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		resp, err := http.Get(tsA.URL + r.URL.String())
 		if err != nil {
@@ -157,10 +161,14 @@ func TestCatchUpAcrossCrashWindow(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-		for i := 0; i < 3 && sc.Scan(); i++ {
-			fmt.Fprintln(w, sc.Text())
+		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+		for i := 0; i < 3; i++ {
+			var h [5]byte
+			if _, err := io.ReadFull(resp.Body, h[:]); err != nil {
+				break
+			}
+			w.Write(h[:])
+			io.CopyN(w, resp.Body, int64(binary.LittleEndian.Uint32(h[1:])))
 		}
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
@@ -250,5 +258,64 @@ func TestCatchupHistoryGapIsConflict(t *testing.T) {
 	}
 	if !strings.Contains(string(msg), "re-seed") {
 		t.Fatalf("gap error %q does not tell the operator to re-seed", msg)
+	}
+}
+
+// TestIngestRefusesForeignBatches covers the mixed-version and malformed
+// cases of the two /ingest media types: a JSON-lines body carrying an older
+// coordinator's replication headers (applied untagged, its retry would
+// duplicate it), a batch body without a tag, a batch body that does not
+// decode, and one over MaxIngestBytes. Each is refused and none is applied.
+func TestIngestRefusesForeignBatches(t *testing.T) {
+	ts, st := newTestServer(t, server.Options{MaxIngestBytes: 4 << 10})
+	ds, err := trace.Read(strings.NewReader(taggedBatch(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, 8<<10)
+	copy(big, storage.EncodeBatch(&storage.ReplTag{Epoch: "e1", Seq: 1}, ds.Entities, ds.Events))
+	for _, tc := range []struct {
+		name, contentType string
+		body              []byte
+		header            map[string]string
+		status            int
+		names             []string
+	}{
+		{"json lines with replication headers", "application/x-ndjson", []byte(taggedBatch(1)),
+			map[string]string{"X-Aiql-Repl-Epoch": "e1", "X-Aiql-Repl-Shard": "0", "X-Aiql-Repl-Seq": "1"},
+			http.StatusBadRequest, []string{"application/x-ndjson", cluster.BatchContentType}},
+		{"untagged batch", cluster.BatchContentType, storage.AppendBatch(nil, ds.Entities, ds.Events), nil,
+			http.StatusBadRequest, []string{"no replication tag"}},
+		{"malformed batch", cluster.BatchContentType, []byte("{not a batch"), nil, http.StatusBadRequest, nil},
+		{"oversized batch", cluster.BatchContentType, big, nil, http.StatusRequestEntityTooLarge, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events, gen0 := st.EventCount(), st.Generation()
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/ingest", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", tc.contentType)
+			for k, v := range tc.header {
+				req.Header.Set(k, v)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			msg, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d (%s), want %d", resp.StatusCode, msg, tc.status)
+			}
+			for _, name := range tc.names {
+				if !strings.Contains(string(msg), name) {
+					t.Errorf("error %s does not name %q", msg, name)
+				}
+			}
+			if st.EventCount() != events || st.Generation() != gen0 {
+				t.Fatalf("refused ingest changed the store: %d→%d events, generation %d→%d", events, st.EventCount(), gen0, st.Generation())
+			}
+		})
 	}
 }

@@ -685,12 +685,28 @@ type IngestResponse struct {
 	Duplicate bool `json:"duplicate,omitempty"`
 }
 
-// handleIngest appends a batch of records in the aiqlgen JSON-lines wire
-// format (entity and event lines in any order). The batch is staged into a
-// dataset first, then ingested under the store's write lock, so concurrent
-// queries see either none or all of the batch.
+// handleIngest appends a batch. A client posts records in the aiqlgen
+// JSON-lines wire format (entity and event lines in any order); a
+// coordinator posts one tagged batch under cluster.BatchContentType, which
+// a store-backed server applies through applyTagged. Either batch is
+// staged whole, then ingested under the store's write lock, so concurrent
+// queries see either none or all of it.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	ds, err := trace.Read(http.MaxBytesReader(w, r.Body, s.maxIngest))
+	body := http.MaxBytesReader(w, r.Body, s.maxIngest)
+	var ds *types.Dataset
+	var payload []byte
+	var err error
+	tagged := r.Header.Get("Content-Type") == cluster.BatchContentType && s.writer != nil
+	switch {
+	case tagged:
+		payload, err = io.ReadAll(body)
+	case hasReplHeaders(r.Header):
+		// An older coordinator's tagged batch: applied untagged, its retry
+		// would duplicate it.
+		err = fmt.Errorf("replication headers on a JSON-lines (application/x-ndjson) /ingest: a coordinator posts %s (is every node running the same aiqld?)", cluster.BatchContentType)
+	default:
+		ds, err = trace.Read(body)
+	}
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
@@ -718,16 +734,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	tag, quiet, err := replTagFromRequest(r)
-	if err != nil {
-		s.httpTraceError(w, r, http.StatusBadRequest, err)
-		return
-	}
 	// On a durable store the batch is journaled before it is applied, and
 	// only acknowledged once the WAL accepted it, so an acknowledged ingest
 	// survives a crash; only that journal can fail.
-	applied, err := s.writer.IngestBatch(tag, ds, quiet)
-	if err != nil {
+	applied := false
+	if tagged {
+		ds, applied, err = applyTagged(s.writer, payload, r.Header.Get(cluster.ReplRoleHeader) == "replica")
+	} else {
+		applied, err = s.writer.IngestBatch(nil, ds, false)
+	}
+	if errors.Is(err, errBadBatch) {
+		s.httpTraceError(w, r, http.StatusBadRequest, err)
+		return
+	} else if err != nil {
 		s.httpTraceError(w, r, http.StatusInternalServerError, fmt.Errorf("durable ingest: %w", err))
 		return
 	}
@@ -741,6 +760,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Generation: s.store.Generation(),
 		Duplicate:  !applied,
 	})
+}
+
+// hasReplHeaders reports replication headers, which only a tagged batch may
+// carry.
+func hasReplHeaders(h http.Header) bool {
+	for k := range h {
+		if strings.HasPrefix(k, "X-Aiql-Repl-") {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -164,12 +164,6 @@ func (d *decoder) event() types.Event {
 	return ev
 }
 
-// encodeBatch serializes one ingest batch — the WAL record payload.
-func encodeBatch(entities []types.Entity, events []types.Event) []byte {
-	size := 8 + len(events)*eventWireBytes + len(entities)*32
-	return AppendBatch(make([]byte, 0, size), entities, events)
-}
-
 // AppendBatch appends a batch in the WAL record layout to buf: a u32 count
 // and the entities, then a u32 count and the events. Besides the WAL, it is
 // the row payload of the cluster's /scan frames, so entities and events

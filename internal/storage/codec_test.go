@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzBatchCodec fuzzes the WAL batch codec, the decoder recovery runs on
-// every WAL record and /catchup runs on every batch a peer ships. Arbitrary
+// every WAL record and a worker runs on every replicated batch it receives:
+// a coordinator's /ingest body and each /walship frame a catch-up applies. Arbitrary
 // bytes must decode to an error or a batch, never a panic; whatever decodes,
 // tagged or untagged, must round-trip exactly through its encoding.
 func FuzzBatchCodec(f *testing.F) {
@@ -19,25 +20,21 @@ func FuzzBatchCodec(f *testing.F) {
 	events := []types.Event{
 		{ID: 1, AgentID: 2, Subject: 7, Object: 9, Op: types.OpWrite, Start: -1000, End: 1001, Seq: 3, Amount: -5, FailCode: 1},
 	}
-	f.Add(encodeBatch(nil, nil))
-	f.Add(encodeBatch(entities, events))
-	f.Add(encodeTaggedBatch(ReplTag{Epoch: "e1", Shard: 3, Seq: 9}, entities, events))
-	f.Add(encodeTaggedBatch(ReplTag{Shard: -1}, nil, nil))
+	f.Add(EncodeBatch(nil, nil, nil))
+	f.Add(EncodeBatch(nil, entities, events))
+	f.Add(EncodeBatch(&ReplTag{Epoch: "e1", Shard: 3, Seq: 9}, entities, events))
+	f.Add(EncodeBatch(&ReplTag{Shard: -1}, nil, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeBatchPayload(data)
-		peeked := peekTag(data)
-		tag, ents, evs, err := decodeMaybeTagged(data)
+		peeked, _, _ := peekTag(data)
+		tag, ents, evs, err := DecodeMaybeTagged(data)
 		if err != nil {
 			return
 		}
 		if !reflect.DeepEqual(peeked, tag) {
-			t.Fatalf("peekTag = %v, decodeMaybeTagged tag = %v", peeked, tag)
+			t.Fatalf("peekTag = %v, DecodeMaybeTagged tag = %v", peeked, tag)
 		}
-		payload := encodeBatch(ents, evs)
-		if tag != nil {
-			payload = encodeTaggedBatch(*tag, ents, evs)
-		}
-		tag2, ents2, evs2, err := decodeMaybeTagged(payload)
+		payload := EncodeBatch(tag, ents, evs)
+		tag2, ents2, evs2, err := DecodeMaybeTagged(payload)
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}

@@ -110,9 +110,9 @@ func TestIngestBatchMatrix(t *testing.T) {
 							if !quiet && seqAtNotify != seq0+1 {
 								t.Fatalf("observer saw wal seq %d; the record must be journaled before the batch applies", seqAtNotify)
 							}
-							want := encodeBatch(b.Entities, b.Events)
+							want := EncodeBatch(nil, b.Entities, b.Events)
 							if batchTag != nil {
-								want = encodeTaggedBatch(*batchTag, b.Entities, b.Events)
+								want = EncodeBatch(batchTag, b.Entities, b.Events)
 							}
 							if !bytes.Equal(lastRecord(t, p), want) {
 								t.Fatal("WAL record payload differs from the batch encoding")

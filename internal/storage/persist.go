@@ -219,7 +219,7 @@ func OpenPersistent(dir string, opts PersistOptions) (*Persistent, error) {
 		return nil, err
 	}
 	err = log.Replay(0, func(seq uint64, payload []byte) error {
-		if tag := peekTag(payload); tag != nil {
+		if tag, _, _ := peekTag(payload); tag != nil {
 			p.Store.replRecord(*tag)
 		}
 		return nil
@@ -261,7 +261,7 @@ func OpenPersistent(dir string, opts PersistOptions) (*Persistent, error) {
 	// coveredSeq are already in segments; replaying by sequence number is
 	// what makes "apply exactly once" hold across any crash point.
 	err = log.Replay(p.coveredSeq, func(seq uint64, payload []byte) error {
-		_, entities, events, err := decodeMaybeTagged(payload)
+		_, entities, events, err := DecodeMaybeTagged(payload)
 		if err != nil {
 			return fmt.Errorf("wal seq %d: %w", seq, err)
 		}
@@ -371,12 +371,7 @@ func (p *Persistent) IngestBatch(tag *ReplTag, ds *types.Dataset, quiet bool) (b
 	if ep := p.syncErr.Load(); ep != nil {
 		return false, fmt.Errorf("storage: WAL sync failed earlier, refusing new batches: %w", *ep)
 	}
-	var payload []byte
-	if tag == nil {
-		payload = encodeBatch(ds.Entities, ds.Events)
-	} else {
-		payload = encodeTaggedBatch(*tag, ds.Entities, ds.Events)
-	}
+	payload := EncodeBatch(tag, ds.Entities, ds.Events)
 	applied, err := p.Store.apply(tag, ds, quiet, func() error {
 		if _, err := p.log.Append(payload); err != nil {
 			return err
@@ -461,7 +456,7 @@ func (p *Persistent) Compact() error {
 		if seq > last {
 			return nil // active-file records stay in the WAL
 		}
-		_, ents, evs, err := decodeMaybeTagged(payload)
+		_, ents, evs, err := DecodeMaybeTagged(payload)
 		if err != nil {
 			return fmt.Errorf("wal seq %d: %w", seq, err)
 		}

@@ -247,7 +247,7 @@ func TestTornWALTailAtEveryOffset(t *testing.T) {
 	boundaries := []int64{8}
 	off := int64(8)
 	for _, b := range batches {
-		off += 16 + int64(len(encodeBatch(b.Entities, b.Events)))
+		off += 16 + int64(len(EncodeBatch(nil, b.Entities, b.Events)))
 		boundaries = append(boundaries, off)
 	}
 	if boundaries[len(boundaries)-1] != int64(len(pristine)) {

@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 
 	"aiql/internal/types"
 )
@@ -105,17 +107,7 @@ type ReplShardState struct {
 
 // Covers reports whether local covers every sequence peer has applied.
 func (local ReplShardState) Covers(peer ReplShardState) bool {
-	inLocal := func(seq uint64) bool {
-		if seq <= local.Watermark {
-			return true
-		}
-		for _, s := range local.Sparse {
-			if s == seq {
-				return true
-			}
-		}
-		return false
-	}
+	inLocal := func(seq uint64) bool { return seq <= local.Watermark || slices.Contains(local.Sparse, seq) }
 	for seq := local.Watermark + 1; seq <= peer.Watermark; seq++ {
 		if !inLocal(seq) {
 			return false
@@ -157,15 +149,33 @@ func (s *Store) replAppliedLocked(tag ReplTag) bool {
 func (s *Store) replRecord(tag ReplTag) {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
+	s.replShardLocked(replKey{tag.Epoch, tag.Shard}).record(tag.Seq)
+}
+
+// replShardLocked returns the applied-set of one stream, creating it on
+// first use.
+//
+// aiql:locked replMu
+func (s *Store) replShardLocked(k replKey) *replShard {
 	if s.repl == nil {
 		s.repl = make(map[replKey]*replShard)
 	}
-	rs, ok := s.repl[replKey{tag.Epoch, tag.Shard}]
+	rs, ok := s.repl[k]
 	if !ok {
 		rs = &replShard{}
-		s.repl[replKey{tag.Epoch, tag.Shard}] = rs
+		s.repl[k] = rs
 	}
-	rs.record(tag.Seq)
+	return rs
+}
+
+// state renders the applied-set of stream k. Callers hold replMu.
+func (rs *replShard) state(k replKey) ReplShardState {
+	st := ReplShardState{Epoch: k.epoch, Shard: k.shard, Watermark: rs.watermark}
+	for seq := range rs.sparse {
+		st.Sparse = append(st.Sparse, seq)
+	}
+	slices.Sort(st.Sparse)
+	return st
 }
 
 // ReplStats returns the store's replication applied-state and counters.
@@ -174,19 +184,10 @@ func (s *Store) ReplStats() ReplStats {
 	defer s.replMu.Unlock()
 	out := ReplStats{Applied: s.replApplied, Duplicates: s.replDuplicates}
 	for k, rs := range s.repl {
-		st := ReplShardState{Epoch: k.epoch, Shard: k.shard, Watermark: rs.watermark}
-		for seq := range rs.sparse {
-			st.Sparse = append(st.Sparse, seq)
-		}
-		sort.Slice(st.Sparse, func(i, j int) bool { return st.Sparse[i] < st.Sparse[j] })
-		out.Shards = append(out.Shards, st)
+		out.Shards = append(out.Shards, rs.state(k))
 	}
-	sort.Slice(out.Shards, func(i, j int) bool {
-		a, b := out.Shards[i], out.Shards[j]
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
-		}
-		return a.Shard < b.Shard
+	slices.SortFunc(out.Shards, func(a, b ReplShardState) int {
+		return cmp.Or(strings.Compare(a.Epoch, b.Epoch), a.Shard-b.Shard)
 	})
 	return out
 }
@@ -195,25 +196,10 @@ func (s *Store) ReplStats() ReplStats {
 func (s *Store) ReplState(epoch string, shard int) ReplShardState {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
-	st := ReplShardState{Epoch: epoch, Shard: shard}
 	if rs, ok := s.repl[replKey{epoch, shard}]; ok {
-		st.Watermark = rs.watermark
-		for seq := range rs.sparse {
-			st.Sparse = append(st.Sparse, seq)
-		}
-		sort.Slice(st.Sparse, func(i, j int) bool { return st.Sparse[i] < st.Sparse[j] })
+		return rs.state(replKey{epoch, shard})
 	}
-	return st
-}
-
-// DecodeBatchPayload parses an untagged batch payload — the wire form
-// /walship ships and /catchup applies — into a dataset.
-func DecodeBatchPayload(payload []byte) (*types.Dataset, error) {
-	entities, events, err := DecodeBatch(payload)
-	if err != nil {
-		return nil, err
-	}
-	return types.NewDataset(entities, events), nil
+	return ReplShardState{Epoch: epoch, Shard: shard}
 }
 
 // taggedSentinel marks a WAL payload as tag-extended. An untagged payload
@@ -222,68 +208,66 @@ func DecodeBatchPayload(payload []byte) (*types.Dataset, error) {
 // untagged batch, and the two encodings are unambiguous.
 const taggedSentinel = ^uint32(0)
 
-// encodeTaggedBatch serializes a replicated ingest batch: the sentinel, the
-// tag, then the standard batch payload.
-func encodeTaggedBatch(tag ReplTag, entities []types.Entity, events []types.Event) []byte {
-	buf := make([]byte, 0, 4+4+len(tag.Epoch)+16+8+len(events)*eventWireBytes+len(entities)*32)
-	buf = binary.LittleEndian.AppendUint32(buf, taggedSentinel)
-	buf = appendString(buf, tag.Epoch)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(tag.Shard)))
-	buf = binary.LittleEndian.AppendUint64(buf, tag.Seq)
+// EncodeBatch serializes one ingest batch, a WAL record payload: the
+// standard batch payload (AppendBatch), behind the sentinel and the tag when
+// tag is non-nil. A tagged batch has this one byte form everywhere: the WAL
+// record, the body a coordinator posts to a worker's /ingest, and a
+// /walship batch frame.
+func EncodeBatch(tag *ReplTag, entities []types.Entity, events []types.Event) []byte {
+	buf := make([]byte, 0, 64+len(events)*eventWireBytes+len(entities)*32)
+	if tag != nil {
+		buf = binary.LittleEndian.AppendUint32(buf, taggedSentinel)
+		buf = appendString(buf, tag.Epoch)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(tag.Shard)))
+		buf = binary.LittleEndian.AppendUint64(buf, tag.Seq)
+	}
 	return AppendBatch(buf, entities, events)
 }
 
-// decodeMaybeTagged parses a WAL payload in either encoding, returning a
-// nil tag for plain batches.
-func decodeMaybeTagged(payload []byte) (*ReplTag, []types.Entity, []types.Event, error) {
-	if len(payload) < 4 || binary.LittleEndian.Uint32(payload) != taggedSentinel {
-		entities, events, err := DecodeBatch(payload)
-		return nil, entities, events, err
+// DecodeMaybeTagged parses a WAL payload in either encoding, returning a
+// nil tag for plain batches. Recovery runs it on every WAL record and a
+// worker on every replicated batch it receives.
+func DecodeMaybeTagged(payload []byte) (*ReplTag, []types.Entity, []types.Event, error) {
+	tag, off, err := peekTag(payload)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	d := &decoder{b: payload, off: 4}
-	tag := &ReplTag{Epoch: d.str()}
-	tag.Shard = int(int64(d.u64()))
-	tag.Seq = d.u64()
-	if d.err != nil {
-		return nil, nil, nil, d.err
-	}
-	entities, events, err := DecodeBatch(payload[d.off:])
+	entities, events, err := DecodeBatch(payload[off:])
 	return tag, entities, events, err
 }
 
 // peekTag parses just the tag prefix of a payload, without decoding the
-// batch — the cheap form recovery's tag scan uses.
-func peekTag(payload []byte) *ReplTag {
+// batch — the cheap form recovery's tag scan uses — and returns the offset
+// of the batch behind it: a nil tag and 0 for an untagged payload.
+func peekTag(payload []byte) (*ReplTag, int, error) {
 	if len(payload) < 4 || binary.LittleEndian.Uint32(payload) != taggedSentinel {
-		return nil
+		return nil, 0, nil
 	}
 	d := &decoder{b: payload, off: 4}
 	tag := &ReplTag{Epoch: d.str()}
 	tag.Shard = int(int64(d.u64()))
 	tag.Seq = d.u64()
 	if d.err != nil {
-		return nil
+		return nil, 0, d.err
 	}
-	return tag
+	return tag, d.off, nil
 }
 
 // ShipReplicated replays every tagged record still in the WAL whose shard
-// is in the requested set, calling fn with the tag and the untagged batch
-// payload — the wire form a catch-up peer applies through IngestBatch.
-// Compaction is held off for the duration so WAL files cannot disappear
-// mid-ship. Records folded into segments are not shippable; the caller
-// compares the returned state (this store's applied-set for the requested
-// shards) against what it received to detect that gap.
-func (p *Persistent) ShipReplicated(shards map[int]bool, fn func(tag ReplTag, payload []byte) error) ([]ReplShardState, error) {
+// is in the requested set, calling fn with the record's payload unmodified
+// (EncodeBatch's layout). Compaction is held off for the duration so
+// WAL files cannot disappear mid-ship. Records folded into segments are not
+// shippable; the caller compares the returned state (this store's
+// applied-set for the requested shards) against what it received to detect
+// that gap.
+func (p *Persistent) ShipReplicated(shards map[int]bool, fn func(payload []byte) error) ([]ReplShardState, error) {
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
 	err := p.log.Replay(0, func(seq uint64, payload []byte) error {
-		tag := peekTag(payload)
-		if tag == nil || (shards != nil && !shards[tag.Shard]) {
+		if tag, _, _ := peekTag(payload); tag == nil || (shards != nil && !shards[tag.Shard]) {
 			return nil
 		}
-		// Strip the tag prefix: 4 sentinel + 4 len + epoch + 8 shard + 8 seq.
-		return fn(*tag, payload[4+4+len(tag.Epoch)+16:])
+		return fn(payload)
 	})
 	if err != nil {
 		return nil, err
@@ -357,23 +341,14 @@ func (p *Persistent) loadReplSidecar() error {
 	if err := json.Unmarshal(data, &sc); err != nil {
 		return fmt.Errorf("storage: repl sidecar: %w", err)
 	}
+	p.Store.replMu.Lock()
+	defer p.Store.replMu.Unlock()
 	for _, st := range sc.Shards {
-		p.Store.replMu.Lock()
-		if p.Store.repl == nil {
-			p.Store.repl = make(map[replKey]*replShard)
-		}
-		rs, ok := p.Store.repl[replKey{st.Epoch, st.Shard}]
-		if !ok {
-			rs = &replShard{}
-			p.Store.repl[replKey{st.Epoch, st.Shard}] = rs
-		}
-		if st.Watermark > rs.watermark {
-			rs.watermark = st.Watermark
-		}
+		rs := p.Store.replShardLocked(replKey{st.Epoch, st.Shard})
+		rs.watermark = max(rs.watermark, st.Watermark)
 		for _, seq := range st.Sparse {
 			rs.record(seq)
 		}
-		p.Store.replMu.Unlock()
 	}
 	return nil
 }

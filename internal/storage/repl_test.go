@@ -195,11 +195,12 @@ func TestShipReplicatedFiltersShards(t *testing.T) {
 	}
 
 	var got []ReplTag
-	states, err := p.ShipReplicated(map[int]bool{0: true}, func(tag ReplTag, payload []byte) error {
-		if _, err := DecodeBatchPayload(payload); err != nil {
+	states, err := p.ShipReplicated(map[int]bool{0: true}, func(payload []byte) error {
+		tag, _, _, err := DecodeMaybeTagged(payload)
+		if err != nil {
 			return err
 		}
-		got = append(got, tag)
+		got = append(got, *tag)
 		return nil
 	})
 	if err != nil {
