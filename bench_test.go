@@ -62,18 +62,17 @@ func benchEngines() map[string]*engine.Engine {
 		opt.Ingest(ds)
 		engines["aiql"] = engine.New(opt, engine.Options{})
 		engines["ff"] = engine.New(opt, engine.Options{Strategy: engine.StrategyFetchFilter})
-		engines["pg-sched"] = engine.New(opt, engine.Options{Strategy: engine.StrategyBigJoin, DisableSplitDays: true})
+		engines["pg-sched"] = engine.New(opt, engine.Options{Strategy: engine.StrategyBigJoin})
 		// Ablations over the same optimized store.
 		engines["no-score-sort"] = engine.New(opt, engine.Options{NoScoreSort: true})
 		engines["no-pushdown"] = engine.New(opt, engine.Options{NoPushdown: true})
-		engines["no-splitdays"] = engine.New(opt, engine.Options{DisableSplitDays: true})
 		engines["no-hashjoin"] = engine.New(opt, engine.Options{NoHashJoin: true})
 		engines["apply-join"] = engine.New(opt, engine.Options{ApplyJoin: true})
 		engines["stats-scoring"] = engine.New(opt, engine.Options{StatsScoring: true})
 
 		pgStore := storage.New(storage.Options{DisablePruning: true, Workers: 1})
 		pgStore.Ingest(ds)
-		engines["postgres"] = engine.New(pgStore, engine.Options{Strategy: engine.StrategyBigJoin, DisableSplitDays: true})
+		engines["postgres"] = engine.New(pgStore, engine.Options{Strategy: engine.StrategyBigJoin})
 
 		noIdx := storage.New(storage.Options{DisableIndexes: true})
 		noIdx.Ingest(ds)
@@ -83,13 +82,17 @@ func benchEngines() map[string]*engine.Engine {
 		noPrune.Ingest(ds)
 		engines["no-pruning"] = engine.New(noPrune, engine.Options{})
 
+		oneWorker := storage.New(storage.Options{Workers: 1})
+		oneWorker.Ingest(ds)
+		engines["one-worker"] = engine.New(oneWorker, engine.Options{})
+
 		g := graphstore.New()
 		g.Ingest(ds)
-		engines["neo4j"] = engine.New(g, engine.Options{Strategy: engine.StrategyBigJoin, DisableSplitDays: true, NoHashJoin: true})
+		engines["neo4j"] = engine.New(g, engine.Options{Strategy: engine.StrategyBigJoin, NoHashJoin: true})
 
 		gp := mpp.New(5, mpp.ArrivalOrder, storage.Options{})
 		gp.Ingest(ds)
-		engines["greenplum"] = engine.New(gp, engine.Options{Strategy: engine.StrategyBigJoin, DisableSplitDays: true})
+		engines["greenplum"] = engine.New(gp, engine.Options{Strategy: engine.StrategyBigJoin})
 
 		sem := mpp.New(5, mpp.SemanticsAware, storage.Options{})
 		sem.Ingest(ds)
@@ -231,10 +234,10 @@ func BenchmarkAblationPushdown(b *testing.B) {
 	ablation(b, "aiql", "no-pushdown")
 }
 
-// BenchmarkAblationParallelWindow disables the parallel per-day splitting
-// of multi-day data queries.
+// BenchmarkAblationParallelWindow scans one partition at a time: the
+// storage pool (Options.Workers) is where a scan's days run in parallel.
 func BenchmarkAblationParallelWindow(b *testing.B) {
-	ablation(b, "aiql", "no-splitdays")
+	ablation(b, "aiql", "one-worker")
 }
 
 // BenchmarkAblationIndexes disables the entity hash indexes and posting

@@ -133,7 +133,6 @@ func TestConformanceAblations(t *testing.T) {
 		{"NoScoreSort", memory(storage.Options{}, engine.Options{NoScoreSort: true})},
 		{"NoPushdown", memory(storage.Options{}, engine.Options{NoPushdown: true})},
 		{"StatsScoring", memory(storage.Options{}, engine.Options{StatsScoring: true})},
-		{"DisableSplitDays", memory(storage.Options{}, engine.Options{DisableSplitDays: true})},
 		{"NoHashJoin", memory(storage.Options{}, engine.Options{NoHashJoin: true})},
 		{"ApplyJoin", memory(storage.Options{}, engine.Options{ApplyJoin: true})},
 		{"DisableIndexes", memory(storage.Options{DisableIndexes: true}, engine.Options{})},

@@ -6,7 +6,7 @@
 // Engine configurations (see DESIGN.md for the emulation rationale):
 //
 //   - AIQL: partitioned/indexed store, relationship-based scheduling,
-//     parallel scans and per-day window splitting — the full system.
+//     and partition-parallel scans — the full system.
 //   - PostgreSQL (end-to-end): same data without spatial/temporal
 //     partition pruning, single-threaded scans, and the semantics-agnostic
 //     one-big-join execution with per-row predicate evaluation.
@@ -120,10 +120,7 @@ func EndToEnd(ds *types.Dataset) []Runner {
 	// per-row predicate evaluation (events joined against entity tables).
 	pgStore := storage.New(storage.Options{DisablePruning: true, Workers: 1})
 	pgStore.Ingest(ds)
-	pg := engine.New(pgStore, engine.Options{
-		Strategy:         engine.StrategyBigJoin,
-		DisableSplitDays: true,
-	})
+	pg := engine.New(pgStore, engine.Options{Strategy: engine.StrategyBigJoin})
 
 	// Neo4j: graph traversal store, declaration-order assembly, no hash
 	// joins. Cross-pattern equality lives in WHERE clauses of the Cypher
@@ -132,9 +129,8 @@ func EndToEnd(ds *types.Dataset) []Runner {
 	g := graphstore.New()
 	g.Ingest(ds)
 	neo := engine.New(g, engine.Options{
-		Strategy:         engine.StrategyBigJoin,
-		DisableSplitDays: true,
-		NoHashJoin:       true,
+		Strategy:   engine.StrategyBigJoin,
+		NoHashJoin: true,
 	})
 
 	return []Runner{
@@ -150,10 +146,7 @@ func EndToEnd(ds *types.Dataset) []Runner {
 func SingleNode(ds *types.Dataset) []Runner {
 	st := storage.New(storage.Options{})
 	st.Ingest(ds)
-	pgSched := engine.New(st, engine.Options{
-		Strategy:         engine.StrategyBigJoin,
-		DisableSplitDays: true,
-	})
+	pgSched := engine.New(st, engine.Options{Strategy: engine.StrategyBigJoin})
 	ff := engine.New(st, engine.Options{Strategy: engine.StrategyFetchFilter})
 	aiql := engine.New(st, engine.Options{Strategy: engine.StrategyRelationship})
 	return []Runner{
@@ -170,10 +163,7 @@ func SingleNode(ds *types.Dataset) []Runner {
 func Parallel(ds *types.Dataset, segments int) []Runner {
 	gpCluster := mpp.New(segments, mpp.ArrivalOrder, storage.Options{})
 	gpCluster.Ingest(ds)
-	gp := engine.New(gpCluster, engine.Options{
-		Strategy:         engine.StrategyBigJoin,
-		DisableSplitDays: true,
-	})
+	gp := engine.New(gpCluster, engine.Options{Strategy: engine.StrategyBigJoin})
 
 	aiqlCluster := mpp.New(segments, mpp.SemanticsAware, storage.Options{})
 	aiqlCluster.Ingest(ds)

@@ -194,12 +194,6 @@ func (c *Coordinator) Workers() []string { return c.workers }
 // Placement returns the cluster's distribution policy.
 func (c *Coordinator) Placement() mpp.Placement { return c.placement }
 
-// SplitDays implements engine.DaySplitting: a coordinator scan pays one
-// HTTP fan-out, so the engine must hand it whole windows — the coordinator
-// prunes workers from the full window and each worker's local store still
-// prunes partitions per day.
-func (c *Coordinator) SplitDays() bool { return false }
-
 // Scan implements engine.Backend: eliminate workers the placement proves
 // irrelevant, fan the query out to the rest, and gather their streams in
 // shard order. The returned cursor reports *PartialError if any contacted
@@ -234,7 +228,7 @@ func (c *Coordinator) Scan(ctx context.Context, q *storage.DataQuery) storage.Cu
 		c.requests.Add(1)
 		if c.replicas > 1 {
 			// Replicated: the worker's store also holds its neighbour
-			// shard's copy, so the query carries a home-shard filter —
+			// shard's copy, so the query names the shard to read —
 			// which makes the body per-shard — and the cursor fails over
 			// to the replica before surfacing a worker error.
 			swq := *wq

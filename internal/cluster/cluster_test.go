@@ -806,6 +806,29 @@ func TestScanRefusesForeignContentType(t *testing.T) {
 	}
 }
 
+// TestShardIsAPartitionPredicate: a wire query's Shard/NShards decode into
+// the storage query's partition predicate, defined by the semantics-aware
+// placement, and a predicate never encodes — it is code, not data.
+func TestShardIsAPartitionPredicate(t *testing.T) {
+	q, err := (&cluster.WireQuery{Shard: 2, NShards: 3}).DataQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for agent := 0; agent < 5; agent++ {
+		for day := -3; day < 6; day++ {
+			if got, want := q.Partition(agent, day), mpp.SemanticsAware.Shard(agent, day, 3) == 2; got != want {
+				t.Fatalf("partition (%d, %d): predicate says %v, placement %v", agent, day, got, want)
+			}
+		}
+	}
+	if q, _ := (&cluster.WireQuery{Shard: 2}).DataQuery(); q.Partition != nil {
+		t.Error("a query without NShards decoded a partition predicate")
+	}
+	if _, err := cluster.EncodeQuery(q); err == nil {
+		t.Error("EncodeQuery accepted a query carrying a partition predicate")
+	}
+}
+
 // TestCatchUpRefusesForeignContentType points a catch-up at a peer that
 // answers /walship in the retired NDJSON ship format: the pull must fail
 // naming both content types and apply nothing.

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 
+	"aiql/internal/mpp"
 	"aiql/internal/pred"
 	"aiql/internal/storage"
 	"aiql/internal/timeutil"
@@ -43,18 +44,23 @@ type WireQuery struct {
 	HasObjAllowed  bool     `json:"has_obj_allowed,omitempty"`
 	Limit          int      `json:"limit,omitempty"`
 	ForceScan      bool     `json:"force_scan,omitempty"`
-	// Shard/NShards, when NShards > 0, ask the worker to return only rows
-	// whose home shard (under the semantics-aware placement over NShards
-	// workers) is Shard. A replicated worker's store holds two shards'
-	// data — its own and the one it replicates — and an unfiltered scan
-	// would double-count rows across the gather. The worker applies any
-	// Limit after this filter.
+	// Shard/NShards, when NShards > 0, ask the worker to scan only the
+	// partitions whose home shard (under the semantics-aware placement
+	// over NShards workers) is Shard. A replicated worker's store holds
+	// two shards' data — its own and the one it replicates — and reading
+	// both would double-count rows across the gather. DataQuery turns the
+	// pair into the storage query's partition predicate.
 	Shard   int `json:"shard,omitempty"`
 	NShards int `json:"nshards,omitempty"`
 }
 
-// EncodeQuery converts a data query to its wire form.
+// EncodeQuery converts a data query to its wire form. A partition
+// predicate is code, not data, so a query carrying one is refused; the
+// coordinator asks for a shard through Shard/NShards instead.
 func EncodeQuery(q *storage.DataQuery) (*WireQuery, error) {
+	if q.Partition != nil {
+		return nil, errors.New("cluster: a partition predicate cannot cross the wire")
+	}
 	w := &WireQuery{Agents: q.Agents, From: q.Window.From, To: q.Window.To, Limit: q.Limit, ForceScan: q.ForceScan}
 	if q.SubjType != types.EntityInvalid {
 		w.SubjType = q.SubjType.String()
@@ -100,6 +106,12 @@ func (w *WireQuery) DataQuery() (*storage.DataQuery, error) {
 	}
 	q.SubjAllowed = decodeIDSet(w.SubjAllowed, w.HasSubjAllowed)
 	q.ObjAllowed = decodeIDSet(w.ObjAllowed, w.HasObjAllowed)
+	if w.NShards > 0 {
+		shard, n := w.Shard, w.NShards
+		q.Partition = func(agent, day int) bool {
+			return mpp.SemanticsAware.Shard(agent, day, n) == shard
+		}
+	}
 	return q, nil
 }
 

@@ -237,7 +237,7 @@ having freq >= EWMA(freq, 0.5)`
 // loop it replaced allocates per (window, group): 26 165 times over one day
 // and 751 986 over thirty.
 func TestAnomalyAllocsIndependentOfScope(t *testing.T) {
-	e := New(fewMatchesStore(), Options{DisableSplitDays: true})
+	e := New(fewMatchesStore(), Options{})
 	allocs := func(src string) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if _, err := e.Query(src); err != nil {

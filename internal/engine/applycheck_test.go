@@ -36,7 +36,7 @@ func TestApplyJoinAgreesOnStoreAndGraph(t *testing.T) {
 
 	g := graphstore.New()
 	g.Ingest(testDataset())
-	gp, err := engine.New(g, engine.Options{ApplyJoin: true, DisableSplitDays: true}).Query(src)
+	gp, err := engine.New(g, engine.Options{ApplyJoin: true}).Query(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestApplyJoinAgreesOnStoreAndGraph(t *testing.T) {
 	}
 
 	// Also plain graph without apply.
-	gg, err := engine.New(g, engine.Options{Strategy: engine.StrategyBigJoin, DisableSplitDays: true, NoHashJoin: true}).Query(src)
+	gg, err := engine.New(g, engine.Options{Strategy: engine.StrategyBigJoin, NoHashJoin: true}).Query(src)
 	if err != nil {
 		t.Fatal(err)
 	}

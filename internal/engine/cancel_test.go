@@ -42,7 +42,7 @@ func (c *blockingCursor) Close()     {}
 // context is canceled mid-scan, instead of waiting for the backend.
 func TestExecuteCancellation(t *testing.T) {
 	b := &blockingBackend{}
-	e := engine.New(b, engine.Options{DisableSplitDays: true})
+	e := engine.New(b, engine.Options{})
 	pq, err := e.Prepare(`proc p read file f return p, f`)
 	if err != nil {
 		t.Fatal(err)
@@ -84,14 +84,17 @@ func TestExecutePreCanceled(t *testing.T) {
 	}
 }
 
-// countingBackend wraps a store and records the number of matches actually
-// pulled through its cursors, proving (or disproving) early termination.
+// countingBackend wraps a store and records the number of scans opened and
+// of matches actually pulled through their cursors, proving (or disproving)
+// early termination.
 type countingBackend struct {
 	st     *storage.Store
+	scans  atomic.Int32
 	pulled atomic.Int64
 }
 
 func (b *countingBackend) Scan(ctx context.Context, q *storage.DataQuery) storage.Cursor {
+	b.scans.Add(1)
 	return &countingCursor{inner: b.st.Scan(ctx, q), n: &b.pulled}
 }
 
@@ -107,6 +110,37 @@ func (c *countingCursor) Next(batch []storage.Match) int {
 }
 func (c *countingCursor) Err() error { return c.inner.Err() }
 func (c *countingCursor) Close()     { c.inner.Close() }
+
+// TestPatternScansOncePerDataQuery: a pattern is one Backend.Scan whatever
+// its window spans. The storage layer's producer pool already runs a scan's
+// (day, agent) partitions in parallel, so the engine must not split a
+// multi-day window into per-day scans of its own.
+func TestPatternScansOncePerDataQuery(t *testing.T) {
+	const host = 1
+	b := gen.NewBuilder(7)
+	bash := b.Proc(host, "/bin/bash")
+	log := b.File(host, "/var/log/syslog")
+	for d := 1; d <= 3; d++ {
+		b.Emit(host, bash, log, types.OpWrite, gen.DayStart(d)+1000, 128)
+	}
+	st := storage.New(storage.Options{})
+	st.Ingest(b.Dataset())
+
+	cb := &countingBackend{st: st}
+	e := engine.New(cb, engine.Options{})
+	res, err := e.Query(`(from "` + gen.DateStr(1) + `" to "` + gen.DateStr(3) + `")
+		agentid = 1
+		proc p write file f["%syslog"] as evt return p, f, evt.starttime`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 {
+		t.Fatalf("3-day query returned %d rows, want 3", len(res.Rows))
+	}
+	if n := cb.scans.Load(); n != 1 {
+		t.Fatalf("a single-pattern 3-day query issued %d scans, want 1", n)
+	}
+}
 
 // TestTopKTerminatesScanEarly: a single-pattern top-k query must push its
 // limit into the storage scan and stop pulling after k matches, instead of
@@ -139,8 +173,8 @@ func TestTopKTerminatesScanEarly(t *testing.T) {
 
 // TestUnboundedTemporalPushdown: a "before" relationship in a query with no
 // time window pushes a half-unbounded window (To = 1<<62) into the second
-// data query; day-splitting must not try to enumerate its days. Regression
-// test for a hang inherited from the materializing executor.
+// data query; no layer may try to enumerate its days. Regression test for
+// a hang inherited from the materializing executor.
 func TestUnboundedTemporalPushdown(t *testing.T) {
 	const host = 1
 	day := gen.DayStart(1)

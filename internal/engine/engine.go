@@ -30,18 +30,6 @@ type Estimator interface {
 	Estimate(q *storage.DataQuery) int
 }
 
-// DaySplitting is the optional Backend extension backends use to veto the
-// engine's per-day splitting of multi-day data queries. Local backends
-// profit from the split (each day's sub-scan prunes partitions and runs in
-// parallel), but a backend whose Scan carries a fixed per-call cost — the
-// networked cluster coordinator pays one HTTP fan-out per Scan — returns
-// false to receive the whole window in one call and partition it itself.
-type DaySplitting interface {
-	// SplitDays reports whether the engine should split multi-day windows
-	// into per-day sub-scans before calling Scan.
-	SplitDays() bool
-}
-
 // Strategy selects the data-query scheduler (paper Sec. 5.2).
 type Strategy uint8
 
@@ -93,10 +81,6 @@ type Options struct {
 	// Requires a Backend that implements Estimator; silently falls back to
 	// constraint counts otherwise.
 	StatsScoring bool
-	// SplitDays executes multi-day data queries as parallel per-day
-	// sub-queries (the paper's time window partition optimization).
-	// Disabled only for ablation benchmarks.
-	DisableSplitDays bool
 	// NoHashJoin forces nested-loop joins, emulating query layers without
 	// efficient join support (the paper's Neo4j observation).
 	NoHashJoin bool
@@ -362,7 +346,7 @@ func (x *execution) scanPattern(idx int, pc *patternConstraint) storage.Cursor {
 		}
 		ctx = obs.WithSpan(ctx, span)
 	}
-	cur := x.scanDataQuery(ctx, x.buildQuery(idx, pc))
+	cur := x.backend.Scan(ctx, x.buildQuery(idx, pc))
 	if span != nil {
 		cur = &spanCursor{inner: cur, span: span}
 	}
@@ -410,38 +394,6 @@ func (x *execution) runPattern(idx int, pc *patternConstraint) ([]storage.Match,
 		return nil, err
 	}
 	return out, nil
-}
-
-// maxSplitDays bounds the per-day splitting of one data query. Temporal
-// pushdown synthesizes half-unbounded windows (e.g. [minT, 1<<62) for an
-// unbounded "before"); enumerating their days would effectively never
-// terminate, and beyond a year of sub-scans the split adds scheduling
-// overhead without improving on the storage layer's own partition pruning.
-const maxSplitDays = 366
-
-// scanDataQuery opens one data query cursor, splitting multi-day windows
-// into per-day sub-scans when enabled (paper Sec. 5.2, "Time Window
-// Partition"). Every sub-scan's producers start immediately, so the days
-// are searched in parallel while the consumer drains them in order.
-func (x *execution) scanDataQuery(ctx context.Context, q *storage.DataQuery) storage.Cursor {
-	if ds, ok := x.backend.(DaySplitting); ok && !ds.SplitDays() {
-		return x.backend.Scan(ctx, q)
-	}
-	if x.eng.opts.DisableSplitDays || q.Window.Unbounded() ||
-		q.Window.Duration() > maxSplitDays*timeutil.DayMillis {
-		return x.backend.Scan(ctx, q)
-	}
-	days := timeutil.SplitByDay(q.Window)
-	if len(days) <= 1 {
-		return x.backend.Scan(ctx, q)
-	}
-	cs := make([]storage.Cursor, len(days))
-	for i := range days {
-		sub := *q
-		sub.Window = days[i]
-		cs[i] = x.backend.Scan(ctx, &sub)
-	}
-	return storage.NewMultiCursor(q.Limit, cs...)
 }
 
 // run dispatches to the configured scheduler and guarantees the returned

@@ -25,7 +25,6 @@ func TestSchedulerEquivalenceFuzz(t *testing.T) {
 		"no-score-sort": {NoScoreSort: true},
 		"no-pushdown":   {NoPushdown: true},
 		"no-hashjoin":   {NoHashJoin: true},
-		"no-splitdays":  {DisableSplitDays: true},
 		"stats":         {StatsScoring: true},
 		"fetch-filter":  {Strategy: engine.StrategyFetchFilter},
 		"big-join":      {Strategy: engine.StrategyBigJoin},

@@ -91,8 +91,8 @@ func (g *Graph) NodeCount() int { return len(g.entities) }
 // Scan implements the engine Backend interface. The Neo4j emulation has no
 // partitioned storage to stream from — its traversal materializes, exactly
 // the cost profile the paper observed — so the traversal runs on a
-// background goroutine (keeping sibling scans, like the engine's per-day
-// sub-queries, parallel) and the cursor serves the materialized result.
+// background goroutine (keeping sibling scans, like an MPP gather's
+// segments, parallel) and the cursor serves the materialized result.
 // The traversal polls ctx, so a canceled context (the bench harness's
 // timeout, a disconnected client) aborts a long expansion mid-scan.
 func (g *Graph) Scan(ctx context.Context, q *storage.DataQuery) storage.Cursor {

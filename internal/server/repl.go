@@ -2,11 +2,11 @@ package server
 
 // Replication endpoints and helpers: the one apply of a tagged batch
 // (idempotent by coordinator batch tag) behind a coordinator's /ingest and
-// a catch-up, the home-shard scan filter replicated workers apply, and the
-// WAL-ship / catch-up pair a restarted replica uses to pull the batches it
-// missed from the shard's other copy-holder. A tagged batch has one byte
-// form everywhere: the WAL record payload (storage.EncodeBatch) is
-// the /ingest body and each /walship batch frame. See docs/CLUSTER.md.
+// a catch-up, and the WAL-ship / catch-up pair a restarted replica uses to
+// pull the batches it missed from the shard's other copy-holder. A tagged
+// batch has one byte form everywhere: the WAL record payload
+// (storage.EncodeBatch) is the /ingest body and each /walship batch frame.
+// See docs/CLUSTER.md.
 
 import (
 	"bytes"
@@ -21,9 +21,7 @@ import (
 	"strings"
 
 	"aiql/internal/cluster"
-	"aiql/internal/mpp"
 	"aiql/internal/storage"
-	"aiql/internal/timeutil"
 	"aiql/internal/types"
 )
 
@@ -52,62 +50,6 @@ func applyTagged(w batchWriter, payload []byte, quiet bool) (*types.Dataset, boo
 	}
 	return ds, applied, nil
 }
-
-// shardFilterCursor narrows a store scan to rows whose home shard (under
-// the semantics-aware placement over nshards workers) is shard. A
-// replicated worker's store holds two shards' data; the coordinator asks
-// each worker for exactly one shard's rows so the gather never
-// double-counts. The limit applies after the filter — a pushed-down
-// pre-filter limit would undercount.
-type shardFilterCursor struct {
-	inner   storage.Cursor
-	shard   int
-	nshards int
-	limit   int
-	emitted int
-	done    bool
-}
-
-func (c *shardFilterCursor) Next(batch []storage.Match) int {
-	if c.done || len(batch) == 0 {
-		return 0
-	}
-	want := len(batch)
-	if c.limit > 0 {
-		if remain := c.limit - c.emitted; remain < want {
-			want = remain
-		}
-	}
-	if want <= 0 {
-		c.done = true
-		return 0
-	}
-	for {
-		n := c.inner.Next(batch[:want])
-		if n == 0 {
-			return 0
-		}
-		kept := 0
-		for i := 0; i < n; i++ {
-			ev := batch[i].Event
-			if mpp.SemanticsAware.Shard(ev.AgentID, timeutil.DayIndex(ev.Start), c.nshards) != c.shard {
-				continue
-			}
-			batch[kept] = batch[i]
-			kept++
-		}
-		if kept == 0 {
-			// Every row in this batch belonged to the other shard; keep
-			// pulling — returning 0 would read as end-of-stream.
-			continue
-		}
-		c.emitted += kept
-		return kept
-	}
-}
-
-func (c *shardFilterCursor) Err() error { return c.inner.Err() }
-func (c *shardFilterCursor) Close()     { c.inner.Close() }
 
 // handleWalShip streams every tagged WAL record for the requested shards
 // (?shards=0,2; all shards when absent) as a cluster.ShipContentType frame

@@ -11,13 +11,18 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"aiql/internal/cluster"
 	"aiql/internal/engine"
 	"aiql/internal/gen"
+	"aiql/internal/mpp"
+	"aiql/internal/obs"
 	"aiql/internal/server"
 	"aiql/internal/storage"
+	"aiql/internal/timeutil"
 	"aiql/internal/trace"
+	"aiql/internal/types"
 )
 
 // taggedBatch builds one self-contained NDJSON ingest batch: a process, a
@@ -317,5 +322,169 @@ func TestIngestRefusesForeignBatches(t *testing.T) {
 				t.Fatalf("refused ingest changed the store: %d→%d events, generation %d→%d", events, st.EventCount(), gen0, st.Generation())
 			}
 		})
+	}
+}
+
+// TestReplicatedScanReadsOnlyItsShard: a replicated worker's store holds two
+// shards' data, and a /scan for one of them must read that shard's
+// partitions only — never open the other shard's and drop its rows — and
+// count Limit against that shard's rows.
+func TestReplicatedScanReadsOnlyItsShard(t *testing.T) {
+	const nshards = 3
+	b := gen.NewBuilder(9)
+	for agent := 1; agent <= 4; agent++ {
+		proc := b.Proc(agent, "/bin/bash")
+		for day := 0; day < 4; day++ {
+			for k := 0; k < 3; k++ {
+				f := b.File(agent, fmt.Sprintf("/var/log/f%d", k))
+				b.Emit(agent, proc, f, types.OpRead, gen.DayStart(day)+int64(k+1)*1000, 64)
+			}
+		}
+	}
+	all := b.Dataset()
+	home := func(ev *types.Event) int {
+		return mpp.SemanticsAware.Shard(ev.AgentID, timeutil.DayIndex(ev.Start), nshards)
+	}
+	// The worker for shard 1 stores its own shard and a replica of shard 0.
+	held := func(ev *types.Event) bool { s := home(ev); return s == 0 || s == 1 }
+	st := storage.New(storage.Options{})
+	st.Ingest(keepEvents(all, held))
+	srv := server.New(st, engine.New(st, engine.Options{}), server.Options{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	for shard := 0; shard <= 1; shard++ {
+		// The reference: the same query on a store holding only this shard.
+		mine := storage.New(storage.Options{})
+		mine.Ingest(keepEvents(all, func(ev *types.Event) bool { return home(ev) == shard }))
+		want := eventIDs(mine.Run(context.Background(), &storage.DataQuery{Ops: types.NewOpSet(types.OpRead)}))
+		if len(want) == 0 {
+			t.Fatalf("shard %d holds no events; the dataset does not exercise the filter", shard)
+		}
+		parts := map[[2]int]bool{}
+		for i := range all.Events {
+			if ev := &all.Events[i]; home(ev) == shard {
+				parts[[2]int{ev.AgentID, timeutil.DayIndex(ev.Start)}] = true
+			}
+		}
+
+		got, traceID := scanShard(t, ts.URL, shard, nshards, 0)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("shard %d scan returned events %v, want %v", shard, got, want)
+		}
+		span := scanServeSpan(t, ts.URL, traceID)
+		if n := span.Counters["partitions_scanned"]; n != int64(len(parts)) {
+			t.Errorf("shard %d scan read %d partitions, want its own %d", shard, n, len(parts))
+		}
+		for _, k := range []int{1, 5, len(want), len(want) + 3} {
+			got, _ := scanShard(t, ts.URL, shard, nshards, k)
+			if n := min(k, len(want)); fmt.Sprint(got) != fmt.Sprint(want[:n]) {
+				t.Errorf("shard %d scan with limit %d returned %v, want %v", shard, k, got, want[:n])
+			}
+		}
+	}
+}
+
+// keepEvents returns the dataset's events that keep accepts, with every
+// entity.
+func keepEvents(ds *types.Dataset, keep func(*types.Event) bool) *types.Dataset {
+	var evs []types.Event
+	for i := range ds.Events {
+		if keep(&ds.Events[i]) {
+			evs = append(evs, ds.Events[i])
+		}
+	}
+	return types.NewDataset(ds.Entities, evs)
+}
+
+func eventIDs(ms []storage.Match) []types.EventID {
+	ids := make([]types.EventID, len(ms))
+	for i, m := range ms {
+		ids[i] = m.Event.ID
+	}
+	return ids
+}
+
+// scanShard posts a /scan for one shard over all agents and days and reads
+// its frames (kind byte, u32 LE length, payload: 2 a batch in the storage
+// batch codec, 3 the end trailer, 4 an error), returning the event ids in
+// stream order and the request's trace ID.
+func scanShard(t *testing.T, url string, shard, nshards, limit int) ([]types.EventID, string) {
+	t.Helper()
+	body, err := json.Marshal(&cluster.WireQuery{Ops: []string{"read"}, Shard: shard, NShards: nshards, Limit: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/scan", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("/scan returned %d: %s", resp.StatusCode, msg)
+	}
+	var ids []types.EventID
+	for {
+		var h [5]byte
+		if _, err := io.ReadFull(resp.Body, h[:]); err != nil {
+			t.Fatalf("scan stream ended without a trailer: %v", err)
+		}
+		payload := make([]byte, binary.LittleEndian.Uint32(h[1:]))
+		if _, err := io.ReadFull(resp.Body, payload); err != nil {
+			t.Fatal(err)
+		}
+		switch h[0] {
+		case 2:
+			_, evs, err := storage.DecodeBatch(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range evs {
+				ids = append(ids, evs[i].ID)
+			}
+		case 3:
+			if n := binary.LittleEndian.Uint64(payload); n != uint64(len(ids)) {
+				t.Fatalf("scan trailer counts %d rows, stream carried %d", n, len(ids))
+			}
+			return ids, resp.Header.Get(obs.TraceIDHeader)
+		case 4:
+			t.Fatalf("scan failed: %s", payload)
+		}
+	}
+}
+
+// scanServeSpan polls the worker's /debug/slow for the scan's entry (it is
+// recorded just after the response ends) and returns its scan-serve span.
+func scanServeSpan(t *testing.T, url, traceID string) *obs.SpanJSON {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		resp, err := http.Get(url + "/debug/slow")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Slowest []*obs.SlowEntry `json:"slowest"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range out.Slowest {
+			if e.TraceID != traceID || e.Trace == nil {
+				continue
+			}
+			for _, sp := range e.Trace.Spans {
+				if sp.Name == "scan-serve" {
+					return sp
+				}
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no scan-serve span for trace %q in the slow log", traceID)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -494,15 +494,18 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	iq := s.inflight.Register(tr, "(scan) shard="+strconv.Itoa(wq.Shard))
 	start := obs.Now()
 	rows := 0
-	var cur storage.Cursor
+	// A replicated worker's query carries its shard as a partition
+	// predicate (WireQuery.DataQuery), so the store never opens the other
+	// shard's partitions and Limit counts only this shard's rows.
+	cur := s.store.Scan(ctx, q)
 	// Registered before the cursor's deferred Close so it runs after it:
 	// closing the cursor folds the store's block counters into the span,
 	// and the slow-log snapshot must include them.
 	defer func() {
 		iq.Done()
 		span.Add("rows", int64(rows))
-		if cur != nil && cur.Err() != nil {
-			span.Set("error", cur.Err().Error())
+		if err := cur.Err(); err != nil {
+			span.Set("error", err.Error())
 		}
 		span.End()
 		dur := obs.Since(start)
@@ -514,30 +517,14 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 			Rows:    rows,
 			Trace:   tr.Snapshot(),
 		}
-		if cur != nil && cur.Err() != nil {
-			e.Error = cur.Err().Error()
+		if err := cur.Err(); err != nil {
+			e.Error = err.Error()
 		}
 		s.slow.Record(e)
 		if s.logger != nil {
 			s.logger.Log(r.Context(), "scan", "shard", wq.Shard, "dur_ms", e.DurMs, "rows", rows)
 		}
 	}()
-	if wq.NShards > 0 {
-		// Replicated cluster: this store holds two shards' data (its own
-		// plus the one it replicates), and the coordinator asked for one.
-		// The limit moves out of the pushed-down query — applied before
-		// the home-shard filter it would undercount.
-		limit := q.Limit
-		q.Limit = 0
-		cur = &shardFilterCursor{
-			inner:   s.store.Scan(ctx, q),
-			shard:   wq.Shard,
-			nshards: wq.NShards,
-			limit:   limit,
-		}
-	} else {
-		cur = s.store.Scan(ctx, q)
-	}
 	defer cur.Close()
 
 	sw := cluster.NewScanWriter(w, s.shard, s.store.Generation())

@@ -85,13 +85,12 @@ func (c *sliceCursor) Close() {
 
 // NewAsyncCursor runs produce on a background goroutine and serves its
 // materialized result once ready, so Scan returns immediately and sibling
-// cursors — the engine's per-day sub-scans, MPP segment gathers — compute
-// in parallel even when each source materializes. Backends without a
-// streaming storage layer (the graph-store baseline) and single-partition
-// snapshot scans use it. produce receives a context derived from ctx that
-// is additionally canceled when the cursor is closed early; it must honour
-// it (poll and return early). A canceled or closed cursor discards the
-// result.
+// cursors — MPP segment gathers — compute in parallel even when each source
+// materializes. Backends without a streaming storage layer (the graph-store
+// baseline) and single-partition snapshot scans use it. produce receives a
+// context derived from ctx that is additionally canceled when the cursor is
+// closed early; it must honour it (poll and return early). A canceled or
+// closed cursor discards the result.
 func NewAsyncCursor(ctx context.Context, produce func(context.Context) []Match) Cursor {
 	return newAsyncErrCursor(ctx, func(cctx context.Context) ([]Match, error) {
 		return produce(cctx), nil
@@ -188,10 +187,10 @@ func (c *asyncCursor) finish(err error) {
 }
 
 // multiCursor concatenates sub-cursors in order, optionally capping the
-// total number of matches handed out. The engine uses it to compose per-day
-// sub-scans and the MPP cluster uses it to gather segment scans; because
-// every sub-cursor's producers start when the sub-cursor is created, the
-// sources still work in parallel — only the hand-off order is serialized.
+// total number of matches handed out. The MPP cluster uses it to gather
+// segment scans; because every sub-cursor's producers start when the
+// sub-cursor is created, the sources still work in parallel — only the
+// hand-off order is serialized.
 type multiCursor struct {
 	cs      []Cursor
 	cur     int

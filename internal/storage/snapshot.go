@@ -270,12 +270,11 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 
 	// A single surviving partition needs no producer pool — one async
 	// goroutine scans it (Scan still returns immediately, so composed
-	// siblings like per-day sub-scans and MPP segments stay parallel) and
-	// materializing one partition's matches is what the pre-cursor store
-	// did for every query. A small posting walk over hot partitions only is
-	// cheaper than the pool's setup too, so that one goroutine walks its
-	// partitions in order. Limit still caps the scan, and a partition error
-	// fails it.
+	// siblings like MPP segments stay parallel) and materializing one
+	// partition's matches is what the pre-cursor store did for every query.
+	// A small posting walk over hot partitions only is cheaper than the
+	// pool's setup too, so that one goroutine walks its partitions in
+	// order. Limit still caps the scan, and a partition error fails it.
 	if len(parts) == 1 || smallHotWalk(sp, parts) {
 		return newAsyncErrCursor(ctx, func(cctx context.Context) ([]Match, error) {
 			var out []Match
@@ -693,8 +692,10 @@ func (s *valueSubject) Attr(key string) (string, bool) {
 	return s.val, true
 }
 
-// selectPartitions applies spatial and temporal partition pruning over the
-// snapshot's ordered partition views.
+// selectPartitions applies spatial and temporal partition pruning, and the
+// query's partition predicate, over the snapshot's ordered partition views.
+// The predicate applies even with pruning disabled: it is part of the
+// answer, not an optimization.
 func (sn *Snapshot) selectPartitions(q *DataQuery) []*partView {
 	// An empty window (To <= From while bounded, including the To == 0
 	// "half-built" form some wire queries carry) matches no instant; probing
@@ -702,11 +703,12 @@ func (sn *Snapshot) selectPartitions(q *DataQuery) []*partView {
 	if q.Window.Empty() {
 		return nil
 	}
-	if sn.opts.DisablePruning {
+	prune := !sn.opts.DisablePruning
+	if !prune && q.Partition == nil {
 		return sn.parts
 	}
 	var agentSet map[int]struct{}
-	if len(q.Agents) > 0 {
+	if prune && len(q.Agents) > 0 {
 		agentSet = make(map[int]struct{}, len(q.Agents))
 		for _, a := range q.Agents {
 			agentSet[a] = struct{}{}
@@ -715,7 +717,7 @@ func (sn *Snapshot) selectPartitions(q *DataQuery) []*partView {
 	// dayBounded is an explicit flag, not a sentinel day value: with floor
 	// division, day indexes are negative for pre-epoch data, so no integer
 	// can double as "unbounded".
-	dayBounded := !q.Window.Unbounded()
+	dayBounded := prune && !q.Window.Unbounded()
 	var minDay, maxDay int
 	if dayBounded {
 		minDay = timeutil.DayIndex(q.Window.From)
@@ -729,6 +731,9 @@ func (sn *Snapshot) selectPartitions(q *DataQuery) []*partView {
 			}
 		}
 		if dayBounded && (p.key.day < minDay || p.key.day > maxDay) {
+			continue
+		}
+		if q.Partition != nil && !q.Partition(p.key.agent, p.key.day) {
 			continue
 		}
 		out = append(out, p)

@@ -651,6 +651,12 @@ type DataQuery struct {
 	// it to model semantics-agnostic executors that join event and entity
 	// tables without AIQL's entity pre-resolution.
 	ForceScan bool
+	// Partition, when non-nil, keeps only the (agent, day) partitions it
+	// accepts. Unlike the pruning above it restricts the answer, so it
+	// holds under Options.DisablePruning too. A replicated cluster worker
+	// uses it to read one of the two shards it stores; it never crosses
+	// the wire.
+	Partition func(agent, day int) bool
 }
 
 // Match is one event matching a DataQuery, with resolved entities.

@@ -243,6 +243,27 @@ func TestOptionTogglesPreserveResults(t *testing.T) {
 	}
 }
 
+// TestPartitionPredicateRestrictsAnswer: a query's partition predicate
+// selects the (agent, day) partitions it accepts under every option set —
+// with pruning disabled too, since it is part of the answer.
+func TestPartitionPredicateRestrictsAnswer(t *testing.T) {
+	keep := func(agent, day int) bool { return agent != 2 && day == 1 }
+	for _, opts := range []Options{{}, {DisablePruning: true}, {DisableIndexes: true, Workers: 1}} {
+		st, ds := buildFixture(opts)
+		var want []types.EventID
+		for _, ev := range ds.Events {
+			if ev.Op == types.OpWrite && keep(ev.AgentID, timeutil.DayIndex(ev.Start)) {
+				want = append(want, ev.ID)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		q := &DataQuery{Ops: types.NewOpSet(types.OpWrite), Partition: keep}
+		if got := matchIDs(st.Run(context.Background(), q)); len(want) == 0 || !equalIDs(got, want) {
+			t.Errorf("%+v: partition predicate matched %d events, want %d", opts, len(got), len(want))
+		}
+	}
+}
+
 func matchIDs(ms []Match) []types.EventID {
 	ids := make([]types.EventID, len(ms))
 	for i, m := range ms {

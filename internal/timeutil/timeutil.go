@@ -1,8 +1,8 @@
 // Package timeutil provides the time handling AIQL queries need: parsing of
 // US and ISO 8601 date/time literals at several granularities, duration
 // units for temporal relationships ("before[1-2 minutes]") and sliding
-// windows, and day-splitting of query windows for the engine's temporal
-// parallelization (paper Sec. 5.2).
+// windows, and the UTC day index that keys the storage layer's temporal
+// partitions (paper Sec. 5.2).
 package timeutil
 
 import (
@@ -97,7 +97,7 @@ const (
 )
 
 // SplitByDay partitions a bounded window at UTC day boundaries, producing
-// the per-day sub-windows the engine executes in parallel. An unbounded
+// one sub-window per day partition the window touches. An unbounded
 // window is returned unchanged as a single element. Day boundaries are
 // floor-aligned, so a window straddling the epoch splits at t=0 instead of
 // fusing the pre-epoch remainder into day 0's sub-window.
