@@ -9,10 +9,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"regexp"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"net/http/httptest"
 
@@ -235,7 +238,12 @@ func BenchmarkAblationPushdown(b *testing.B) {
 }
 
 // BenchmarkAblationParallelWindow scans one partition at a time: the
-// storage pool (Options.Workers) is where a scan's days run in parallel.
+// storage producers (Options.Workers) are where a scan's days run in
+// parallel. It reads about 1.0 at bench scale: over 16 pairs at -cpu 2 on
+// a 2-vCPU VM, one-worker/aiql read 0.977 and 0.988, with one-worker
+// faster in 9 of 16, because a narrow scan runs one producer either way.
+// The producers' gain shows on the service ledger's hunt_tiered workload
+// (docs/BENCHMARKS.md).
 func BenchmarkAblationParallelWindow(b *testing.B) {
 	ablation(b, "aiql", "one-worker")
 }
@@ -269,15 +277,114 @@ func BenchmarkAblationStatsScoring(b *testing.B) {
 	ablation(b, "aiql", "stats-scoring")
 }
 
+// ablation times the baseline and the variant on the full corpus as pairs
+// inside each iteration, so both sides of a pair see the same host state;
+// even iterations run the baseline first and odd ones the variant (ABBA
+// order), so run order cancels out. Sub-benchmarks run one after the other
+// would measure run order instead. It reports, through pairedVerdict, the
+// median variant/baseline ratio, the pairs the variant won and whether the
+// difference is called (1) or not (0); ns/op is one pair.
 func ablation(b *testing.B, baseline, variant string) {
 	eng := benchEngines()
 	all := append(caseStudyQueries(), queries.Behaviors()...)
-	for _, sys := range []string{baseline, variant} {
-		b.Run(sys, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runCorpus(b, eng[sys], all)
-			}
-		})
+	timed := func(sys string) time.Duration {
+		start := time.Now()
+		runCorpus(b, eng[sys], all)
+		return time.Since(start)
+	}
+	pairs := make([]abPair, b.N)
+	for i := range pairs {
+		p := &pairs[i]
+		if i%2 == 0 {
+			p.base = timed(baseline)
+			p.variant = timed(variant)
+		} else {
+			p.variant = timed(variant)
+			p.base = timed(baseline)
+		}
+	}
+	v := pairedVerdict(pairs)
+	called := 0.0
+	if v.called {
+		called = 1
+	}
+	b.ReportMetric(v.ratio, variant+"/"+baseline)
+	b.ReportMetric(float64(v.wins), "variant-wins")
+	b.ReportMetric(called, "called")
+}
+
+// abPair is one interleaved measurement of a baseline and a variant.
+type abPair struct{ base, variant time.Duration }
+
+// abVerdict summarizes paired measurements.
+type abVerdict struct {
+	ratio  float64 // median of the pairs' variant/baseline ratios
+	wins   int     // pairs in which the variant was faster
+	called bool    // at least 8 pairs, and at least 7 in 8 agree on the faster side
+}
+
+// pairedVerdict is a sign test over pairs: a difference is called only when
+// nearly every pair points the same way, which a shift of either side
+// produces and noise around no shift does not.
+func pairedVerdict(pairs []abPair) abVerdict {
+	var v abVerdict
+	if len(pairs) == 0 {
+		return v
+	}
+	ratios := make([]float64, len(pairs))
+	losses := 0
+	for i, p := range pairs {
+		ratios[i] = float64(p.variant) / float64(p.base)
+		switch {
+		case p.variant < p.base:
+			v.wins++
+		case p.variant > p.base:
+			losses++
+		}
+	}
+	slices.Sort(ratios)
+	n := len(ratios)
+	v.ratio = (ratios[(n-1)/2] + ratios[n/2]) / 2
+	v.called = n >= 8 && max(v.wins, losses) >= (7*n+7)/8
+	return v
+}
+
+// TestPairedVerdict: a 2x shift of the variant is called whichever way it
+// goes, while identical pairs and pairs that split evenly are not.
+func TestPairedVerdict(t *testing.T) {
+	var same, slower, faster, split []abPair
+	for i := 0; i < 16; i++ {
+		// Base times wander as a loaded host's would.
+		base := time.Duration(10+i%5*3) * time.Millisecond
+		same = append(same, abPair{base, base})
+		slower = append(slower, abPair{base, 2 * base})
+		faster = append(faster, abPair{2 * base, base})
+		if i%2 == 0 {
+			split = append(split, abPair{base, base + time.Millisecond})
+		} else {
+			split = append(split, abPair{base + time.Millisecond, base})
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		pairs  []abPair
+		ratio  float64
+		wins   int
+		called bool
+	}{
+		{"identical", same, 1, 0, false},
+		{"variant 2x slower", slower, 2, 0, true},
+		{"variant 2x faster", faster, 0.5, 16, true},
+		{"even split", split, 1, 8, false},
+		{"too few pairs", slower[:7], 2, 0, false},
+	} {
+		v := pairedVerdict(tc.pairs)
+		if v.called != tc.called || v.wins != tc.wins {
+			t.Errorf("%s: called=%v wins=%d, want called=%v wins=%d", tc.name, v.called, v.wins, tc.called, tc.wins)
+		}
+		if math.Abs(v.ratio-tc.ratio) > 0.1 {
+			t.Errorf("%s: median ratio %.3f, want about %.1f", tc.name, v.ratio, tc.ratio)
+		}
 	}
 }
 

@@ -90,15 +90,18 @@ func (g *Graph) NodeCount() int { return len(g.entities) }
 
 // Scan implements the engine Backend interface. The Neo4j emulation has no
 // partitioned storage to stream from — its traversal materializes, exactly
-// the cost profile the paper observed — so the traversal runs on a
-// background goroutine (keeping sibling scans, like an MPP gather's
-// segments, parallel) and the cursor serves the materialized result.
-// The traversal polls ctx, so a canceled context (the bench harness's
-// timeout, a disconnected client) aborts a long expansion mid-scan.
+// the cost profile the paper observed — so Scan runs the traversal and the
+// cursor serves its result. The engine drains one cursor at a time, so a
+// background goroutine would gain nothing. The traversal polls ctx, so a
+// canceled context (the bench harness's timeout, a disconnected client)
+// aborts a long expansion mid-scan, and the cursor then reports ctx's
+// error rather than a partial result.
 func (g *Graph) Scan(ctx context.Context, q *storage.DataQuery) storage.Cursor {
-	return storage.NewAsyncCursor(ctx, func(cctx context.Context) []storage.Match {
-		return g.run(cctx, q)
-	})
+	ms := g.run(ctx, q)
+	if err := ctx.Err(); err != nil {
+		return storage.NewErrCursor(err)
+	}
+	return storage.NewSliceCursor(ms)
 }
 
 // Run executes a data query with graph-traversal semantics: resolve one

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"aiql/internal/obs"
 	"aiql/internal/pred"
@@ -174,16 +175,19 @@ func (sn *Snapshot) Run(ctx context.Context, q *DataQuery) []Match {
 }
 
 // Scan executes a data query against the snapshot, returning a cursor fed
-// by parallel partition producers. Partition pruning and candidate-set
-// resolution happen up front (cheap index work); the per-partition scans
-// run on a bounded worker pool and stream matches through bounded channels,
-// so no more than O(workers × batch) matches are in flight beyond what the
-// consumer has accepted. Matches arrive in the store's canonical order —
-// partitions ascending by (day, agent), temporal within a partition — the
-// same order the old materializing path produced.
+// by partition producers. Partition pruning and candidate-set resolution
+// happen up front (cheap index work); the per-partition scans then run on
+// up to Workers producers, each streaming into its partition's channel of
+// two batches. A producer moves on to its next partition once the output
+// of its current one fits that channel, so producers run ahead of the
+// consumer by up to two batches per partition. Matches arrive in the
+// store's canonical order — partitions ascending by (day, agent), temporal
+// within a partition.
 //
-// Cancel ctx (or Close the cursor) to stop the producers early; a
-// q.Limit > 0 stops them as soon as enough matches were handed out.
+// Cancel ctx (or Close the cursor) to stop the producers early. With
+// q.Limit > 0 the cursor hands out at most Limit matches, and producers
+// claim no further partition once the partitions claimed so far have
+// produced Limit matches.
 func (sn *Snapshot) Scan(ctx context.Context, q *DataQuery) Cursor {
 	return sn.scan(ctx, q, nil)
 }
@@ -196,9 +200,9 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 		return NewErrCursor(err)
 	}
 
-	// Count the cursor as live until its close hook runs. Every cursor
-	// constructed below runs its onClose exactly once (guarded by each
-	// cursor's own done/once state), on exhaustion, Close, or cancel alike.
+	// Count the cursor as live until its close hook runs. The cursor runs
+	// onClose exactly once (guarded by its done flag), on exhaustion, Close,
+	// or cancel alike.
 	sn.store.liveCursors.Add(1)
 	inner := onClose
 	onClose = func() {
@@ -226,6 +230,7 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 		}
 	}
 
+	c := &scanCursor{parent: ctx, limit: q.Limit, onClose: onClose}
 	sp := &scanPlan{q: q}
 	if !q.ForceScan {
 		sp.subjCand = sn.candidateSet(q.SubjType, q.SubjPred, q.SubjAllowed)
@@ -236,14 +241,14 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 		sp.subjCand, sp.objCand = q.SubjAllowed, q.ObjAllowed
 	}
 	if (sp.subjCand != nil && len(sp.subjCand) == 0) || (sp.objCand != nil && len(sp.objCand) == 0) {
-		return newSliceCursor(nil, onClose)
+		return c
 	}
 
 	parts := sn.selectPartitions(q)
 	span.Add("partitions_scanned", int64(len(parts)))
 	span.Add("partitions_pruned", int64(len(sn.parts)-len(parts)))
 	if len(parts) == 0 {
-		return newSliceCursor(nil, onClose)
+		return c
 	}
 
 	// Partition pruning normally enforces the spatial constraint; when it
@@ -268,76 +273,41 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 		}
 	}
 
-	// A single surviving partition needs no producer pool — one async
-	// goroutine scans it (Scan still returns immediately, so composed
-	// siblings like MPP segments stay parallel) and materializing one
-	// partition's matches is what the pre-cursor store did for every query.
-	// A small posting walk over hot partitions only is cheaper than the
-	// pool's setup too, so that one goroutine walks its partitions in
-	// order. Limit still caps the scan, and a partition error fails it.
-	if len(parts) == 1 || smallHotWalk(sp, parts) {
-		return newAsyncErrCursor(ctx, func(cctx context.Context) ([]Match, error) {
-			var out []Match
-			full := false
-			for _, p := range parts {
-				err := sn.scanPartition(cctx, p, sp, func(m Match) bool {
-					out = append(out, m)
-					full = q.Limit > 0 && len(out) >= q.Limit
-					return !full
-				})
-				if err != nil || full || cctx.Err() != nil {
-					return out, err
-				}
-			}
-			return out, nil
-		}, onClose)
+	// One producer serves a single partition or a small hot walk, which is
+	// a few hundred rows; more would cost more to start than they save.
+	// Cold partitions and larger walks decode blocks or touch enough rows
+	// for parallel producers to pay (docs/STORAGE.md).
+	workers := 1
+	if !smallHotWalk(sp, parts) {
+		workers = min(sn.opts.workers(), len(parts))
 	}
-
 	cctx, cancel := context.WithCancel(ctx)
-	c := &scanCursor{
-		parent:  ctx,
-		cancel:  cancel,
-		chans:   make([]chan scanBatch, len(parts)),
-		limit:   q.Limit,
-		onClose: onClose,
-	}
+	c.cancel = cancel
+	// Two batches per partition let a producer whose partition's output
+	// fits them move on before the consumer arrives: the run-ahead that
+	// keeps later partitions computing while the consumer reads earlier ones.
+	c.chans = make([]chan scanBatch, len(parts))
 	for i := range c.chans {
 		c.chans[i] = make(chan scanBatch, 2)
 	}
-
-	workers := sn.opts.workers()
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Partitions are handed to workers in order, so the in-flight window is
-	// always the next `workers` partitions the consumer will read — the
-	// consumer drains the oldest in-flight partition while younger ones
-	// compute, and backpressure on the younger channels cannot starve it.
-	idx := make(chan int)
+	// Producers claim partitions in order, so the consumer's partition is
+	// always claimed and backpressure on later channels cannot starve it.
+	// Once the claimed prefix has produced Limit matches, the answer lies
+	// inside it and no later partition is claimed.
+	var next, produced atomic.Int64
 	for w := 0; w < workers; w++ {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			for i := range idx {
-				sn.producePartition(cctx, parts[i], sp, c.chans[i])
+			for cctx.Err() == nil && (c.limit == 0 || produced.Load() < int64(c.limit)) {
+				i := int(next.Add(1) - 1)
+				if i >= len(parts) {
+					return
+				}
+				sn.producePartition(cctx, parts[i], sp, c.chans[i], &produced)
 			}
 		}()
 	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		defer close(idx)
-		for i := range parts {
-			select {
-			case idx <- i:
-			case <-cctx.Done():
-				return
-			}
-		}
-	}()
 	return c
 }
 
@@ -348,22 +318,33 @@ type scanBatch struct {
 	err error
 }
 
+// firstBatchSize is the capacity of a posting walk's first batch in each
+// partition: a narrow walk matches a handful of rows per partition, and a
+// full ScanBatchSize batch for each would cost more than its matches.
+const firstBatchSize = 16
+
 // producePartition scans one partition and streams its matches, batched, to
-// out. It always closes out, and aborts between batches (and every 1024
-// scanned rows) when ctx is canceled. A scan error (cold-segment
-// corruption) is sent as the final batch so the consumer fails the whole
-// cursor rather than passing off a partial result as complete.
-func (sn *Snapshot) producePartition(ctx context.Context, p *partView, sp *scanPlan, out chan<- scanBatch) {
+// out, adding every batch handed off to produced. It always closes out, and
+// aborts between batches (and every 1024 scanned rows) when ctx is
+// canceled. A scan error (cold-segment corruption) is sent as the final
+// batch so the consumer fails the whole cursor rather than passing off a
+// partial result as complete.
+func (sn *Snapshot) producePartition(ctx context.Context, p *partView, sp *scanPlan, out chan<- scanBatch, produced *atomic.Int64) {
 	defer close(out)
 	q := sp.q
-	batch := make([]Match, 0, ScanBatchSize)
+	var batch []Match
+	size := ScanBatchSize
+	if sp.usePostings {
+		size = firstBatchSize
+	}
 	flush := func() bool {
 		if len(batch) == 0 {
 			return true
 		}
 		select {
 		case out <- scanBatch{ms: batch}:
-			batch = make([]Match, 0, ScanBatchSize)
+			produced.Add(int64(len(batch)))
+			batch, size = nil, ScanBatchSize
 			return true
 		case <-ctx.Done():
 			return false
@@ -371,6 +352,12 @@ func (sn *Snapshot) producePartition(ctx context.Context, p *partView, sp *scanP
 	}
 	emitted := 0
 	emit := func(m Match) bool {
+		if batch == nil {
+			if q.Limit > 0 {
+				size = min(size, q.Limit-emitted)
+			}
+			batch = make([]Match, 0, size)
+		}
 		batch = append(batch, m)
 		emitted++
 		// The consumer enforces the exact global limit; producers only cap
@@ -380,7 +367,7 @@ func (sn *Snapshot) producePartition(ctx context.Context, p *partView, sp *scanP
 			flush()
 			return false
 		}
-		if len(batch) == ScanBatchSize {
+		if len(batch) == cap(batch) {
 			return flush()
 		}
 		return true
@@ -403,8 +390,9 @@ const postingThreshold = 128
 // smallHotWalk reports whether a scan walks posting lists over hot
 // partitions only, touching at most postingThreshold (candidate, partition)
 // lists in all. Such a walk is a handful of rows, and one producer serves
-// it faster than the pool starts; cold partitions and larger walks keep the
-// pool, whose parallelism pays for itself there (docs/STORAGE.md).
+// it faster than several start; cold partitions and larger walks get
+// Workers producers, whose parallelism pays for itself there
+// (docs/STORAGE.md).
 func smallHotWalk(sp *scanPlan, parts []*partView) bool {
 	if !sp.usePostings || len(sp.postingCand())*len(parts) > postingThreshold {
 		return false
@@ -831,8 +819,10 @@ func (c *scanCursor) finish(err error) {
 	if err != nil && c.err == nil {
 		c.err = err
 	}
-	c.cancel()
-	c.wg.Wait()
+	if c.cancel != nil { // nil when the scan selected no partition
+		c.cancel()
+		c.wg.Wait()
+	}
 	if c.onClose != nil {
 		c.onClose()
 		c.onClose = nil

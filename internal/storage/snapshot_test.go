@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"aiql/internal/pred"
 	"aiql/internal/timeutil"
@@ -159,8 +160,7 @@ func TestScanMatchesRun(t *testing.T) {
 		allEvents(),
 		{Agents: []int{2}, SubjType: types.EntityProcess, ObjType: types.EntityFile, Ops: types.NewOpSet(types.OpWrite)},
 		{Window: timeutil.DayWindow(1), Ops: types.AllOps()},
-		// Exactly one surviving partition: exercises the inline (no
-		// producer pool) cursor path.
+		// Exactly one surviving partition: one producer serves it.
 		{Agents: []int{1}, Window: timeutil.DayWindow(0), Ops: types.AllOps()},
 	}
 	for qi, q := range queries {
@@ -190,8 +190,8 @@ func TestScanMatchesRun(t *testing.T) {
 	}
 }
 
-// TestInlineScanLimitAndRelease covers the single-partition inline cursor:
-// limit semantics and snapshot release without the producer pool.
+// TestInlineScanLimitAndRelease covers a single-partition scan, which one
+// producer serves: limit semantics and snapshot release.
 func TestInlineScanLimitAndRelease(t *testing.T) {
 	st, _ := buildFixture(Options{})
 	q := &DataQuery{Agents: []int{1}, Window: timeutil.DayWindow(0), Ops: types.AllOps(), Limit: 5}
@@ -199,16 +199,16 @@ func TestInlineScanLimitAndRelease(t *testing.T) {
 	got := Drain(cur)
 	cur.Close()
 	if len(got) != 5 {
-		t.Fatalf("inline limited scan returned %d matches, want 5", len(got))
+		t.Fatalf("single-partition limited scan returned %d matches, want 5", len(got))
 	}
 	if n := st.LiveSnapshots(); n != 0 {
-		t.Fatalf("%d snapshots live after inline scan", n)
+		t.Fatalf("%d snapshots live after single-partition scan", n)
 	}
 }
 
 // TestSmallHotWalkMatchesPool: a posting walk over several hot partitions
 // runs on one producer, and answers exactly — order and Limit included —
-// as the producer pool's range scan does.
+// as a range scan on Workers producers does.
 func TestSmallHotWalkMatchesPool(t *testing.T) {
 	walk, _ := buildFixture(Options{})
 	pool, _ := buildFixture(Options{DisableIndexes: true})
@@ -239,6 +239,62 @@ func TestSmallHotWalkMatchesPool(t *testing.T) {
 	}
 	if n := walk.LiveCursors(); n != 0 {
 		t.Fatalf("%d cursors live after the walks", n)
+	}
+}
+
+// TestLimitedScanStopsClaiming: once the partitions claimed so far have
+// produced Limit matches, no later partition can add to the answer, so no
+// producer claims one. A lone producer scans partition 0, which meets the
+// Limit alone, and stops there instead of running on until Close.
+func TestLimitedScanStopsClaiming(t *testing.T) {
+	var entities []types.Entity
+	var events []types.Event
+	for agent := 1; agent <= 4; agent++ {
+		proc, file := types.EntityID(2*agent-1), types.EntityID(2*agent)
+		entities = append(entities,
+			types.Entity{ID: proc, Type: types.EntityProcess, AgentID: agent, Attrs: map[string]string{types.AttrExeName: "/bin/worker"}},
+			types.Entity{ID: file, Type: types.EntityFile, AgentID: agent, Attrs: map[string]string{types.AttrName: "/data/log.txt"}})
+		for day := 0; day < 3; day++ {
+			for k := 0; k < 3000; k++ {
+				n := len(events) + 1
+				events = append(events, types.Event{
+					ID: types.EventID(n), AgentID: agent, Subject: proc, Object: file,
+					Op: types.OpWrite, Start: int64(day)*timeutil.DayMillis + int64(k), Seq: uint64(n),
+				})
+			}
+		}
+	}
+	st := New(Options{Workers: 1})
+	st.Ingest(types.NewDataset(entities, events))
+	sn := st.Snapshot()
+	if n := sn.PartitionCount(); n < 8 {
+		t.Fatalf("fixture has %d partitions, want at least 8", n)
+	}
+	sn.Close()
+
+	q := &DataQuery{SubjType: types.EntityProcess, ObjType: types.EntityFile, Ops: types.NewOpSet(types.OpWrite), Limit: 10}
+	hotBatches := func(q *DataQuery) int64 {
+		t.Helper()
+		before := st.ScanStats()[HotBatches]
+		cur := st.Scan(context.Background(), q)
+		got := cur.Next(make([]Match, q.Limit))
+		// A producer that ran on past the Limit would show in this pause.
+		time.Sleep(5 * time.Millisecond)
+		got += len(Drain(cur))
+		cur.Close()
+		if got != q.Limit {
+			t.Fatalf("limited scan returned %d matches, want %d", got, q.Limit)
+		}
+		return st.ScanStats()[HotBatches] - before
+	}
+	first := *q
+	first.Agents, first.Window = []int{1}, timeutil.DayWindow(0)
+	want := hotBatches(&first)
+	if want == 0 {
+		t.Fatal("partition 0 alone ran no hot batch; the scan is not a range scan")
+	}
+	if got := hotBatches(q); got != want {
+		t.Fatalf("limited scan ran %d hot batches, want partition 0's %d", got, want)
 	}
 }
 
