@@ -860,9 +860,8 @@ func TestCatchUpRefusesForeignContentType(t *testing.T) {
 // TestReplicatedBatchHasOneByteForm follows one tag through a durable
 // worker: the body the coordinator posted to /ingest, the worker's WAL
 // record and the /walship frame must all decode to the same tag, entities
-// and events, in order. The WAL record and the frame are the same bytes;
-// the posted body matches them byte for byte only up to the order of each
-// entity's attributes, which the codec writes in map order.
+// and events, in order, and all three are the same bytes: the codec writes
+// each entity's attributes in key order.
 func TestReplicatedBatchHasOneByteForm(t *testing.T) {
 	dir := t.TempDir()
 	p, err := storage.OpenPersistent(dir, storage.PersistOptions{SyncEveryBatch: true, FlushInterval: -1, CompactInterval: -1})
@@ -940,5 +939,7 @@ func TestReplicatedBatchHasOneByteForm(t *testing.T) {
 	if !bytes.Equal(records[0], shipped[0]) {
 		t.Error("the /walship frame is not the WAL record's bytes")
 	}
-	t.Logf("posted body byte-equal to the WAL record: %v (lengths %d, %d)", bytes.Equal(posted, records[0]), len(posted), len(records[0]))
+	if !bytes.Equal(posted, records[0]) {
+		t.Errorf("the posted body (%d bytes) is not the WAL record's bytes (%d)", len(posted), len(records[0]))
+	}
 }

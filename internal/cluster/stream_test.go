@@ -243,6 +243,10 @@ func TestClusterStreamWorkerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs.Close()
+	// SubscribeRule returns before the worker legs connect. Close the
+	// listener first: a /subscribe accepted after CloseClientConnections
+	// would hold an active handler that srv.Close waits on forever.
+	workers[1].srv.Listener.Close()
 	workers[1].srv.CloseClientConnections()
 	workers[1].srv.Close()
 	select {

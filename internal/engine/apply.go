@@ -32,48 +32,17 @@ func (x *execution) applyJoin() (*tupleSet, error) {
 		cover := func(p int) bool { return acc.has(p) || p == i }
 		rels := applicableJoins(plan.Joins, cover, applied)
 
-		out := &tupleSet{cols: make(map[int]int, len(acc.cols)+1)}
-		for p, c := range acc.cols {
-			out.cols[p] = c
-		}
-		out.cols[i] = len(acc.cols)
-
-		for _, row := range acc.rows {
-			pc := x.rowConstraint(rels, i, acc, row)
-			ms, err := x.runPattern(i, pc)
-			if err != nil {
+		right := map[int]int{i: 0}
+		out := &tupleSet{cols: joinedCols(acc.cols, right)}
+		for r := range acc.rows {
+			pc := x.rowConstraint(rels, i, acc, acc.rows[r])
+			jn := newJoiner(plan, x.bud, &tupleSet{cols: acc.cols, rows: acc.rows[r : r+1]}, right, rels)
+			if err := x.stream(jn, i, pc); err != nil {
 				return nil, err
 			}
-			if err := x.bud.chargePairs(int64(len(ms)) + 1); err != nil {
+			out.rows = append(out.rows, jn.result().rows...)
+			if err := x.bud.checkRows(len(out.rows)); err != nil {
 				return nil, err
-			}
-			for k := range ms {
-				ok := true
-				for _, ji := range rels {
-					j := &plan.Joins[ji]
-					var ma, mb *storage.Match
-					if j.A == i {
-						ma, mb = &ms[k], acc.match(row, j.B)
-					} else if j.B == i {
-						ma, mb = acc.match(row, j.A), &ms[k]
-					} else {
-						ma, mb = acc.match(row, j.A), acc.match(row, j.B)
-					}
-					if !evalJoin(j, ma, mb) {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				newRow := make([]storage.Match, len(row)+1)
-				copy(newRow, row)
-				newRow[len(row)] = ms[k]
-				out.rows = append(out.rows, newRow)
-				if err := x.bud.checkRows(len(out.rows)); err != nil {
-					return nil, err
-				}
 			}
 		}
 		for _, ji := range rels {

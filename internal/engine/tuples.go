@@ -144,9 +144,10 @@ func compareValues(a, b string, op pred.CmpOp) bool {
 }
 
 // budget tracks tuple growth across an execution so that runaway joins
-// fail fast instead of exhausting memory. It doubles as the join loops'
-// cancellation point: chargePairs is called at least once per outer row or
-// per streamed match, so a canceled context aborts long joins promptly.
+// fail fast instead of exhausting memory. It doubles as the join's
+// cancellation point: chargePairs runs for every right row the joiner adds
+// (once up front for a materialized nested loop), so a canceled context
+// aborts long joins promptly.
 type budget struct {
 	maxTuples int
 	maxPairs  int64
@@ -175,23 +176,6 @@ func (b *budget) checkRows(n int) error {
 	return nil
 }
 
-// pickHashRel selects the first equality attribute relationship in relIdx
-// accepted by usable, or -1 — the shared hash-join key selection of
-// joinTuples and joinStream. A change to hash-join eligibility belongs
-// here so the materialized and streamed join paths cannot diverge.
-func pickHashRel(plan *Plan, relIdx []int, noHash bool, usable func(*Join) bool) int {
-	if noHash {
-		return -1
-	}
-	for _, ri := range relIdx {
-		j := &plan.Joins[ri]
-		if j.Kind == JoinAttr && j.Op == pred.CmpEq && usable(j) {
-			return ri
-		}
-	}
-	return -1
-}
-
 // applicableJoins returns the joins whose two patterns are both covered by
 // the column sets (used by the baselines' late filtering).
 func applicableJoins(joins []Join, has func(int) bool, applied []bool) []int {
@@ -207,272 +191,227 @@ func applicableJoins(joins []Join, has func(int) bool, applied []bool) []int {
 	return out
 }
 
-// joinTuples combines two disjoint tuple sets, filtering by the given
-// relationships (indexes into plan.Joins). Equality attribute joins use a
-// hash join; everything else falls back to a nested loop.
+// joiner is the engine's one join algorithm. It pairs a left tuple set with
+// right rows added one at a time (a streamed match is a one-column row),
+// keeping the pairs that satisfy every relationship in rels. An equality
+// relationship between the two inputs keys a hash index over the left rows,
+// which each right row probes; without one, or under NoHashJoin, each right
+// row is checked against every left row. A right row that joined is copied
+// into an arena, so it may live in a reused scan batch, and result emits
+// left-major, in right-row order within each left row.
+type joiner struct {
+	bud   *budget
+	left  *tupleSet
+	cols  map[int]int // the output's columns (joinedCols)
+	width int         // columns per right row
+	rels  []joinRel
+
+	index   map[string][]int // hash key -> left rows; nil on a nested loop
+	all     []int            // nested loop: every left row
+	keyCol  int              // hash key's column in a right row
+	keySide Side
+	keyAttr string
+	prepaid bool // addAll already charged the nested loop's pairs
+
+	arena []storage.Match // right rows that joined, width apart
+	hits  [][]int32       // per left row: arena offsets of its right rows
+	total int
+}
+
+// joinRel is one relationship to check, its patterns as output columns.
+type joinRel struct {
+	j    *Join
+	a, b int
+}
+
+func newJoiner(plan *Plan, bud *budget, left *tupleSet, rcols map[int]int, relIdx []int) *joiner {
+	jn := &joiner{
+		bud: bud, left: left, width: len(rcols), cols: joinedCols(left.cols, rcols),
+		rels: make([]joinRel, 0, len(relIdx)), hits: make([][]int32, len(left.rows)),
+	}
+	for _, ri := range relIdx {
+		j := &plan.Joins[ri]
+		jn.rels = append(jn.rels, joinRel{j: j, a: jn.cols[j.A], b: jn.cols[j.B]})
+		_, aRight := rcols[j.A]
+		_, bRight := rcols[j.B]
+		if jn.index != nil || bud.noHash || j.Kind != JoinAttr || j.Op != pred.CmpEq || aRight == bRight {
+			continue
+		}
+		lp, ls, la, rp, rs, ra := j.A, j.ASide, j.AAttr, j.B, j.BSide, j.BAttr
+		if aRight {
+			lp, ls, la, rp, rs, ra = rp, rs, ra, lp, ls, la
+		}
+		jn.keyCol, jn.keySide, jn.keyAttr = rcols[rp], rs, ra
+		jn.index = make(map[string][]int, len(left.rows))
+		for i, row := range left.rows {
+			if v, ok := sideValue(left.match(row, lp), ls, la); ok {
+				jn.index[v] = append(jn.index[v], i)
+			}
+		}
+	}
+	if jn.index == nil {
+		jn.all = make([]int, len(left.rows))
+		for i := range jn.all {
+			jn.all[i] = i
+		}
+	}
+	return jn
+}
+
+// addAll joins a materialized right side. A nested loop charges all
+// |left|×|right| pairs before pairing any, so a join the budget cannot
+// afford fails before doing the work.
+func (jn *joiner) addAll(rows [][]storage.Match) error {
+	if jn.index == nil {
+		if err := jn.bud.chargePairs(int64(len(jn.all)) * int64(len(rows))); err != nil {
+			return err
+		}
+		jn.prepaid = true
+	}
+	for _, r := range rows {
+		if err := jn.add(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// add joins one right row: a hash probe charges its bucket plus the probe,
+// a nested loop one pair per left row.
+func (jn *joiner) add(r []storage.Match) error {
+	cand := jn.all
+	if jn.index != nil {
+		v, ok := sideValue(&r[jn.keyCol], jn.keySide, jn.keyAttr)
+		if !ok {
+			return nil
+		}
+		cand = jn.index[v]
+		if err := jn.bud.chargePairs(int64(len(cand)) + 1); err != nil {
+			return err
+		}
+	} else if !jn.prepaid {
+		if err := jn.bud.chargePairs(int64(len(cand))); err != nil {
+			return err
+		}
+	}
+	at := int32(-1)
+	for _, i := range cand {
+		if !jn.check(jn.left.rows[i], r) {
+			continue
+		}
+		if at < 0 {
+			at = int32(len(jn.arena))
+			jn.arena = append(jn.arena, r...)
+		}
+		jn.hits[i] = append(jn.hits[i], at)
+		jn.total++
+		if err := jn.bud.checkRows(jn.total); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (jn *joiner) check(l, r []storage.Match) bool {
+	pick := func(c int) *storage.Match {
+		if c < len(l) {
+			return &l[c]
+		}
+		return &r[c-len(l)]
+	}
+	for _, rel := range jn.rels {
+		if !evalJoin(rel.j, pick(rel.a), pick(rel.b)) {
+			return false
+		}
+	}
+	return true
+}
+
+// result emits the joined rows, all carved from one backing array.
+func (jn *joiner) result() *tupleSet {
+	w := len(jn.left.cols) + jn.width
+	flat := make([]storage.Match, jn.total*w)
+	out := &tupleSet{cols: jn.cols, rows: make([][]storage.Match, 0, jn.total)}
+	for i, row := range jn.left.rows {
+		for _, at := range jn.hits[i] {
+			nr := flat[:w:w]
+			flat = flat[w:]
+			copy(nr, row)
+			copy(nr[len(row):], jn.arena[at:int(at)+jn.width])
+			out.rows = append(out.rows, nr)
+		}
+	}
+	return out
+}
+
+// joinedCols lays a join's output columns out: the left input's, then the
+// right input's after them.
+func joinedCols(lcols, rcols map[int]int) map[int]int {
+	cols := make(map[int]int, len(lcols)+len(rcols))
+	for p, c := range lcols {
+		cols[p] = c
+	}
+	for p, c := range rcols {
+		cols[p] = len(lcols) + c
+	}
+	return cols
+}
+
+// joinTuples joins two materialized tuple sets.
 func joinTuples(ta, tb *tupleSet, plan *Plan, relIdx []int, bud *budget) (*tupleSet, error) {
-	out := &tupleSet{cols: make(map[int]int, len(ta.cols)+len(tb.cols))}
-	for p, c := range ta.cols {
-		out.cols[p] = c
-	}
-	width := len(ta.cols)
-	for p, c := range tb.cols {
-		out.cols[p] = width + c
-	}
-
-	// Pick one equality join as the hash key if available.
-	hashRel := pickHashRel(plan, relIdx, bud.noHash, func(*Join) bool { return true })
-
-	check := func(rowA, rowB []storage.Match) bool {
-		for _, ri := range relIdx {
-			j := &plan.Joins[ri]
-			ma := pickMatch(ta, tb, rowA, rowB, j.A)
-			mb := pickMatch(ta, tb, rowA, rowB, j.B)
-			if !evalJoin(j, ma, mb) {
-				return false
-			}
-		}
-		return true
-	}
-
-	emit := func(rowA, rowB []storage.Match) error {
-		row := make([]storage.Match, 0, len(rowA)+len(rowB))
-		row = append(row, rowA...)
-		row = append(row, rowB...)
-		out.rows = append(out.rows, row)
-		return bud.checkRows(len(out.rows))
-	}
-
-	if hashRel >= 0 {
-		j := &plan.Joins[hashRel]
-		// Determine which input holds side A of the hash relationship.
-		aInA := ta.has(j.A)
-		keyOf := func(set *tupleSet, row []storage.Match, patt int, side Side, attr string) (string, bool) {
-			return sideValue(set.match(row, patt), side, attr)
-		}
-		index := make(map[string][]int, len(tb.rows))
-		for i, row := range tb.rows {
-			var k string
-			var ok bool
-			if aInA {
-				k, ok = keyOf(tb, row, j.B, j.BSide, j.BAttr)
-			} else {
-				k, ok = keyOf(tb, row, j.A, j.ASide, j.AAttr)
-			}
-			if ok {
-				index[k] = append(index[k], i)
-			}
-		}
-		for _, rowA := range ta.rows {
-			var k string
-			var ok bool
-			if aInA {
-				k, ok = keyOf(ta, rowA, j.A, j.ASide, j.AAttr)
-			} else {
-				k, ok = keyOf(ta, rowA, j.B, j.BSide, j.BAttr)
-			}
-			if !ok {
-				continue
-			}
-			hits := index[k]
-			if err := bud.chargePairs(int64(len(hits))); err != nil {
-				return nil, err
-			}
-			for _, bi := range hits {
-				if check(rowA, tb.rows[bi]) {
-					if err := emit(rowA, tb.rows[bi]); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		return out, nil
-	}
-
-	// Nested loop.
-	if err := bud.chargePairs(int64(len(ta.rows)) * int64(len(tb.rows))); err != nil {
+	jn := newJoiner(plan, bud, ta, tb.cols, relIdx)
+	if err := jn.addAll(tb.rows); err != nil {
 		return nil, err
 	}
-	for _, rowA := range ta.rows {
-		for _, rowB := range tb.rows {
-			if check(rowA, rowB) {
-				if err := emit(rowA, rowB); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return out, nil
+	return jn.result(), nil
 }
 
 // joinStream extends a materialized tuple set by one pattern whose matches
 // are *streamed* from the backend instead of materialized first — the
 // cursor-era form of Algorithm 1's constrained execution. The scan only
-// starts if the constraining tuple set has rows at all ("stop pulling
-// batches as soon as the constraining tuple set is exhausted" degenerates
-// to never pulling any); budget exhaustion and context cancellation abort
-// the stream mid-flight, before the remaining batches are even produced.
-//
-// Output rows preserve the materialized join's order (constraining-set
-// major, stream order within a row) so plans without an explicit sort stay
-// deterministic across the refactor: streamed matches are parked in an
-// arena and per-row hit lists, and rows are emitted by walking ts in order.
+// starts if the constraining tuple set has rows at all; budget exhaustion
+// and context cancellation abort the stream mid-flight, before the
+// remaining batches are even produced.
 func (x *execution) joinStream(ts *tupleSet, pattern int, pc *patternConstraint, relIdx []int) (*tupleSet, error) {
-	plan, bud := x.plan, x.bud
 	span := x.span.Child("join")
 	span.Set("kind", "stream")
-	pairsBefore := bud.pairs
-	out := &tupleSet{cols: make(map[int]int, len(ts.cols)+1)}
+	pairsBefore := x.bud.pairs
+	jn := newJoiner(x.plan, x.bud, ts, map[int]int{pattern: 0}, relIdx)
+	rowsOut := 0
 	defer func() {
 		span.Add("rows_in", int64(len(ts.rows)))
-		span.Add("rows_out", int64(len(out.rows)))
-		span.Add("pairs", bud.pairs-pairsBefore)
+		span.Add("rows_out", int64(rowsOut))
+		span.Add("pairs", x.bud.pairs-pairsBefore)
 		span.End()
 	}()
-	for p, c := range ts.cols {
-		out.cols[p] = c
-	}
-	width := len(ts.cols)
-	out.cols[pattern] = width
-
 	// An empty constraining set makes the join trivially empty: account the
 	// data query in the diagnostics but never open the scan at all.
 	if len(ts.rows) == 0 {
 		x.queries++
-		return out, nil
+	} else if err := x.stream(jn, pattern, pc); err != nil {
+		return nil, err
 	}
+	out := jn.result()
+	rowsOut = len(out.rows)
+	return out, nil
+}
+
+// stream adds every match of one pattern's data query to a joiner.
+func (x *execution) stream(jn *joiner, pattern int, pc *patternConstraint) error {
 	cur := x.scanPattern(pattern, pc)
 	defer cur.Close()
-
-	check := func(row []storage.Match, m *storage.Match) bool {
-		for _, ri := range relIdx {
-			j := &plan.Joins[ri]
-			ma, mb := m, m
-			if j.A != pattern {
-				ma = ts.match(row, j.A)
-			}
-			if j.B != pattern {
-				mb = ts.match(row, j.B)
-			}
-			if !evalJoin(j, ma, mb) {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Hash path: an equality relationship linking the streamed pattern to a
-	// column of ts keys an index over ts rows; each streamed match probes
-	// it. Self-relationships and ts-internal relationships cannot key the
-	// probe (they do not span the two inputs).
-	hashRel := pickHashRel(plan, relIdx, bud.noHash, func(j *Join) bool {
-		return (j.A == pattern) != (j.B == pattern)
-	})
-	var mSide, tsSide Side
-	var mAttr, tsAttr string
-	tsPatt := -1
-	if hashRel >= 0 {
-		j := &plan.Joins[hashRel]
-		if j.A == pattern {
-			mSide, mAttr = j.ASide, j.AAttr
-			tsPatt, tsSide, tsAttr = j.B, j.BSide, j.BAttr
-		} else {
-			mSide, mAttr = j.BSide, j.BAttr
-			tsPatt, tsSide, tsAttr = j.A, j.ASide, j.AAttr
-		}
-	}
-	var index map[string][]int
-	if hashRel >= 0 {
-		index = make(map[string][]int, len(ts.rows))
-		for i, row := range ts.rows {
-			if v, ok := sideValue(ts.match(row, tsPatt), tsSide, tsAttr); ok {
-				index[v] = append(index[v], i)
-			}
-		}
-	}
-
-	// arena parks each streamed match that joined at least one row; hits[i]
-	// indexes the arena per ts row, preserving the output order.
-	var arena []storage.Match
-	hits := make([][]int32, len(ts.rows))
-	total := 0
-	join := func(m *storage.Match, rows []int) error {
-		ai := int32(-1)
-		for _, i := range rows {
-			if !check(ts.rows[i], m) {
-				continue
-			}
-			if ai < 0 {
-				arena = append(arena, *m)
-				ai = int32(len(arena) - 1)
-			}
-			hits[i] = append(hits[i], ai)
-			total++
-			if err := bud.checkRows(total); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var allRows []int
-	if hashRel < 0 {
-		allRows = make([]int, len(ts.rows))
-		for i := range allRows {
-			allRows[i] = i
-		}
-	}
-
 	batch := make([]storage.Match, storage.ScanBatchSize)
 	for {
 		n := cur.Next(batch)
 		if n == 0 {
-			break
+			return cur.Err()
 		}
 		for k := 0; k < n; k++ {
-			m := &batch[k]
-			if hashRel >= 0 {
-				v, ok := sideValue(m, mSide, mAttr)
-				if !ok {
-					continue
-				}
-				rows := index[v]
-				if err := bud.chargePairs(int64(len(rows)) + 1); err != nil {
-					return nil, err
-				}
-				if err := join(m, rows); err != nil {
-					return nil, err
-				}
-			} else {
-				if err := bud.chargePairs(int64(len(ts.rows))); err != nil {
-					return nil, err
-				}
-				if err := join(m, allRows); err != nil {
-					return nil, err
-				}
+			if err := jn.add(batch[k : k+1]); err != nil {
+				return err
 			}
 		}
 	}
-	if err := cur.Err(); err != nil {
-		return nil, err
-	}
-
-	out.rows = make([][]storage.Match, 0, total)
-	for i, row := range ts.rows {
-		for _, ai := range hits[i] {
-			nr := make([]storage.Match, len(row)+1)
-			copy(nr, row)
-			nr[len(row)] = arena[ai]
-			out.rows = append(out.rows, nr)
-		}
-	}
-	return out, nil
-}
-
-func pickMatch(ta, tb *tupleSet, rowA, rowB []storage.Match, pattern int) *storage.Match {
-	if ta.has(pattern) {
-		return ta.match(rowA, pattern)
-	}
-	return tb.match(rowB, pattern)
 }
 
 // filterTuples keeps the rows of a tuple set satisfying the given

@@ -30,8 +30,8 @@ func DayStart(i int) int64 { return Day0.AddDate(0, 0, i).UnixMilli() }
 // DateStr renders dataset day i in the US format AIQL queries use.
 func DateStr(i int) string { return Day0.AddDate(0, 0, i).Format("01/02/2006") }
 
-// Config controls dataset scale. The zero value is unusable; use
-// DefaultConfig or fill every field.
+// Config controls dataset scale. The zero value is unusable; fill every
+// field or start from SmallConfig.
 type Config struct {
 	// Hosts is the number of agents (hosts), numbered 1..Hosts.
 	Hosts int
@@ -42,13 +42,6 @@ type Config struct {
 	BackgroundPerHostDay int
 	// Seed makes generation deterministic.
 	Seed int64
-}
-
-// DefaultConfig is a laptop-scale stand-in for the paper's deployment:
-// big enough that unselective scans visibly dominate query time, small
-// enough to regenerate in seconds.
-func DefaultConfig() Config {
-	return Config{Hosts: 15, Days: 4, BackgroundPerHostDay: 20000, Seed: 1}
 }
 
 // SmallConfig is used by unit and integration tests.

@@ -12,13 +12,3 @@ func All() []*Analyzer {
 		WallClock,
 	}
 }
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"aiql/internal/types"
 )
@@ -66,9 +67,17 @@ func appendEntity(buf []byte, e *types.Entity) []byte {
 	buf = append(buf, byte(e.Type))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(e.AgentID)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Attrs)))
-	for k, v := range e.Attrs {
+	// Attributes go out in key order, so an entity has one byte form. The
+	// keys sort in a stack array; entities carry a handful of attributes.
+	var stack [16]string
+	keys := stack[:0]
+	for k := range e.Attrs {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
 		buf = appendString(buf, k)
-		buf = appendString(buf, v)
+		buf = appendString(buf, e.Attrs[k])
 	}
 	return buf
 }

@@ -247,6 +247,7 @@ type coldScan struct {
 	sel, evtSel pred.Bitmap
 	survivors   bool // some row of the open block is marked in sel
 	arena       eventArena
+	ev          types.Event // decode scratch: a row reaches the arena only once it passes
 
 	m *segMeta
 	f rowFilter // over m.dict, built when the run's first block opens
@@ -365,15 +366,14 @@ func (s *coldScan) finish(emit func(Match) bool) (more bool, err error) {
 		return false, err
 	}
 	more = sel.ForEach(n, func(i int) bool {
-		var ev types.Event
 		var sdi, odi uint32
-		if sdi, odi, err = c.event(i, s.m, &ev); err != nil {
+		if sdi, odi, err = c.event(i, s.m, &s.ev); err != nil {
 			return false
 		}
-		if q.EvtPred != nil && !evtVec && !q.EvtPred.Eval(&ev) {
+		if q.EvtPred != nil && !evtVec && !q.EvtPred.Eval(&s.ev) {
 			return true
 		}
-		return emit(Match{Event: s.arena.put(ev), Subj: s.f.ents[sdi], Obj: s.f.ents[odi]})
+		return emit(Match{Event: s.arena.put(s.ev), Subj: s.f.ents[sdi], Obj: s.f.ents[odi]})
 	})
 	return more, err
 }

@@ -48,16 +48,9 @@ type hotShadow struct {
 	base *types.Event // identity of (and liveness pin for) the source array
 	n    int
 
-	starts  []int64
-	ends    []int64
-	ids     []int64
-	seqs    []int64
-	amounts []int64
-	fails   []int64
-	agents  []int64
-	subj    []uint32
-	obj     []uint32
-	ops     []types.Op
+	vals      [colAgents + 1][]int64 // indexed like blockCols.vals
+	subj, obj []uint32
+	ops       []types.Op
 
 	dict []types.EntityID          // first-seen order; index = column value
 	slot map[types.EntityID]uint32 // writer-owned
@@ -111,25 +104,22 @@ func (sh *hotShadow) extend(events []types.Event) *hotShadow {
 		dict: sh.dict,
 		slot: sh.slot,
 	}
-	next.starts = growInt64(sh.starts, sh.n, n)
-	next.ends = growInt64(sh.ends, sh.n, n)
-	next.ids = growInt64(sh.ids, sh.n, n)
-	next.seqs = growInt64(sh.seqs, sh.n, n)
-	next.amounts = growInt64(sh.amounts, sh.n, n)
-	next.fails = growInt64(sh.fails, sh.n, n)
-	next.agents = growInt64(sh.agents, sh.n, n)
-	next.subj = growUint32(sh.subj, sh.n, n)
-	next.obj = growUint32(sh.obj, sh.n, n)
-	next.ops = growOps(sh.ops, sh.n, n)
+	for k := range next.vals {
+		next.vals[k] = grow(sh.vals[k], sh.n, n)
+	}
+	next.subj = grow(sh.subj, sh.n, n)
+	next.obj = grow(sh.obj, sh.n, n)
+	next.ops = grow(sh.ops, sh.n, n)
+	v := &next.vals
 	for i := sh.n; i < n; i++ {
 		ev := &events[i]
-		next.starts[i] = ev.Start
-		next.ends[i] = ev.End
-		next.ids[i] = int64(ev.ID)
-		next.seqs[i] = int64(ev.Seq)
-		next.amounts[i] = ev.Amount
-		next.fails[i] = int64(ev.FailCode)
-		next.agents[i] = int64(ev.AgentID)
+		v[colStarts][i] = ev.Start
+		v[colEnds][i] = ev.End
+		v[colIDs][i] = int64(ev.ID)
+		v[colSeqs][i] = int64(ev.Seq)
+		v[colAmounts][i] = ev.Amount
+		v[colFails][i] = int64(ev.FailCode)
+		v[colAgents][i] = int64(ev.AgentID)
 		next.subj[i] = next.slotFor(ev.Subject)
 		next.obj[i] = next.slotFor(ev.Object)
 		next.ops[i] = ev.Op
@@ -147,29 +137,13 @@ func (sh *hotShadow) slotFor(id types.EntityID) uint32 {
 	return s
 }
 
-func growInt64(col []int64, filled, n int) []int64 {
+// grow returns col resliced to n rows, or a copy of its filled prefix with
+// headroom when its capacity is short.
+func grow[T any](col []T, filled, n int) []T {
 	if cap(col) >= n {
 		return col[:n]
 	}
-	grown := make([]int64, n, 2*n)
-	copy(grown, col[:filled])
-	return grown
-}
-
-func growUint32(col []uint32, filled, n int) []uint32 {
-	if cap(col) >= n {
-		return col[:n]
-	}
-	grown := make([]uint32, n, 2*n)
-	copy(grown, col[:filled])
-	return grown
-}
-
-func growOps(col []types.Op, filled, n int) []types.Op {
-	if cap(col) >= n {
-		return col[:n]
-	}
-	grown := make([]types.Op, n, 2*n)
+	grown := make([]T, n, 2*n)
 	copy(grown, col[:filled])
 	return grown
 }
@@ -186,23 +160,11 @@ func (c *shadowChunk) NumRows() int { return c.hi - c.lo }
 
 // Int64Column implements pred.ColumnSource.
 func (c *shadowChunk) Int64Column(attr string) ([]int64, bool) {
-	switch attr {
-	case types.EvtAttrAmount:
-		return c.sh.amounts[c.lo:c.hi], true
-	case types.EvtAttrFailCode:
-		return c.sh.fails[c.lo:c.hi], true
-	case types.EvtAttrSeq:
-		return c.sh.seqs[c.lo:c.hi], true
-	case types.EvtAttrStart:
-		return c.sh.starts[c.lo:c.hi], true
-	case types.EvtAttrEnd:
-		return c.sh.ends[c.lo:c.hi], true
-	case types.AttrAgentID:
-		return c.sh.agents[c.lo:c.hi], true
-	case types.AttrID:
-		return c.sh.ids[c.lo:c.hi], true
+	k, ok := valueCol(attr)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	return c.sh.vals[k][c.lo:c.hi], true
 }
 
 // OpColumn implements pred.ColumnSource.

@@ -163,12 +163,12 @@ func TestHotShadowExtend(t *testing.T) {
 	}
 	// buildShadow sizes columns with headroom; extending 600→1000 must not
 	// reallocate, so both shadows share backing arrays.
-	if &sh1.starts[0] != &sh2.starts[0] || &sh1.subj[0] != &sh2.subj[0] {
+	if &sh1.vals[colStarts][0] != &sh2.vals[colStarts][0] || &sh1.subj[0] != &sh2.subj[0] {
 		t.Fatal("extension reallocated columns despite sufficient capacity")
 	}
 	// The old struct's view stays coherent after extension.
-	if len(sh1.starts) != 600 || sh1.starts[599] != events[599].Start {
-		t.Fatalf("published prefix disturbed: len=%d", len(sh1.starts))
+	if len(sh1.vals[colStarts]) != 600 || sh1.vals[colStarts][599] != events[599].Start {
+		t.Fatalf("published prefix disturbed: len=%d", len(sh1.vals[colStarts]))
 	}
 	for i, id := range dictBefore {
 		if sh2.dict[i] != id {
@@ -176,7 +176,7 @@ func TestHotShadowExtend(t *testing.T) {
 		}
 	}
 	for i, ev := range events {
-		if sh2.starts[i] != ev.Start || sh2.ops[i] != ev.Op ||
+		if sh2.vals[colStarts][i] != ev.Start || sh2.ops[i] != ev.Op ||
 			sh2.dict[sh2.subj[i]] != ev.Subject || sh2.dict[sh2.obj[i]] != ev.Object {
 			t.Fatalf("row %d miscopied", i)
 		}

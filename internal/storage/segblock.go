@@ -368,29 +368,33 @@ func (c *blockCols) NumRows() int { return c.hi - c.lo }
 // use. A decode failure reports the column as unavailable and latches in
 // c.err for the scan to return.
 func (c *blockCols) Int64Column(attr string) ([]int64, bool) {
-	var k int
-	switch attr {
-	case types.EvtAttrAmount:
-		k = colAmounts
-	case types.EvtAttrFailCode:
-		k = colFails
-	case types.EvtAttrSeq:
-		k = colSeqs
-	case types.EvtAttrStart:
-		k = colStarts
-	case types.EvtAttrEnd:
-		k = colEnds
-	case types.AttrAgentID:
-		k = colAgents
-	case types.AttrID:
-		k = colIDs
-	default:
-		return nil, false
-	}
-	if c.need(1<<k) != nil {
+	k, ok := valueCol(attr)
+	if !ok || c.need(1<<k) != nil {
 		return nil, false
 	}
 	return c.vals[k][c.lo:c.hi], true
+}
+
+// valueCol maps a numeric event attribute to its value column, for the
+// cold blocks and the hot shadows alike.
+func valueCol(attr string) (int, bool) {
+	switch attr {
+	case types.EvtAttrAmount:
+		return colAmounts, true
+	case types.EvtAttrFailCode:
+		return colFails, true
+	case types.EvtAttrSeq:
+		return colSeqs, true
+	case types.EvtAttrStart:
+		return colStarts, true
+	case types.EvtAttrEnd:
+		return colEnds, true
+	case types.AttrAgentID:
+		return colAgents, true
+	case types.AttrID:
+		return colIDs, true
+	}
+	return 0, false
 }
 
 // OpColumn implements pred.ColumnSource.

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"aiql/internal/pred"
 	"aiql/internal/timeutil"
@@ -189,16 +188,10 @@ type segPartInfo struct {
 type segPart struct {
 	segPartInfo
 
-	metaOnce sync.Once
+	metaOnce sync.Once // publishes meta and metaErr
+	meta     *segMeta
 	metaErr  error
-	// meta is published atomically so Estimate can peek at already-decoded
-	// metadata without forcing (or racing with) the decode.
-	meta atomic.Pointer[segMeta]
 }
-
-// peekMeta returns the decoded metadata if some scan already produced it,
-// without triggering a decode.
-func (pi *segPart) peekMeta() *segMeta { return pi.meta.Load() }
 
 // segmentFile is an opened segment: header and directory eagerly, the
 // payload memory-mapped on install and partition metadata decoded on first
@@ -740,14 +733,9 @@ func checkPartInfo(path string, pi *segPart, size uint64) error {
 // structural invariant the scan path will rely on.
 func (sf *segmentFile) loadMeta(pi *segPart) (*segMeta, error) {
 	pi.metaOnce.Do(func() {
-		m, err := sf.decodeMeta(pi)
-		if err != nil {
-			pi.metaErr = err
-			return
-		}
-		pi.meta.Store(m)
+		pi.meta, pi.metaErr = sf.decodeMeta(pi)
 	})
-	return pi.meta.Load(), pi.metaErr
+	return pi.meta, pi.metaErr
 }
 
 func (sf *segmentFile) decodeMeta(pi *segPart) (*segMeta, error) {
