@@ -11,13 +11,11 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"aiql/internal/engine"
 	"aiql/internal/parser"
-	"aiql/internal/storage"
 	"aiql/internal/stream"
 )
 
@@ -30,9 +28,10 @@ import (
 // events may live on different shards — so the coordinator decomposes the
 // rule into one *raw* sub-rule per event pattern (worker rule "<id>#p<i>",
 // emitting unprojected matches) and runs the sliding-window join itself,
-// inside each merged subscription, with the same stream.JoinState the
-// single-node matcher uses. Worker failures surface as the same typed
-// *PartialError /scan produces, never as a silently short stream.
+// inside each merged subscription, with the same stream.Emitter (join,
+// projection, distinct) the single-node matcher uses. Worker failures
+// surface as the same typed *PartialError /scan produces, never as a
+// silently short stream.
 
 // ErrUnknownRule mirrors stream.ErrUnknownRule for coordinator rules.
 var ErrUnknownRule = stream.ErrUnknownRule
@@ -43,6 +42,7 @@ type coordRule struct {
 	spec     stream.RuleSpec
 	plan     *engine.Plan
 	windowMs int64
+	nshards  int // worker count on a replicated coordinator, else 0
 }
 
 // workerRuleIDs lists the worker-side rule ids backing this rule: the id
@@ -58,26 +58,27 @@ func (cr *coordRule) workerRuleIDs() []string {
 	return ids
 }
 
-// workerSpecs builds the worker-side rule specs backing this rule: the
-// spec verbatim for single-pattern rules, one raw per-pattern sub-rule
-// otherwise. Registration fans these out; a subscription keeps them so it
-// can re-register on a worker that restarted and lost its rules.
-func (cr *coordRule) workerSpecs() []stream.RuleSpec {
-	if len(cr.plan.Patterns) == 1 {
-		ws := cr.spec
-		ws.ID = cr.id
-		return []stream.RuleSpec{ws}
-	}
-	specs := make([]stream.RuleSpec, 0, len(cr.plan.Patterns))
-	for i := range cr.plan.Patterns {
-		pi := i
-		specs = append(specs, stream.RuleSpec{
-			ID:       fmt.Sprintf("%s#p%d", cr.id, i),
-			Query:    cr.spec.Query,
-			WindowMs: cr.spec.WindowMs,
-			Backfill: cr.spec.Backfill,
-			Pattern:  &pi,
-		})
+// workerSpecs builds the worker-side rule specs backing this rule on one
+// worker: the spec verbatim for single-pattern rules, one raw per-pattern
+// sub-rule otherwise. On a replicated coordinator each spec also names the
+// worker's home shard, so its backfill replays only that shard — the
+// replica copy the worker stores is its neighbour's to replay, just as the
+// worker's live rules never see replica copies. Registration fans these
+// out; a subscription keeps them so it can re-register on a worker that
+// restarted and lost its rules.
+func (cr *coordRule) workerSpecs(shard int) []stream.RuleSpec {
+	ids := cr.workerRuleIDs()
+	specs := make([]stream.RuleSpec, len(ids))
+	for i, id := range ids {
+		specs[i] = cr.spec
+		specs[i].ID = id
+		if len(ids) > 1 {
+			pi := i
+			specs[i].Pattern = &pi
+		}
+		if cr.nshards > 0 {
+			specs[i].Shard, specs[i].NShards = shard, cr.nshards
+		}
 	}
 	return specs
 }
@@ -98,8 +99,8 @@ func (c *Coordinator) RegisterRule(ctx context.Context, spec stream.RuleSpec) (*
 	if err := plan.Streamable(); err != nil {
 		return nil, err
 	}
-	if spec.Pattern != nil {
-		return nil, errors.New("cluster: raw per-pattern rules are internal to coordinator fan-out")
+	if spec.Pattern != nil || spec.Shard != 0 || spec.NShards != 0 {
+		return nil, errors.New("cluster: raw per-pattern and per-shard rules are internal to coordinator fan-out")
 	}
 	// Resolve the join window now, with the same default the workers apply,
 	// so the coordinator-side join and the worker buffers can never expire
@@ -127,10 +128,11 @@ func (c *Coordinator) RegisterRule(ctx context.Context, spec stream.RuleSpec) (*
 		c.rules = make(map[string]*coordRule)
 	}
 	cr := &coordRule{id: id, spec: spec, plan: plan, windowMs: windowMs}
+	if c.replicas > 1 {
+		cr.nshards = len(c.workers)
+	}
 	c.rules[id] = cr
 	c.rulesMu.Unlock()
-
-	specs := cr.workerSpecs()
 
 	type regTarget struct {
 		shard int
@@ -140,7 +142,7 @@ func (c *Coordinator) RegisterRule(ctx context.Context, spec stream.RuleSpec) (*
 	var landed []regTarget
 	err = c.eachWorker(ctx, "rules", func(shard int) error {
 		var errs []error
-		for _, ws := range specs {
+		for _, ws := range cr.workerSpecs(shard) {
 			if err := c.postRule(ctx, shard, &ws); err != nil {
 				errs = append(errs, err)
 				continue
@@ -341,13 +343,11 @@ type RuleStream struct {
 
 	mu     sync.Mutex
 	seq    uint64
-	js     *stream.JoinState
-	plan   *engine.Plan
 	ruleID string
-	// seen dedupes distinct rules across workers (workers dedupe only
-	// locally); FIFO-bounded so a long-lived subscription cannot grow
-	// without limit.
-	seen     *stream.Dedup
+	// em joins raw per-pattern matches and dedupes distinct rows across
+	// workers (workers dedupe only locally), with bounded state so a
+	// long-lived subscription cannot grow without limit.
+	em       *stream.Emitter
 	closed   string
 	failed   []*WorkerError
 	err      error
@@ -394,20 +394,13 @@ func (c *Coordinator) SubscribeRule(ctx context.Context, id string) (*RuleStream
 	rs := &RuleStream{
 		ch:       make(chan stream.Emission, 256),
 		cancel:   cancel,
-		plan:     cr.plan,
 		ruleID:   cr.id,
+		em:       stream.NewEmitter(cr.plan, cr.windowMs, stream.DefaultMaxStatePerRule, stream.DefaultMaxPairsPerEvent),
 		coord:    c,
 		nworkers: len(c.workers),
 	}
-	if len(cr.plan.Patterns) > 1 {
-		rs.js = stream.NewJoinState(cr.plan, cr.windowMs,
-			stream.DefaultMaxStatePerRule, stream.DefaultMaxPairsPerEvent)
-	}
-	if cr.plan.Return.Distinct {
-		rs.seen = stream.NewDedup(stream.DefaultMaxStatePerRule)
-	}
 	for shard := range c.workers {
-		for _, ws := range cr.workerSpecs() {
+		for _, ws := range cr.workerSpecs(shard) {
 			rs.wg.Add(1)
 			go rs.consumeWorker(cctx, c, shard, ws)
 		}
@@ -575,27 +568,16 @@ func (rs *RuleStream) deliver(ctx context.Context, shard int, em stream.Emission
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	var out []stream.Emission
-	if em.Match != nil && rs.js != nil {
-		backfill := em.Backfill
-		rs.js.Offer(em.Pattern, em.Match.StorageMatch(), func(row []storage.Match) {
-			projected := rs.plan.ProjectRow(row)
-			if rs.seen != nil && !rs.seen.FirstSeen(strings.Join(projected, "\x1f")) {
-				return
-			}
+	if em.Match != nil {
+		rs.em.Offer(em.Pattern, em.Match.StorageMatch(), func(row []string, ts int64) {
 			rs.seq++
-			out = append(out, stream.Emission{
-				Rule: rs.ruleID, Seq: rs.seq, Ts: stream.RowTs(row), Backfill: backfill, Row: projected,
-			})
+			out = append(out, stream.Emission{Rule: rs.ruleID, Seq: rs.seq, Ts: ts, Backfill: em.Backfill, Row: row})
 		})
-	} else if em.Row != nil {
-		if rs.seen != nil && !rs.seen.FirstSeen(strings.Join(em.Row, "\x1f")) {
-			return true
-		}
+	} else if em.Row != nil && rs.em.FirstSeen(em.Row) {
 		rs.seq++
-		ws := em.Seq
 		sh := shard
 		merged := em
-		merged.Rule, merged.Seq, merged.Shard, merged.WorkerSeq = rs.ruleID, rs.seq, &sh, ws
+		merged.Rule, merged.Seq, merged.Shard, merged.WorkerSeq = rs.ruleID, rs.seq, &sh, em.Seq
 		out = append(out, merged)
 	}
 	for _, m := range out {

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -84,7 +85,8 @@ func collectEmissions(t *testing.T, rs *cluster.RuleStream, want int) [][]string
 // through the coordinator over 3 workers (raw per-pattern fan-out +
 // coordinator-side join for multi-pattern rules) with backfill over the
 // scattered dataset, emits exactly the rows the batch engine returns over
-// the undivided store.
+// the undivided store — unreplicated, and at R=2, where every worker also
+// stores its neighbour shard's copy and must replay only its own.
 func TestClusterStreamCorpusParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping corpus replay over the cluster")
@@ -93,17 +95,26 @@ func TestClusterStreamCorpusParity(t *testing.T) {
 	single := storage.New(storage.Options{})
 	single.Ingest(ds)
 	batch := engine.New(single, engine.Options{})
-
-	workers := startStreamWorkers(3)
-	defer closeWorkers(workers)
-	coord, err := cluster.New(workerURLs(workers), cluster.Options{Placement: mpp.SemanticsAware})
-	if err != nil {
-		t.Fatal(err)
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			workers := startStreamWorkers(3)
+			t.Cleanup(func() { closeWorkers(workers) })
+			coord, err := cluster.New(workerURLs(workers), cluster.Options{Placement: mpp.SemanticsAware, Replicas: replicas})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := coord.Ingest(context.Background(), ds); err != nil {
+				t.Fatal(err)
+			}
+			checkClusterStreamParity(t, coord, batch)
+		})
 	}
-	if err := coord.Ingest(context.Background(), ds); err != nil {
-		t.Fatal(err)
-	}
+}
 
+// checkClusterStreamParity registers every streamable corpus query on the
+// coordinator with backfill and compares its merged stream with the batch
+// engine's answer.
+func checkClusterStreamParity(t *testing.T, coord *cluster.Coordinator, batch *engine.Engine) {
 	corpus := append(queries.CaseStudy(), queries.Behaviors()...)
 	streamable := 0
 	for _, q := range corpus {
@@ -127,6 +138,9 @@ func TestClusterStreamCorpusParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: subscribe: %v", q.ID, err)
 		}
+		// A failed collection must still end the subscription before the
+		// workers shut down: a server's Close waits for open streams.
+		t.Cleanup(rs.Close)
 		rows := collectEmissions(t, rs, len(want.Rows))
 		rs.Close()
 		if got, wantKey := queries.Canonical(rows), queries.Canonical(want.Rows); got != wantKey {
@@ -326,6 +340,27 @@ func TestClusterRegisterRollback(t *testing.T) {
 	infos, err := coord.Rules(context.Background())
 	if err == nil && len(infos) != 0 {
 		t.Errorf("coordinator lists %d rules after failed registration", len(infos))
+	}
+}
+
+// TestClusterRegisterRefusesFanOutFields: pattern, shard and nshards are
+// set by the coordinator's fan-out on worker rules, never by its clients.
+func TestClusterRegisterRefusesFanOutFields(t *testing.T) {
+	workers := startStreamWorkers(1)
+	defer closeWorkers(workers)
+	coord, err := cluster.New(workerURLs(workers), cluster.Options{Placement: mpp.SemanticsAware})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := 0
+	for _, spec := range []stream.RuleSpec{{Pattern: &p}, {Shard: 1}, {NShards: 3}} {
+		spec.Query = "proc p read file f return p"
+		if _, err := coord.RegisterRule(context.Background(), spec); err == nil {
+			t.Errorf("spec %+v was accepted", spec)
+		}
+	}
+	if infos, err := coord.Rules(context.Background()); err != nil || len(infos) != 0 {
+		t.Errorf("coordinator lists %v (err %v) after refused registrations", infos, err)
 	}
 }
 

@@ -107,10 +107,7 @@ func (w *WireQuery) DataQuery() (*storage.DataQuery, error) {
 	q.SubjAllowed = decodeIDSet(w.SubjAllowed, w.HasSubjAllowed)
 	q.ObjAllowed = decodeIDSet(w.ObjAllowed, w.HasObjAllowed)
 	if w.NShards > 0 {
-		shard, n := w.Shard, w.NShards
-		q.Partition = func(agent, day int) bool {
-			return mpp.SemanticsAware.Shard(agent, day, n) == shard
-		}
+		q.Partition = mpp.HomePartitions(w.Shard, w.NShards)
 	}
 	return q, nil
 }

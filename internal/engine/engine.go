@@ -272,17 +272,7 @@ func (x *execution) score(idx int) int {
 		}
 	}
 	if x.estimates[idx] < 0 {
-		pp := x.plan.Patterns[idx]
-		x.estimates[idx] = est.Estimate(&storage.DataQuery{
-			Agents:   pp.Agents,
-			Window:   pp.Window,
-			SubjType: pp.Subj.Type,
-			ObjType:  pp.Obj.Type,
-			SubjPred: pp.Subj.Pred,
-			ObjPred:  pp.Obj.Pred,
-			Ops:      pp.Ops,
-			EvtPred:  pp.EvtPred,
-		})
+		x.estimates[idx] = est.Estimate(x.plan.Patterns[idx].DataQuery())
 	}
 	return -x.estimates[idx]
 }
@@ -298,22 +288,28 @@ type patternConstraint struct {
 	window      *timeutil.Window
 }
 
+// DataQuery returns the pattern's storage data query (paper Fig. 3): the
+// one definition of the events a pattern matches. The engine narrows it with
+// scheduler pushdown; a standing rule's backfill narrows it to one day. Each
+// call returns a fresh query the caller may modify.
+func (pp *PatternPlan) DataQuery() *storage.DataQuery {
+	return &storage.DataQuery{
+		Agents:   pp.Agents,
+		Window:   pp.Window,
+		SubjType: pp.Subj.Type,
+		ObjType:  pp.Obj.Type,
+		SubjPred: pp.Subj.Pred,
+		ObjPred:  pp.Obj.Pred,
+		Ops:      pp.Ops,
+		EvtPred:  pp.EvtPred,
+	}
+}
+
 // buildQuery synthesizes the data query for one pattern, folding in the
 // scheduler's pushdown constraint and the plan-level scan limit.
 func (x *execution) buildQuery(idx int, pc *patternConstraint) *storage.DataQuery {
-	pp := x.plan.Patterns[idx]
-	q := &storage.DataQuery{
-		Agents:    pp.Agents,
-		Window:    pp.Window,
-		SubjType:  pp.Subj.Type,
-		ObjType:   pp.Obj.Type,
-		SubjPred:  pp.Subj.Pred,
-		ObjPred:   pp.Obj.Pred,
-		Ops:       pp.Ops,
-		EvtPred:   pp.EvtPred,
-		Limit:     x.limit,
-		ForceScan: x.eng.opts.Strategy == StrategyBigJoin,
-	}
+	q := x.plan.Patterns[idx].DataQuery()
+	q.Limit, q.ForceScan = x.limit, x.eng.opts.Strategy == StrategyBigJoin
 	if pc != nil {
 		q.SubjAllowed = pc.subjAllowed
 		q.ObjAllowed = pc.objAllowed

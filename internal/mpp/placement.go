@@ -27,6 +27,16 @@ func (p Placement) Shard(agentID, day, n int) int {
 	return seg
 }
 
+// HomePartitions returns the partition predicate of logical shard shard
+// over n workers under the semantics-aware placement: true for the
+// (agent, day) partitions homed there. A replicated worker's store also
+// holds its neighbour shard's copy; a /scan leg and a standing rule's
+// backfill both read only the home shard through this predicate, so no
+// event is read twice across the cluster.
+func HomePartitions(shard, n int) func(agent, day int) bool {
+	return func(agent, day int) bool { return SemanticsAware.Shard(agent, day, n) == shard }
+}
+
 // Replica returns the worker index holding the replica copy of a logical
 // shard under R=2 replication: the next worker in ring order. It is the
 // single definition of replica placement — the coordinator's dual-write

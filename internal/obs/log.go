@@ -2,20 +2,17 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
-	"sync"
-	"time"
+	"log/slog"
 )
 
 // LogFormat selects the logger's line encoding.
 type LogFormat int
 
 const (
-	// LogText is the human-readable default: time, level, message, then
-	// key=value pairs.
+	// LogText is the human-readable default: time=… msg=… then key=value
+	// pairs (log/slog's text encoding).
 	LogText LogFormat = iota
 	// LogJSON emits one JSON object per line, suitable for log pipelines.
 	LogJSON
@@ -38,84 +35,37 @@ func ParseLogFormat(s string) (LogFormat, error) {
 // coordinator and every worker it fanned out to. A nil *Logger is valid
 // and silent, so instrumentation sites log unconditionally.
 type Logger struct {
-	mu     sync.Mutex
-	w      io.Writer
-	format LogFormat
+	l *slog.Logger
 }
 
-// NewLogger creates a logger writing to w.
+// NewLogger creates a logger writing to w: log/slog's text or JSON handler,
+// without the level key (every line is informational) and with timestamps
+// in UTC.
 func NewLogger(w io.Writer, format LogFormat) *Logger {
-	return &Logger{w: w, format: format}
+	opts := &slog.HandlerOptions{ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+		switch a.Key {
+		case slog.LevelKey:
+			return slog.Attr{}
+		case slog.TimeKey:
+			a.Value = slog.TimeValue(a.Value.Time().UTC())
+		}
+		return a
+	}}
+	var h slog.Handler = slog.NewTextHandler(w, opts)
+	if format == LogJSON {
+		h = slog.NewJSONHandler(w, opts)
+	}
+	return &Logger{l: slog.New(h)}
 }
 
 // Log writes one line: a message plus alternating key, value pairs. The
-// context's trace ID, when present, is added as trace=<id>. Values are
-// rendered with %v.
+// context's trace ID, when present, is added as trace=<id>.
 func (l *Logger) Log(ctx context.Context, msg string, kv ...any) {
 	if l == nil {
 		return
 	}
-	//aiql:ignore wallclock -- log timestamps are observability wall time by design
-	now := time.Now().UTC()
-	type pair struct {
-		k string
-		v any
-	}
-	pairs := make([]pair, 0, len(kv)/2+1)
 	if id := TraceID(ctx); id != "" {
-		pairs = append(pairs, pair{"trace", id})
+		kv = append([]any{"trace", id}, kv...)
 	}
-	for i := 0; i+1 < len(kv); i += 2 {
-		k, ok := kv[i].(string)
-		if !ok {
-			k = fmt.Sprintf("%v", kv[i])
-		}
-		pairs = append(pairs, pair{k, kv[i+1]})
-	}
-
-	var line []byte
-	switch l.format {
-	case LogJSON:
-		obj := make(map[string]any, len(pairs)+2)
-		obj["time"] = now.Format(time.RFC3339Nano)
-		obj["msg"] = msg
-		for _, p := range pairs {
-			obj[p.k] = p.v
-		}
-		b, err := json.Marshal(obj)
-		if err != nil {
-			// Unmarshalable value: degrade to the stringified fallback
-			// rather than dropping the line.
-			safe := map[string]any{"time": obj["time"], "msg": msg, "marshal_error": err.Error()}
-			b, _ = json.Marshal(safe)
-		}
-		line = append(b, '\n')
-	default:
-		var b strings.Builder
-		b.WriteString(now.Format("2006-01-02T15:04:05.000Z"))
-		b.WriteByte(' ')
-		b.WriteString(msg)
-		for _, p := range pairs {
-			b.WriteByte(' ')
-			b.WriteString(p.k)
-			b.WriteByte('=')
-			b.WriteString(textValue(p.v))
-		}
-		b.WriteByte('\n')
-		line = []byte(b.String())
-	}
-
-	l.mu.Lock()
-	_, _ = l.w.Write(line)
-	l.mu.Unlock()
-}
-
-// textValue renders a value for the text format, quoting when it contains
-// spaces or quotes so lines stay machine-splittable.
-func textValue(v any) string {
-	s := fmt.Sprintf("%v", v)
-	if strings.ContainsAny(s, " \t\n\"=") {
-		return fmt.Sprintf("%q", s)
-	}
-	return s
+	l.l.Log(ctx, slog.LevelInfo, msg, kv...)
 }

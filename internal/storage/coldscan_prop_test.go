@@ -131,12 +131,7 @@ func randomColdQueries(t *testing.T, rng *rand.Rand, events []types.Event, n int
 			t.Fatal(err)
 		}
 		for _, pp := range plan.Patterns {
-			q := &storage.DataQuery{
-				Agents: pp.Agents, Window: pp.Window,
-				SubjType: pp.Subj.Type, SubjPred: pp.Subj.Pred,
-				ObjType: pp.Obj.Type, ObjPred: pp.Obj.Pred,
-				Ops: pp.Ops, EvtPred: pp.EvtPred,
-			}
+			q := pp.DataQuery()
 			if rng.Intn(2) == 0 {
 				q.Agents = nil
 			}

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"strings"
+
 	"aiql/internal/engine"
 	"aiql/internal/storage"
 	"aiql/internal/types"
@@ -9,8 +11,8 @@ import (
 // JoinState is the bounded incremental join at the heart of a multi-pattern
 // standing rule: per-pattern buffers of recent matches over a sliding
 // event-time window, probed on every new match to complete full pattern
-// chains. The matcher drives one JoinState per rule; the cluster
-// coordinator drives one per merged subscription, fed by raw per-pattern
+// chains. Each Emitter drives one: per rule in the matcher, and per merged
+// subscription in the cluster coordinator, fed by raw per-pattern
 // emissions from the workers — both get identical join semantics because
 // the relationship predicate itself is the engine's (Join.Eval).
 //
@@ -31,7 +33,7 @@ import (
 //     completeness for memory — never the reverse.
 //
 // JoinState is not safe for concurrent use; callers serialize Offer (the
-// matcher under its per-rule lock, the coordinator under its merge loop).
+// matcher under its per-rule lock, the coordinator under its merge lock).
 type JoinState struct {
 	plan     *engine.Plan
 	k        int
@@ -259,5 +261,80 @@ func (js *JoinState) checkJoinsAt(slot int, row []storage.Match, assigned []bool
 			return false
 		}
 	}
+	return true
+}
+
+// Emitter is the one path from a pattern match to result rows, shared by
+// the matcher's rules and the cluster coordinator's merged streams: the
+// match joins through a JoinState, each completed tuple projects through
+// the plan's return clause (Plan.ProjectRow), and a distinct rule drops the
+// rows it already emitted. Not safe for concurrent use; callers serialize.
+type Emitter struct {
+	js   *JoinState
+	seen *dedup // nil unless the plan returns distinct rows
+}
+
+// NewEmitter builds the emitter of a streamable plan. windowMs, maxState and
+// maxPairs bound its join state as in NewJoinState; maxState also bounds
+// the distinct set.
+func NewEmitter(plan *engine.Plan, windowMs int64, maxState, maxPairs int) *Emitter {
+	e := &Emitter{js: NewJoinState(plan, windowMs, maxState, maxPairs)}
+	if plan.Return.Distinct {
+		e.seen = newDedup(maxState)
+	}
+	return e
+}
+
+// Offer joins one match for one pattern slot and calls emit once per new
+// result row, with ts the newest constituent event time — the Ts the row's
+// emission carries.
+func (e *Emitter) Offer(pattern int, m storage.Match, emit func(row []string, ts int64)) {
+	e.js.Offer(pattern, m, func(tuple []storage.Match) {
+		row := e.js.plan.ProjectRow(tuple)
+		if !e.FirstSeen(row) {
+			return
+		}
+		ts := tuple[0].Event.Start
+		for _, c := range tuple[1:] {
+			ts = max(ts, c.Event.Start)
+		}
+		emit(row, ts)
+	})
+}
+
+// FirstSeen reports whether a result row is new: always for a plain rule,
+// once while it stays in the bounded set for a distinct one. The row's
+// columns joined by \x1f are the one definition of distinct-row identity.
+func (e *Emitter) FirstSeen(row []string) bool {
+	return e.seen == nil || e.seen.firstSeen(strings.Join(row, "\x1f"))
+}
+
+// dedup is a FIFO-bounded distinct set: firstSeen reports true exactly
+// once per key while the key remains in the set. Evicting a key means its
+// row could re-emit later — bounded state trades exactness at the margin,
+// never memory.
+type dedup struct {
+	seen  map[string]struct{}
+	queue []string
+	limit int
+}
+
+func newDedup(limit int) *dedup {
+	return &dedup{seen: make(map[string]struct{}), limit: limit}
+}
+
+// firstSeen reports whether key is new, recording it (and evicting the
+// oldest key past the bound).
+func (d *dedup) firstSeen(key string) bool {
+	if _, dup := d.seen[key]; dup {
+		return false
+	}
+	if len(d.queue) >= d.limit {
+		oldest := d.queue[0]
+		d.queue = d.queue[1:]
+		delete(d.seen, oldest)
+	}
+	d.seen[key] = struct{}{}
+	d.queue = append(d.queue, key)
 	return true
 }

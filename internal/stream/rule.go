@@ -1,9 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"context"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 
 	"aiql/internal/engine"
@@ -57,12 +57,12 @@ func (rm *RawMatch) StorageMatch() storage.Match {
 	return storage.Match{Event: &rm.Event, Subj: rm.Subj, Obj: rm.Obj}
 }
 
-// pendingOffer is one matched event queued while a rule backfills.
-type pendingOffer struct {
+// patternMatch is one match of one of the rule's patterns: a backfill
+// match, or a live one queued while the rule backfills (its event copied
+// out of the ingest batch).
+type patternMatch struct {
 	pattern int
-	ev      types.Event
-	subj    *types.Entity
-	obj     *types.Entity
+	m       storage.Match
 }
 
 // rule is one registered standing query. Its mutex guards everything below
@@ -76,15 +76,16 @@ type rule struct {
 	cancel      context.CancelFunc
 	plan        *engine.Plan
 	windowMs    int64
-	patternOnly int  // -1 = all patterns; >= 0 restricts to one (raw mode)
-	raw         bool // emit RawMatch instead of projected rows
-	distinct    bool
+	patternOnly int // -1 = all patterns; >= 0 restricts to one, emitting RawMatch
+	// partition, when set, restricts the backfill to the partitions of the
+	// worker's home shard (RuleSpec.Shard/NShards).
+	partition func(agent, day int) bool
 
 	mu       sync.Mutex
 	deleted  bool
 	live     bool
 	sinceGen uint64 // batches at or below this generation are not offered
-	pending  []pendingOffer
+	pending  []patternMatch
 
 	// subjMemo/objMemo cache per-pattern entity predicate verdicts by
 	// entity id — the stream-side analogue of the storage layer's entity
@@ -92,13 +93,11 @@ type rule struct {
 	// first-write-wins), so a verdict never goes stale. The maps are
 	// touched only on the OnIngest path, which the store tap serializes;
 	// they are allocated before the rule becomes visible and are NOT
-	// guarded by mu (the backfill path deliberately evaluates predicates
-	// directly instead).
+	// guarded by mu (the backfill's matches come from storage queries).
 	subjMemo []map[types.EntityID]bool
 	objMemo  []map[types.EntityID]bool
 
-	js   *JoinState
-	seen *Dedup // distinct row dedup, FIFO-bounded
+	em *Emitter // nil for raw rules
 	// pairSeen short-circuits distinct single-pattern rules: a (subject,
 	// object) pair projects to the same row every time, so repeats skip
 	// projection and row dedup entirely. Reset on overflow — the row-level
@@ -132,7 +131,8 @@ func (r *rule) offer(pattern int, ev *types.Event, subj, obj *types.Entity, gen 
 			r.pendingDropped++
 			return
 		}
-		r.pending = append(r.pending, pendingOffer{pattern: pattern, ev: *ev, subj: subj, obj: obj})
+		ev := *ev
+		r.pending = append(r.pending, patternMatch{pattern: pattern, m: storage.Match{Event: &ev, Subj: subj, Obj: obj}})
 		return
 	}
 	r.process(pattern, storage.Match{Event: ev, Subj: subj, Obj: obj}, false)
@@ -151,66 +151,16 @@ func (r *rule) process(pattern int, m storage.Match, backfill bool) {
 		}
 		r.pairSeen[key] = struct{}{}
 	}
-	if r.raw {
+	if r.patternOnly >= 0 {
 		r.emit(Emission{
 			Ts: m.Event.Start, Backfill: backfill, Pattern: pattern,
 			Match: &RawMatch{Event: *m.Event, Subj: m.Subj, Obj: m.Obj},
 		})
 		return
 	}
-	r.js.Offer(pattern, m, func(row []storage.Match) {
-		projected := r.plan.ProjectRow(row)
-		if r.distinct && !r.seen.FirstSeen(strings.Join(projected, "\x1f")) {
-			return
-		}
-		r.emit(Emission{Ts: RowTs(row), Backfill: backfill, Row: projected})
+	r.em.Offer(pattern, m, func(row []string, ts int64) {
+		r.emit(Emission{Ts: ts, Backfill: backfill, Row: row})
 	})
-}
-
-// RowTs returns the newest constituent event time of a joined tuple —
-// the Ts an emission for that tuple carries. Shared with the cluster
-// coordinator's merged-stream joins.
-func RowTs(row []storage.Match) int64 {
-	ts := row[0].Event.Start
-	for _, m := range row[1:] {
-		if m.Event.Start > ts {
-			ts = m.Event.Start
-		}
-	}
-	return ts
-}
-
-// Dedup is a FIFO-bounded distinct set: FirstSeen reports true exactly
-// once per key while the key remains in the set. Evicting a key means its
-// row could re-emit later — bounded state trades exactness at the margin,
-// never memory. Matcher rules and the coordinator's merged streams share
-// it so the two distinct implementations cannot drift.
-type Dedup struct {
-	seen  map[string]struct{}
-	queue []string
-	limit int
-}
-
-// NewDedup builds a dedup set bounded to limit keys.
-func NewDedup(limit int) *Dedup {
-	return &Dedup{seen: make(map[string]struct{}), limit: limit}
-}
-
-// FirstSeen reports whether key is new, recording it (and evicting the
-// oldest key past the bound). Not safe for concurrent use; callers
-// serialize.
-func (d *Dedup) FirstSeen(key string) bool {
-	if _, dup := d.seen[key]; dup {
-		return false
-	}
-	if len(d.queue) >= d.limit {
-		oldest := d.queue[0]
-		d.queue = d.queue[1:]
-		delete(d.seen, oldest)
-	}
-	d.seen[key] = struct{}{}
-	d.queue = append(d.queue, key)
-	return true
 }
 
 // emit stamps, rings, and fans one emission out to subscribers. A
@@ -236,94 +186,58 @@ func (r *rule) emit(em Emission) {
 // queued meanwhile and flips the rule live. Work happens under short lock
 // acquisitions so concurrent ingest only ever waits one chunk.
 //
-// History must replay in global event-time order: the snapshot scan yields
-// partitions in (day, agent) order, which would race a multi-pattern rule's
-// watermark to the end of one agent's day before another agent's same-day
-// events arrive — silently expiring within-window joins. Replaying one day
-// at a time and sorting that day's matches restores the arrival order live
-// ingestion has, so backfill and live replay emit the same tuples for any
-// window. The cost is materializing one day's matching events at a time —
-// the same order of magnitude the batch engine materializes per pattern.
+// A pattern's history is exactly the answer to its data query
+// (PatternPlan.DataQuery), the query the batch engine runs for it. History
+// must replay in global event-time order: a scan yields partitions in
+// (day, agent) order, which would race a multi-pattern rule's watermark to
+// the end of one agent's day before another agent's same-day events arrive
+// — silently expiring within-window joins. Replaying one day at a time,
+// each pattern's query narrowed to that day and the results merged by
+// (start, seq, pattern), restores the arrival order live ingestion has, so
+// backfill and live replay emit the same tuples for any window. The cost is
+// materializing one day's matching events at a time — the same order of
+// magnitude the batch engine materializes per pattern.
 func (r *rule) backfill(snap *storage.Snapshot) {
-	q := &storage.DataQuery{Ops: r.opsUnion()}
-	if r.patternOnly >= 0 {
-		pp := r.plan.Patterns[r.patternOnly]
-		q.Agents, q.Window = pp.Agents, pp.Window
-	} else {
-		q.Agents, q.Window = r.plan.Agents, r.plan.Window
-	}
 	for _, day := range r.m.store.Days() { // superset of the snapshot's days
-		sub := *q
-		sub.Window = q.Window.Intersect(timeutil.DayWindow(day))
-		if sub.Window.Empty() {
-			continue
-		}
-		ms := snap.Run(r.ctx, &sub)
-		sort.Slice(ms, func(i, j int) bool {
-			if ms[i].Event.Start != ms[j].Event.Start {
-				return ms[i].Event.Start < ms[j].Event.Start
+		var ms []patternMatch
+		for pi, pp := range r.plan.Patterns {
+			if r.patternOnly >= 0 && pi != r.patternOnly {
+				continue
 			}
-			return ms[i].Event.Seq < ms[j].Event.Seq
+			q := pp.DataQuery()
+			q.Window = q.Window.Intersect(timeutil.DayWindow(day))
+			q.Partition = r.partition
+			if q.Window.Empty() {
+				continue
+			}
+			for _, m := range snap.Run(r.ctx, q) {
+				ms = append(ms, patternMatch{pattern: pi, m: m})
+			}
+		}
+		slices.SortFunc(ms, func(a, b patternMatch) int {
+			return cmp.Or(cmp.Compare(a.m.Event.Start, b.m.Event.Start),
+				cmp.Compare(a.m.Event.Seq, b.m.Event.Seq), a.pattern-b.pattern)
 		})
 		for lo := 0; lo < len(ms); lo += storage.ScanBatchSize {
-			hi := lo + storage.ScanBatchSize
-			if hi > len(ms) {
-				hi = len(ms)
-			}
 			r.mu.Lock()
 			if r.deleted {
 				r.mu.Unlock()
 				return
 			}
-			for i := lo; i < hi; i++ {
-				m := ms[i]
-				for _, pi := range r.candidatePatterns(m.Event.Op) {
-					pp := r.plan.Patterns[pi]
-					if patternAdmits(pp, m.Event) && patternAcceptsEntities(pp, m.Subj, m.Obj) {
-						r.process(pi, m, true)
-					}
-				}
+			for _, pm := range ms[lo:min(lo+storage.ScanBatchSize, len(ms))] {
+				r.process(pm.pattern, pm.m, true)
 			}
 			r.mu.Unlock()
 		}
 	}
 	r.mu.Lock()
-	for i := range r.pending {
-		po := &r.pending[i]
-		r.process(po.pattern, storage.Match{Event: &po.ev, Subj: po.subj, Obj: po.obj}, false)
+	for _, pm := range r.pending {
+		r.process(pm.pattern, pm.m, false)
 	}
 	r.pending = nil
 	r.live = true
 	r.backfilled = true
 	r.mu.Unlock()
-}
-
-// candidatePatterns lists the rule's pattern indexes whose operation sets
-// admit op.
-func (r *rule) candidatePatterns(op types.Op) []int {
-	var out []int
-	for pi, pp := range r.plan.Patterns {
-		if r.patternOnly >= 0 && pi != r.patternOnly {
-			continue
-		}
-		if pp.Ops.Contains(op) {
-			out = append(out, pi)
-		}
-	}
-	return out
-}
-
-// opsUnion returns the union of the rule's pattern operation sets (the
-// backfill scan's coarse filter).
-func (r *rule) opsUnion() types.OpSet {
-	var set types.OpSet
-	for pi, pp := range r.plan.Patterns {
-		if r.patternOnly >= 0 && pi != r.patternOnly {
-			continue
-		}
-		set = set.Union(pp.Ops)
-	}
-	return set
 }
 
 // dropSubLocked removes a subscriber with the given reason and closes its
@@ -387,9 +301,8 @@ func memoEval(mp *map[types.EntityID]bool, p pred.Pred, e *types.Entity) bool {
 	return v
 }
 
-// patternAdmits checks the event-only half of a pattern's predicate:
-// operation, agents, window, event attributes. It mirrors exactly what the
-// storage scan checks for the same pattern.
+// patternAdmits checks the event-only half of a pattern's data query on the
+// live path: operation, agents, window, event attributes.
 func patternAdmits(pp *engine.PatternPlan, ev *types.Event) bool {
 	if !pp.Ops.Contains(ev.Op) {
 		return false
@@ -415,27 +328,6 @@ func patternAdmits(pp *engine.PatternPlan, ev *types.Event) bool {
 	return true
 }
 
-// patternAcceptsEntities checks the entity half: endpoint types and
-// attribute predicates.
-func patternAcceptsEntities(pp *engine.PatternPlan, subj, obj *types.Entity) bool {
-	if subj == nil || obj == nil {
-		return false
-	}
-	if pp.Subj.Type != types.EntityInvalid && subj.Type != pp.Subj.Type {
-		return false
-	}
-	if pp.Obj.Type != types.EntityInvalid && obj.Type != pp.Obj.Type {
-		return false
-	}
-	if pp.Subj.Pred != nil && !pp.Subj.Pred.Eval(subj) {
-		return false
-	}
-	if pp.Obj.Pred != nil && !pp.Obj.Pred.Eval(obj) {
-		return false
-	}
-	return true
-}
-
 // ring is the rule's bounded replay buffer: the last cap emissions, so a
 // subscriber arriving after a burst (or requesting ?since=) can catch up
 // without the matcher retaining unbounded history. Storage grows lazily up
@@ -445,8 +337,6 @@ type ring struct {
 	buf  []Emission
 	next int // next write position once buf reached cap
 }
-
-func newRing(capacity int) ring { return ring{cap: capacity} }
 
 func (rg *ring) push(em Emission) {
 	if rg.cap <= 0 {

@@ -31,6 +31,7 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -40,6 +41,7 @@ import (
 	"time"
 
 	"aiql/internal/engine"
+	"aiql/internal/mpp"
 	"aiql/internal/parser"
 	"aiql/internal/storage"
 	"aiql/internal/types"
@@ -93,21 +95,11 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxRules == 0 {
-		o.MaxRules = 64
-	}
-	if o.BufferSize == 0 {
-		o.BufferSize = 256
-	}
-	if o.MaxStatePerRule == 0 {
-		o.MaxStatePerRule = DefaultMaxStatePerRule
-	}
-	if o.MaxPairsPerEvent == 0 {
-		o.MaxPairsPerEvent = DefaultMaxPairsPerEvent
-	}
-	if o.DefaultWindow == 0 {
-		o.DefaultWindow = DefaultWindow
-	}
+	o.MaxRules = cmp.Or(o.MaxRules, 64)
+	o.BufferSize = cmp.Or(o.BufferSize, 256)
+	o.MaxStatePerRule = cmp.Or(o.MaxStatePerRule, DefaultMaxStatePerRule)
+	o.MaxPairsPerEvent = cmp.Or(o.MaxPairsPerEvent, DefaultMaxPairsPerEvent)
+	o.DefaultWindow = cmp.Or(o.DefaultWindow, DefaultWindow)
 	return o
 }
 
@@ -129,6 +121,13 @@ type RuleSpec struct {
 	// the cluster coordinator registers on workers to run the cross-shard
 	// join itself.
 	Pattern *int `json:"pattern,omitempty"`
+	// Shard/NShards, when NShards > 0, restrict the backfill to the
+	// partitions whose home shard under the semantics-aware placement over
+	// NShards workers is Shard. Like Pattern, they are set by the cluster
+	// coordinator: a replicated worker's store also holds its neighbour
+	// shard's copy, whose history the neighbour replays.
+	Shard   int `json:"shard,omitempty"`
+	NShards int `json:"nshards,omitempty"`
 }
 
 // RuleInfo is the externally visible state of a registered rule.
@@ -282,26 +281,24 @@ func (m *Matcher) Register(spec RuleSpec) (*RuleInfo, error) {
 		plan:        plan,
 		windowMs:    windowMs,
 		patternOnly: patternOnly,
-		raw:         patternOnly >= 0,
-		distinct:    plan.Return.Distinct && patternOnly < 0,
 		subjMemo:    make([]map[types.EntityID]bool, len(plan.Patterns)),
 		objMemo:     make([]map[types.EntityID]bool, len(plan.Patterns)),
-		ring:        newRing(m.opts.BufferSize),
+		ring:        ring{cap: m.opts.BufferSize},
 		subs:        make(map[*Subscription]struct{}),
 	}
-	if !r.raw {
-		r.js = NewJoinState(plan, windowMs, m.opts.MaxStatePerRule, m.opts.MaxPairsPerEvent)
+	if spec.NShards > 0 {
+		r.partition = mpp.HomePartitions(spec.Shard, spec.NShards)
 	}
-	if r.distinct {
-		r.seen = NewDedup(m.opts.MaxStatePerRule)
-		// The pair-level shortcut is sound only when the projection depends
-		// on the entities alone: a return item reading an event attribute
-		// (evt.amount, evt.starttime, ...) can project distinct rows from
-		// the same (subject, object) pair, which the shortcut would wrongly
-		// suppress.
-		if len(plan.Patterns) == 1 && !projectsEventAttrs(plan) {
-			r.pairSeen = make(map[[2]uint64]struct{})
-		}
+	if patternOnly < 0 {
+		r.em = NewEmitter(plan, windowMs, m.opts.MaxStatePerRule, m.opts.MaxPairsPerEvent)
+	}
+	// The pair-level shortcut of distinct rules is sound only when the
+	// projection depends on the entities alone: a return item reading an
+	// event attribute (evt.amount, evt.starttime, ...) can project distinct
+	// rows from the same (subject, object) pair, which the shortcut would
+	// wrongly suppress.
+	if r.em != nil && plan.Return.Distinct && len(plan.Patterns) == 1 && !projectsEventAttrs(plan) {
+		r.pairSeen = make(map[[2]uint64]struct{})
 	}
 
 	m.mu.Lock()
@@ -369,12 +366,11 @@ func (m *Matcher) Delete(id string) bool {
 	for s := range r.subs {
 		r.dropSubLocked(s, DropRuleDeleted)
 	}
-	if r.js != nil {
-		m.deletedEvicted += r.js.Evicted()
-		m.deletedOverflows += r.js.Overflows()
+	if r.em != nil {
+		m.deletedEvicted += r.em.js.Evicted()
+		m.deletedOverflows += r.em.js.Overflows()
 	}
-	r.js = nil
-	r.seen = nil
+	r.em = nil
 	r.pending = nil
 	r.mu.Unlock()
 	m.mu.Unlock()
@@ -424,10 +420,10 @@ func (m *Matcher) Stats() Stats {
 	}
 	for _, r := range m.rules {
 		r.mu.Lock()
-		if r.js != nil {
-			st.StateBuffered += r.js.Len()
-			st.StateEvicted += r.js.Evicted()
-			st.JoinOverflows += r.js.Overflows()
+		if r.em != nil {
+			st.StateBuffered += r.em.js.Len()
+			st.StateEvicted += r.em.js.Evicted()
+			st.JoinOverflows += r.em.js.Overflows()
 		}
 		r.mu.Unlock()
 	}
@@ -455,10 +451,10 @@ func (m *Matcher) infoOf(r *rule) RuleInfo {
 		p := r.patternOnly
 		info.Pattern = &p
 	}
-	if r.js != nil {
-		info.StateBuffered = r.js.Len()
-		info.StateEvicted = r.js.Evicted()
-		info.JoinOverflows = r.js.Overflows()
+	if r.em != nil {
+		info.StateBuffered = r.em.js.Len()
+		info.StateEvicted = r.em.js.Evicted()
+		info.JoinOverflows = r.em.js.Overflows()
 	}
 	return info
 }

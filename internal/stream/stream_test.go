@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -414,14 +416,15 @@ func TestNoBackfillSkipsHistory(t *testing.T) {
 	}
 }
 
-// TestBackfillShortWindowMultiAgent pins backfill's replay order: the
-// snapshot scan yields (day, agent) partitions, so without time-ordered
-// replay agent 1's late events would race the watermark past agent 2's
-// within-window chain and expire it. The rule's window (15 min) is far
-// shorter than the day; both agents' chains must still emit, exactly as
-// they would have live.
+// TestBackfillShortWindowMultiAgent pins backfill's replay order: storage
+// yields a day's matches partition by partition, and the backfill runs one
+// data query per pattern, so replaying results in scan order — or pattern
+// after pattern — would race the watermark past agent 2's within-window
+// chain and expire it. The rule's window (15 min) is far shorter than the
+// day; both agents' chains must still emit, and an event matching both
+// patterns must join on either side: the backfill emits exactly what a live
+// rule fed the same events in time order emits, in the same order.
 func TestBackfillShortWindowMultiAgent(t *testing.T) {
-	st, m := newTapped(Options{})
 	var ents []types.Entity
 	var evs []types.Event
 	for agent := 1; agent <= 2; agent++ {
@@ -442,28 +445,51 @@ func TestBackfillShortWindowMultiAgent(t *testing.T) {
 			}
 		}
 	}
-	st.Ingest(types.NewDataset(ents, evs))
-
-	info, err := m.Register(RuleSpec{
+	// Agent 2's reader then writes the file — a match of both patterns —
+	// and reads it again.
+	evs = append(evs,
+		event(203, 2, 202, 201, types.OpWrite, testBase+3000),
+		event(204, 2, 202, 201, types.OpRead, testBase+4000),
+	)
+	spec := RuleSpec{
 		Query: `proc p1 write file f as evt1
-proc p2 read file f as evt2
+proc p2["/r"] read || write file f as evt2
 with evt1 before evt2
 return p1, p2, f`,
 		WindowMs: 15 * time.Minute.Milliseconds(),
-		Backfill: true,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	sub, _, err := m.Subscribe(info.ID, 0)
-	if err != nil {
-		t.Fatal(err)
+	// Agent 1: (write, read). Agent 2: (write, read), (write, both),
+	// (write, read again) and (both, read again).
+	const want = 5
+
+	run := func(backfill bool) []Emission {
+		st, m := newTapped(Options{})
+		if backfill {
+			st.Ingest(types.NewDataset(ents, evs))
+		}
+		spec.Backfill = backfill
+		info, err := m.Register(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, _, err := m.Subscribe(info.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		if !backfill {
+			sorted := slices.Clone(evs)
+			slices.SortFunc(sorted, func(a, b types.Event) int {
+				return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Seq, b.Seq))
+			})
+			st.Ingest(types.NewDataset(ents, sorted))
+		}
+		return drain(t, sub, want)
 	}
-	defer sub.Close()
-	ems := drain(t, sub, 2)
-	for _, em := range ems {
-		if !em.Backfill || em.Row[0] != "/w" || em.Row[1] != "/r" {
-			t.Errorf("emission %+v", em)
+	live, replayed := run(false), run(true)
+	for i, em := range replayed {
+		if !em.Backfill || !slices.Equal(em.Row, live[i].Row) || em.Ts != live[i].Ts {
+			t.Errorf("backfill emission %d = %+v, live = %+v", i, em, live[i])
 		}
 	}
 }
