@@ -228,13 +228,13 @@ func BenchmarkTable4MalwareQueries(b *testing.B) {
 // BenchmarkAblationPruningScore disables the pruning-score relationship
 // ordering of Algorithm 1 (relationships processed in declaration order).
 func BenchmarkAblationPruningScore(b *testing.B) {
-	ablation(b, "aiql", "no-score-sort")
+	ablation(b, "aiql", "no-score-sort", ablationCorpus())
 }
 
 // BenchmarkAblationPushdown disables constrained execution (earlier results
 // no longer narrow later data queries).
 func BenchmarkAblationPushdown(b *testing.B) {
-	ablation(b, "aiql", "no-pushdown")
+	ablation(b, "aiql", "no-pushdown", ablationCorpus())
 }
 
 // BenchmarkAblationParallelWindow scans one partition at a time: the
@@ -245,51 +245,69 @@ func BenchmarkAblationPushdown(b *testing.B) {
 // The producers' gain shows on the service ledger's hunt_tiered workload
 // (docs/BENCHMARKS.md).
 func BenchmarkAblationParallelWindow(b *testing.B) {
-	ablation(b, "aiql", "one-worker")
+	ablation(b, "aiql", "one-worker", ablationCorpus())
 }
 
 // BenchmarkAblationIndexes disables the entity hash indexes and posting
 // lists (full partition scans with predicate evaluation).
 func BenchmarkAblationIndexes(b *testing.B) {
-	ablation(b, "aiql", "no-indexes")
+	ablation(b, "aiql", "no-indexes", ablationCorpus())
 }
 
 // BenchmarkAblationPartitioning disables spatial/temporal partition pruning
 // while keeping everything else.
 func BenchmarkAblationPartitioning(b *testing.B) {
-	ablation(b, "aiql", "no-pruning")
+	ablation(b, "aiql", "no-pruning", ablationCorpus())
 }
 
 // BenchmarkAblationHashJoin forces nested-loop joins.
 func BenchmarkAblationHashJoin(b *testing.B) {
-	ablation(b, "aiql", "no-hashjoin")
+	ablation(b, "aiql", "no-hashjoin", ablationCorpus())
 }
 
 // BenchmarkAblationApplyJoin replaces batch joins with per-row re-expansion
 // (the Cypher Apply discipline) on AIQL's own storage.
 func BenchmarkAblationApplyJoin(b *testing.B) {
-	ablation(b, "aiql", "apply-join")
+	ablation(b, "aiql", "apply-join", ablationCorpus())
 }
 
 // BenchmarkAblationStatsScoring replaces constraint-count pruning scores
-// with index-derived cardinality estimates (paper Sec. 7 future work).
+// with index-derived cardinality estimates (paper Sec. 7 future work), over
+// the corpus and over its scope variants, whose widened agent and day pins
+// give the estimates more to rank.
 func BenchmarkAblationStatsScoring(b *testing.B) {
-	ablation(b, "aiql", "stats-scoring")
+	b.Run("corpus", func(b *testing.B) {
+		ablation(b, "aiql", "stats-scoring", ablationCorpus())
+	})
+	b.Run("scope-variants", func(b *testing.B) {
+		var qs []queries.Query
+		for _, q := range ablationCorpus() {
+			for i, text := range scopeVariants(q.Src, benchCfg.Hosts, benchCfg.Days) {
+				qs = append(qs, queries.Query{ID: fmt.Sprintf("%s/v%d", q.ID, i), Src: text})
+			}
+		}
+		ablation(b, "aiql", "stats-scoring", qs)
+	})
 }
 
-// ablation times the baseline and the variant on the full corpus as pairs
+// ablationCorpus is the query set the ablations time by default: the case
+// study without its anomaly queries, plus the behaviors.
+func ablationCorpus() []queries.Query {
+	return append(caseStudyQueries(), queries.Behaviors()...)
+}
+
+// ablation times the baseline and the variant on the query set qs as pairs
 // inside each iteration, so both sides of a pair see the same host state;
 // even iterations run the baseline first and odd ones the variant (ABBA
 // order), so run order cancels out. Sub-benchmarks run one after the other
 // would measure run order instead. It reports, through pairedVerdict, the
 // median variant/baseline ratio, the pairs the variant won and whether the
 // difference is called (1) or not (0); ns/op is one pair.
-func ablation(b *testing.B, baseline, variant string) {
+func ablation(b *testing.B, baseline, variant string, qs []queries.Query) {
 	eng := benchEngines()
-	all := append(caseStudyQueries(), queries.Behaviors()...)
 	timed := func(sys string) time.Duration {
 		start := time.Now()
-		runCorpus(b, eng[sys], all)
+		runCorpus(b, eng[sys], qs)
 		return time.Since(start)
 	}
 	pairs := make([]abPair, b.N)

@@ -62,16 +62,9 @@ type Options struct {
 	// (mpp.Placement.Replica), and /scan fan-out fails over to the replica
 	// before declaring a partial failure. Requires mpp.SemanticsAware
 	// placement (ArrivalOrder has no home shard to replicate) and at least
-	// two workers. Values above 2 are rejected.
+	// two workers. Values above 2 are rejected. At 2, a rule subscription
+	// also re-dials a dropped worker stream (see consumeWorker).
 	Replicas int
-	// SubscribeRetries bounds how many times a rule subscription's worker
-	// stream is re-dialed after a mid-stream failure before the merged
-	// stream fails (resuming with ?since= so no emission is lost or
-	// duplicated). Defaults to 2 when Replicas > 1, else 0 — a
-	// single-copy cluster keeps its fail-fast semantics.
-	SubscribeRetries int
-	// RetryDelay spaces subscription re-dials (default 250ms).
-	RetryDelay time.Duration
 }
 
 // Coordinator fans data queries out to worker shards. It implements
@@ -84,9 +77,7 @@ type Coordinator struct {
 	// epoch is this coordinator process's replication-stream nonce: batch
 	// tags are (epoch, shard, seq), so a restarted coordinator's sequence
 	// numbers can never collide with a previous life's.
-	epoch      string
-	subRetries int
-	retryDelay time.Duration
+	epoch string
 
 	scans    atomic.Uint64
 	requests atomic.Uint64
@@ -154,14 +145,6 @@ func New(workers []string, opts Options) (*Coordinator, error) {
 	if replicas < 1 {
 		replicas = 1
 	}
-	subRetries := opts.SubscribeRetries
-	if subRetries == 0 && replicas > 1 {
-		subRetries = 2
-	}
-	retryDelay := opts.RetryDelay
-	if retryDelay == 0 {
-		retryDelay = 250 * time.Millisecond
-	}
 	client := opts.Client
 	if client == nil {
 		client = &http.Client{Transport: &http.Transport{
@@ -174,14 +157,12 @@ func New(workers []string, opts Options) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: epoch nonce: %w", err)
 	}
 	return &Coordinator{
-		workers:    urls,
-		placement:  opts.Placement,
-		client:     client,
-		replicas:   replicas,
-		epoch:      hex.EncodeToString(nonce[:]),
-		subRetries: subRetries,
-		retryDelay: retryDelay,
-		rseq:       make(map[int]uint64),
+		workers:   urls,
+		placement: opts.Placement,
+		client:    client,
+		replicas:  replicas,
+		epoch:     hex.EncodeToString(nonce[:]),
+		rseq:      make(map[int]uint64),
 	}, nil
 }
 
@@ -296,12 +277,12 @@ func (c *Coordinator) Ingest(ctx context.Context, ds *types.Dataset) error {
 		// Encoded once: the primary, the replica and any retry send these
 		// same bytes.
 		body := storage.EncodeBatch(&tags[s], ds.Entities, shards[s])
-		perr := c.postIngest(ctx, s, body, "primary")
+		perr := c.postIngest(ctx, s, body)
 		replica := c.placement.Replica(s, n)
 		if c.replicas == 1 || replica < 0 {
 			return perr
 		}
-		rerr := c.postIngest(ctx, replica, body, "replica")
+		rerr := c.postIngest(ctx, replica, body)
 		switch {
 		case perr != nil && rerr != nil:
 			return fmt.Errorf("both copies failed: primary: %v; replica (%s): %v", perr, c.workers[replica], rerr)
@@ -344,14 +325,14 @@ func (c *Coordinator) eachWorker(ctx context.Context, op string, fn func(shard i
 // on a transient failure (transport error or 5xx status). The retry is safe
 // because the tag makes the worker-side apply idempotent: a response lost
 // after the worker applied the batch re-posts as a no-op.
-func (c *Coordinator) postIngest(ctx context.Context, worker int, body []byte, role string) error {
+func (c *Coordinator) postIngest(ctx context.Context, worker int, body []byte) error {
 	var err error
 	for attempt := 0; attempt < 2; attempt++ {
 		if attempt > 0 {
 			c.ingestRetries.Add(1)
 		}
 		var code int
-		if code, err = c.ingestWorker(ctx, worker, body, role); err == nil || ctx.Err() != nil || (code > 0 && code < 500) {
+		if code, err = c.ingestWorker(ctx, worker, body); err == nil || ctx.Err() != nil || (code > 0 && code < 500) {
 			return err
 		}
 	}
@@ -360,13 +341,12 @@ func (c *Coordinator) postIngest(ctx context.Context, worker int, body []byte, r
 
 // ingestWorker makes one /ingest request and returns its status code (0
 // when the transport failed) and an error unless the worker answered 200.
-func (c *Coordinator) ingestWorker(ctx context.Context, worker int, body []byte, role string) (int, error) {
+func (c *Coordinator) ingestWorker(ctx context.Context, worker int, body []byte) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.workers[worker]+"/ingest", bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
 	req.Header.Set("Content-Type", BatchContentType)
-	req.Header.Set(ReplRoleHeader, role)
 	if id := obs.TraceID(ctx); id != "" {
 		req.Header.Set(obs.TraceIDHeader, id)
 	}

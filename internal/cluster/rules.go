@@ -61,11 +61,10 @@ func (cr *coordRule) workerRuleIDs() []string {
 // workerSpecs builds the worker-side rule specs backing this rule on one
 // worker: the spec verbatim for single-pattern rules, one raw per-pattern
 // sub-rule otherwise. On a replicated coordinator each spec also names the
-// worker's home shard, so its backfill replays only that shard — the
-// replica copy the worker stores is its neighbour's to replay, just as the
-// worker's live rules never see replica copies. Registration fans these
-// out; a subscription keeps them so it can re-register on a worker that
-// restarted and lost its rules.
+// worker's home shard, so the rule matches only that shard, live and in
+// backfill — the replica copy the worker stores is its neighbour's to
+// match. Registration fans these out; a subscription keeps them so it can
+// re-register on a worker that restarted and lost its rules.
 func (cr *coordRule) workerSpecs(shard int) []stream.RuleSpec {
 	ids := cr.workerRuleIDs()
 	specs := make([]stream.RuleSpec, len(ids))
@@ -437,9 +436,17 @@ type subLine struct {
 // subscription can resume.
 var errSubNotFound = errors.New("worker does not know the rule")
 
+// A replicated coordinator re-dials a dropped worker subscription up to
+// subscribeRetries times, subscribeRetryDelay apart; a single-copy cluster
+// keeps its fail-fast semantics and never re-dials.
+const (
+	subscribeRetries    = 2
+	subscribeRetryDelay = 250 * time.Millisecond
+)
+
 // consumeWorker keeps one worker's subscription stream flowing into the
-// merge until it ends. A mid-stream failure is retried up to the
-// coordinator's SubscribeRetries budget, resuming with ?since=<last seq
+// merge until it ends. On a replicated coordinator a mid-stream failure is
+// retried up to subscribeRetries times, resuming with ?since=<last seq
 // delivered> so the worker's retained ring replays exactly the gap —
 // emissions are neither lost nor duplicated across the reconnect. A worker
 // that answers 404 (it restarted and lost its rules) is re-registered and
@@ -456,7 +463,7 @@ func (rs *RuleStream) consumeWorker(ctx context.Context, c *Coordinator, shard i
 		if err == nil || ctx.Err() != nil {
 			return // clean end, deliberate close, or the consumer hung up
 		}
-		if retries < c.subRetries {
+		if c.replicas > 1 && retries < subscribeRetries {
 			retries++
 			if errors.Is(err, errSubNotFound) {
 				// Best-effort: if the re-registration fails too, the next
@@ -465,7 +472,7 @@ func (rs *RuleStream) consumeWorker(ctx context.Context, c *Coordinator, shard i
 				lastSeq = 0 // the restarted worker's ring numbers from 1
 			}
 			select {
-			case <-time.After(c.retryDelay):
+			case <-time.After(subscribeRetryDelay):
 				continue
 			case <-ctx.Done():
 				return

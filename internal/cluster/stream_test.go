@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -432,5 +433,105 @@ func TestClusterStreamResumeAfterWorkerDrop(t *testing.T) {
 	if got, wantKey := queries.Canonical(rows), queries.Canonical(want.Rows); got != wantKey {
 		t.Errorf("resumed stream emitted a different result set than the batch engine (%d vs %d rows)",
 			len(rows), len(want.Rows))
+	}
+}
+
+// TestCatchUpFiresPrimaryRules: a primary that missed a batch fires its
+// standing rules for it when it catches up, once. Three durable workers run
+// at R=2; worker 1 answers 503 to every /ingest of the second batch (its
+// shard-1 primary copy and its shard-0 replica copy) while its /subscribe
+// stays up, so the batch lands degraded on the other copy-holders. Catch-up
+// then pulls shard 1 from worker 2 and shard 0 from worker 0: worker 1's
+// rule matches the shard-1 events it missed and ignores the shard-0 copy,
+// which worker 0's rule already matched. The merged stream must equal the
+// batch engine's answer over every acknowledged event, with no duplicates.
+// The rule is not distinct, so a duplicate or a lost match changes the row
+// multiset.
+func TestCatchUpFiresPrimaryRules(t *testing.T) {
+	var failing atomic.Bool
+	ws := make([]*worker, 3)
+	for i := range ws {
+		p, err := storage.OpenPersistent(t.TempDir(), storage.PersistOptions{SyncEveryBatch: true, FlushInterval: -1, CompactInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		s, err := server.NewPersistent(p, engine.New(p.Store, engine.Options{}), server.Options{StreamBuffer: 1 << 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetShard(i)
+		h := s.Handler()
+		w := &worker{store: p.Store}
+		w.srv = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if i == 1 && r.URL.Path == "/ingest" && failing.Load() {
+				http.Error(rw, "injected outage", http.StatusServiceUnavailable)
+				return
+			}
+			h.ServeHTTP(rw, r)
+		}))
+		t.Cleanup(w.srv.Close)
+		ws[i] = w
+	}
+	coord, err := cluster.New(workerURLs(ws), cluster.Options{Placement: mpp.SemanticsAware, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ds := gen.Scenario(gen.Config{Hosts: 10, Days: 3, BackgroundPerHostDay: 50, Seed: 3})
+	half := len(ds.Events) / 2
+	batches := []*types.Dataset{
+		types.NewDataset(ds.Entities, ds.Events[:half]),
+		types.NewDataset(ds.Entities, ds.Events[half:]),
+	}
+	const src = "proc p read file f return p, f"
+	single := storage.New(storage.Options{})
+	single.Ingest(ds)
+	want, err := engine.New(single, engine.Options{}).Query(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := coord.Ingest(context.Background(), batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	info, err := coord.RegisterRule(context.Background(), stream.RuleSpec{Query: src, WindowMs: streamWindowMs, Backfill: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, _, err := coord.SubscribeRule(context.Background(), info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rs.Close)
+
+	failing.Store(true)
+	err = coord.Ingest(context.Background(), batches[1])
+	failing.Store(false)
+	if err != nil {
+		t.Fatalf("degraded ingest was not acknowledged: %v", err)
+	}
+	if d := coord.Stats().DegradedIngests; d != 2 {
+		t.Fatalf("degraded ingests = %d, want 2 (worker 1's primary and replica copies)", d)
+	}
+
+	for _, pull := range []struct{ from, shard int }{{2, 1}, {0, 0}} {
+		body, _ := json.Marshal(map[string]any{"from": ws[pull.from].URL(), "shards": []int{pull.shard}})
+		resp, err := http.Post(ws[1].URL()+"/catchup", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cr server.CatchupResponse
+		err = json.NewDecoder(resp.Body).Decode(&cr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || cr.Applied != 1 {
+			t.Fatalf("catch-up of shard %d from worker %d: status %d applied %d err %v; want 200 and 1 batch",
+				pull.shard, pull.from, resp.StatusCode, cr.Applied, err)
+		}
+	}
+
+	rows := collectEmissions(t, rs, len(want.Rows))
+	if got, wantKey := queries.Canonical(rows), queries.Canonical(want.Rows); got != wantKey {
+		t.Errorf("merged stream after catch-up differs from the batch engine (%d rows each)", len(rows))
 	}
 }

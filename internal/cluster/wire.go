@@ -162,9 +162,6 @@ const (
 	// BatchContentType is the media type of a coordinator's /ingest body:
 	// one tagged batch, the WAL record layout (storage.EncodeBatch).
 	BatchContentType = "application/x-aiql-batch"
-	// ReplRoleHeader names the copy a tagged /ingest delivers: "primary" or
-	// "replica".
-	ReplRoleHeader = "X-Aiql-Repl-Role"
 )
 
 const (

@@ -68,9 +68,6 @@ type Options struct {
 	// MaxPairs bounds the total number of join pairs examined
 	// (default 500,000,000) — the stand-in for the paper's 1h timeout.
 	MaxPairs int64
-	// PushdownLimit caps how many distinct values constrained execution
-	// pushes into a data query (default 65536).
-	PushdownLimit int
 	// NoScoreSort disables the pruning-score ordering of relationships
 	// (ablation; relationships are processed in declaration order).
 	NoScoreSort bool
@@ -97,11 +94,12 @@ func (o Options) withDefaults() Options {
 	if o.MaxPairs == 0 {
 		o.MaxPairs = 500_000_000
 	}
-	if o.PushdownLimit == 0 {
-		o.PushdownLimit = 65536
-	}
 	return o
 }
+
+// pushdownLimit caps how many distinct values constrained execution pushes
+// into a data query; past it, constraintFromMatches pushes none.
+const pushdownLimit = 65536
 
 // Engine executes compiled plans against a backend.
 type Engine struct {
@@ -461,7 +459,7 @@ func (x *execution) constraintFromMatches(j *Join, knownPattern int, n int, get 
 			m := get(i)
 			if v, ok := sideValue(m, knownSide, knownAttr); ok {
 				vals[v] = struct{}{}
-				if len(vals) > x.eng.opts.PushdownLimit {
+				if len(vals) > pushdownLimit {
 					return nil // too many distinct values to push
 				}
 			}

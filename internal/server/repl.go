@@ -31,11 +31,11 @@ var errBadBatch = errors.New("malformed replication batch")
 
 // applyTagged decodes one tagged batch and applies it through w, exactly
 // once per tag: a coordinator's /ingest body and every batch a catch-up
-// pulls go through here. quiet skips the standing-rule observer: replica
-// copies and catch-up transfers re-deliver data the primary's ingest
-// already evaluated, and rules must fire once per batch, not once per copy.
-// It reports whether the batch was applied (false: a duplicate tag).
-func applyTagged(w batchWriter, payload []byte, quiet bool) (*types.Dataset, bool, error) {
+// pulls go through here. An applied batch reaches the standing rules like
+// any other; which copy fires a rule is the rule's home-shard predicate's
+// call (stream.RuleSpec.Shard). It reports whether the batch was applied
+// (false: a duplicate tag).
+func applyTagged(w batchWriter, payload []byte) (*types.Dataset, bool, error) {
 	tag, ents, evs, err := storage.DecodeMaybeTagged(payload)
 	if err == nil && tag == nil {
 		err = errors.New("batch carries no replication tag")
@@ -44,7 +44,7 @@ func applyTagged(w batchWriter, payload []byte, quiet bool) (*types.Dataset, boo
 		return nil, false, fmt.Errorf("%w: %v", errBadBatch, err)
 	}
 	ds := types.NewDataset(ents, evs)
-	applied, err := w.IngestBatch(tag, ds, quiet)
+	applied, err := w.IngestBatch(tag, ds)
 	if err != nil {
 		return nil, false, fmt.Errorf("apply %s: %w", tag, err)
 	}
@@ -174,9 +174,9 @@ func CatchUp(ctx context.Context, durable *storage.Persistent, from string, shar
 	}
 	out := &CatchupResponse{}
 	peerStates, err := cluster.ReadShip(resp.Body, func(payload []byte) error {
-		// Quiet: catch-up re-delivers data whose original ingest
-		// already fed the standing rules on the shard's primary.
-		_, applied, err := applyTagged(durable, payload, true)
+		// A batch this store missed fires its rules now, once: the tag
+		// keeps a repeated transfer from firing them again.
+		_, applied, err := applyTagged(durable, payload)
 		if err != nil {
 			return err
 		}

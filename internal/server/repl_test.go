@@ -38,7 +38,7 @@ func taggedBatch(k int) string {
 
 // postTagged posts a batch as a coordinator does, one tagged batch in the
 // WAL record layout, returning the decoded response.
-func postTagged(t *testing.T, url string, shard int, seq uint64, role, batch string) *server.IngestResponse {
+func postTagged(t *testing.T, url string, shard int, seq uint64, batch string) *server.IngestResponse {
 	t.Helper()
 	ds, err := trace.Read(strings.NewReader(batch))
 	if err != nil {
@@ -50,7 +50,6 @@ func postTagged(t *testing.T, url string, shard int, seq uint64, role, batch str
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", cluster.BatchContentType)
-	req.Header.Set(cluster.ReplRoleHeader, role)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -76,13 +75,13 @@ func TestTaggedIngestHTTPDedup(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	first := postTagged(t, ts.URL, 0, 1, "primary", taggedBatch(1))
+	first := postTagged(t, ts.URL, 0, 1, taggedBatch(1))
 	if first.Duplicate || first.Events != 1 {
 		t.Fatalf("first tagged ingest: %+v", first)
 	}
 	count := st.EventCount()
 
-	again := postTagged(t, ts.URL, 0, 1, "primary", taggedBatch(1))
+	again := postTagged(t, ts.URL, 0, 1, taggedBatch(1))
 	if !again.Duplicate {
 		t.Fatal("re-posted tag was not reported as a duplicate")
 	}
@@ -146,11 +145,11 @@ func TestCatchUpAcrossCrashWindow(t *testing.T) {
 	// Dual-write era: batches 1-2 land on both copies; then the replica
 	// goes dark and batches 3-4 land only on the primary.
 	for k := 1; k <= 4; k++ {
-		if r := postTagged(t, tsA.URL, 0, uint64(k), "primary", taggedBatch(k)); r.Duplicate {
+		if r := postTagged(t, tsA.URL, 0, uint64(k), taggedBatch(k)); r.Duplicate {
 			t.Fatalf("batch %d duplicate on primary", k)
 		}
 		if k <= 2 {
-			if r := postTagged(t, tsB.URL, 0, uint64(k), "replica", taggedBatch(k)); r.Duplicate {
+			if r := postTagged(t, tsB.URL, 0, uint64(k), taggedBatch(k)); r.Duplicate {
 				t.Fatalf("batch %d duplicate on replica", k)
 			}
 		}
@@ -245,8 +244,8 @@ func TestCatchupHistoryGapIsConflict(t *testing.T) {
 	t.Cleanup(tsB.Close)
 	t.Cleanup(func() { pB.Close() })
 
-	postTagged(t, tsA.URL, 0, 1, "primary", taggedBatch(1))
-	postTagged(t, tsA.URL, 0, 2, "primary", taggedBatch(2))
+	postTagged(t, tsA.URL, 0, 1, taggedBatch(1))
+	postTagged(t, tsA.URL, 0, 2, taggedBatch(2))
 	if err := pA.Compact(); err != nil {
 		t.Fatal(err)
 	}

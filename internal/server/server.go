@@ -156,7 +156,7 @@ type Server struct {
 // or not: *storage.Store applies it in memory, *storage.Persistent journals
 // it first.
 type batchWriter interface {
-	IngestBatch(tag *storage.ReplTag, d *types.Dataset, quiet bool) (bool, error)
+	IngestBatch(tag *storage.ReplTag, d *types.Dataset) (bool, error)
 }
 
 // New creates a service over an existing store and engine. The store's
@@ -726,9 +726,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// survives a crash; only that journal can fail.
 	applied := false
 	if tagged {
-		ds, applied, err = applyTagged(s.writer, payload, r.Header.Get(cluster.ReplRoleHeader) == "replica")
+		ds, applied, err = applyTagged(s.writer, payload)
 	} else {
-		applied, err = s.writer.IngestBatch(nil, ds, false)
+		applied, err = s.writer.IngestBatch(nil, ds)
 	}
 	if errors.Is(err, errBadBatch) {
 		s.httpTraceError(w, r, http.StatusBadRequest, err)

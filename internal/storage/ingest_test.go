@@ -14,7 +14,7 @@ import (
 
 // batchWriter is the write path both store modes share.
 type batchWriter interface {
-	IngestBatch(tag *ReplTag, d *types.Dataset, quiet bool) (bool, error)
+	IngestBatch(tag *ReplTag, d *types.Dataset) (bool, error)
 }
 
 // lastRecord returns the payload of the WAL's newest record.
@@ -31,12 +31,14 @@ func lastRecord(t *testing.T, p *Persistent) []byte {
 }
 
 // TestIngestBatchMatrix drives the one write path over {in-memory, durable}
-// × {untagged, new tag, repeated tag} × {notify, quiet}. A repeated tag is a
-// counted no-op: no WAL record, no generation bump, no observer call. Every
-// other batch bumps the generation once and notifies the observer unless
-// quiet; on a durable store its WAL record — in the unchanged untagged or
-// tagged encoding — is on disk before the batch is applied, and a reopen
-// reproduces the store's events and applied-set.
+// × {untagged, new tag, repeated tag} × {observer attached, quiet: none
+// attached}. A repeated tag is a counted no-op: no WAL record, no
+// generation bump, no observer call. Every other batch bumps the generation
+// once and reaches an attached observer exactly once, after its WAL record;
+// on a durable store that record — in the unchanged untagged or tagged
+// encoding — is on disk before the batch is applied, and a reopen
+// reproduces the store's events and applied-set, with or without an
+// observer.
 func TestIngestBatchMatrix(t *testing.T) {
 	batches := splitDataset(gen.Scenario(gen.SmallConfig()), 2)
 	tag := ReplTag{Epoch: "e1", Shard: 0, Seq: 1}
@@ -64,15 +66,17 @@ func TestIngestBatchMatrix(t *testing.T) {
 					if kind == "repeated-tag" {
 						seedTag = &tag
 					}
-					if applied, err := w.IngestBatch(seedTag, batches[0], false); err != nil || !applied {
+					if applied, err := w.IngestBatch(seedTag, batches[0]); err != nil || !applied {
 						t.Fatalf("seed batch: applied=%v err=%v", applied, err)
 					}
 
 					calls, seqAtNotify := 0, uint64(0)
-					st.SetIngestObserver(func(*types.Dataset, uint64) {
-						calls++
-						seqAtNotify = walSeq()
-					})
+					if !quiet {
+						st.SetIngestObserver(func(*types.Dataset, uint64) {
+							calls++
+							seqAtNotify = walSeq()
+						})
+					}
 					b, batchTag := batches[1], (*ReplTag)(nil)
 					switch kind {
 					case "new-tag":
@@ -81,7 +85,7 @@ func TestIngestBatchMatrix(t *testing.T) {
 						b, batchTag = batches[0], &tag
 					}
 					gen0, seq0, dup0 := st.Generation(), walSeq(), st.ReplStats().Duplicates
-					applied, err := w.IngestBatch(batchTag, b, quiet)
+					applied, err := w.IngestBatch(batchTag, b)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -97,7 +101,7 @@ func TestIngestBatchMatrix(t *testing.T) {
 					} else {
 						wantCalls := 1
 						if quiet {
-							wantCalls = 0
+							wantCalls = 0 // no observer attached
 						}
 						if !applied || st.Generation() != gen0+1 || calls != wantCalls {
 							t.Fatalf("applied=%v generation %d→%d observer calls %d; want applied, +1, %d calls",
@@ -157,7 +161,7 @@ func TestIngestJournalFailureAppliesNothing(t *testing.T) {
 	calls := 0
 	p.Store.SetIngestObserver(func(*types.Dataset, uint64) { calls++ })
 	gen0, events0 := p.Generation(), p.EventCount()
-	if applied, err := p.IngestBatch(nil, batches[1], false); applied || err == nil {
+	if applied, err := p.IngestBatch(nil, batches[1]); applied || err == nil {
 		t.Fatalf("ingest over a failing WAL: applied=%v err=%v; want refused", applied, err)
 	}
 	if p.Generation() != gen0 || p.EventCount() != events0 || calls != 0 {
@@ -184,7 +188,7 @@ func TestFsyncLatchRefusesBatches(t *testing.T) {
 
 	gen0, events0, seq0 := p.Generation(), p.EventCount(), p.log.LastSeq()
 	for _, tag := range []*ReplTag{nil, {Epoch: "e1", Shard: 0, Seq: 1}} {
-		applied, err := p.IngestBatch(tag, batches[1], false)
+		applied, err := p.IngestBatch(tag, batches[1])
 		if applied || !errors.Is(err, failed) {
 			t.Fatalf("tag %v after a failed fsync: applied=%v err=%v; want the latched error", tag, applied, err)
 		}

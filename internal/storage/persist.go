@@ -265,12 +265,12 @@ func OpenPersistent(dir string, opts PersistOptions) (*Persistent, error) {
 		if err != nil {
 			return fmt.Errorf("wal seq %d: %w", seq, err)
 		}
-		// Apply untagged, quietly and unconditionally: Replay already skips
-		// covered sequence numbers, and the tag dedup must not second-guess
-		// it — the tag scan above recorded this record's tag (the sidecar
-		// may hold it too), but its data exists nowhere else than right
-		// here.
-		_, _ = p.Store.apply(nil, &types.Dataset{Entities: entities, Events: events}, true, nil)
+		// Apply untagged and unconditionally: Replay already skips covered
+		// sequence numbers, and the tag dedup must not second-guess it — the
+		// tag scan above recorded this record's tag (the sidecar may hold it
+		// too), but its data exists nowhere else than right here. No
+		// observer can be attached to the store before it is returned.
+		_, _ = p.Store.apply(nil, &types.Dataset{Entities: entities, Events: events}, nil)
 		p.replayed.Add(1)
 		return nil
 	})
@@ -350,7 +350,7 @@ type segEntry struct {
 
 // Ingest journals one untagged batch, then applies it; see IngestBatch.
 func (p *Persistent) Ingest(ds *types.Dataset) error {
-	_, err := p.IngestBatch(nil, ds, false)
+	_, err := p.IngestBatch(nil, ds)
 	return err
 }
 
@@ -364,7 +364,7 @@ func (p *Persistent) Ingest(ds *types.Dataset) error {
 // embedded store fires inside the same batch boundary the journal uses, so
 // streaming consumers observe exactly the acknowledged batches, in WAL
 // order.
-func (p *Persistent) IngestBatch(tag *ReplTag, ds *types.Dataset, quiet bool) (bool, error) {
+func (p *Persistent) IngestBatch(tag *ReplTag, ds *types.Dataset) (bool, error) {
 	if err := p.WarmUp(); err != nil {
 		return false, err
 	}
@@ -372,7 +372,7 @@ func (p *Persistent) IngestBatch(tag *ReplTag, ds *types.Dataset, quiet bool) (b
 		return false, fmt.Errorf("storage: WAL sync failed earlier, refusing new batches: %w", *ep)
 	}
 	payload := EncodeBatch(tag, ds.Entities, ds.Events)
-	applied, err := p.Store.apply(tag, ds, quiet, func() error {
+	applied, err := p.Store.apply(tag, ds, func() error {
 		if _, err := p.log.Append(payload); err != nil {
 			return err
 		}

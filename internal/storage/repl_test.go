@@ -19,9 +19,9 @@ func taggedBatches(ds *types.Dataset, n int) ([]*types.Dataset, []ReplTag) {
 	return batches, tags
 }
 
-// TestTaggedIngestDedup covers the in-memory applied-set: a re-posted tag
-// is a no-op, a quiet apply skips the ingest observer (replica copies must
-// not re-fire standing rules), and the stats counters track both outcomes.
+// TestTaggedIngestDedup covers the in-memory applied-set: every first apply
+// of a tag notifies the ingest observer, a re-posted tag is a no-op that
+// never does, and the stats counters track both outcomes.
 func TestTaggedIngestDedup(t *testing.T) {
 	ds := gen.Scenario(gen.SmallConfig())
 	batches, tags := taggedBatches(ds, 3)
@@ -31,21 +31,23 @@ func TestTaggedIngestDedup(t *testing.T) {
 	st.SetIngestObserver(func(d *types.Dataset, gen uint64) { observed++ })
 
 	for i, b := range batches {
-		quiet := i == len(batches)-1 // last batch plays the replica copy
-		if applied, _ := st.IngestBatch(&tags[i], b, quiet); !applied {
+		if applied, _ := st.IngestBatch(&tags[i], b); !applied {
 			t.Fatalf("first apply of %s reported duplicate", tags[i])
 		}
-	}
-	if observed != len(batches)-1 {
-		t.Fatalf("observer fired %d times, want %d (quiet apply must skip it)", observed, len(batches)-1)
+		if observed != i+1 {
+			t.Fatalf("observer fired %d times after %d first applies", observed, i+1)
+		}
 	}
 
 	// Retry storm: every tag again, in and out of order.
 	before := st.EventCount()
 	for i := len(batches) - 1; i >= 0; i-- {
-		if applied, _ := st.IngestBatch(&tags[i], batches[i], false); applied {
+		if applied, _ := st.IngestBatch(&tags[i], batches[i]); applied {
 			t.Fatalf("re-apply of %s was not suppressed", tags[i])
 		}
+	}
+	if observed != len(batches) {
+		t.Fatalf("observer fired %d times, want %d: a re-posted tag must not notify", observed, len(batches))
 	}
 	if st.EventCount() != before {
 		t.Fatalf("duplicate applies changed the store: %d events, want %d", st.EventCount(), before)
@@ -74,7 +76,7 @@ func TestReplStateSurvivesCompactionAndReopen(t *testing.T) {
 	// First half: applied, then compacted into segments (WAL records gone,
 	// sidecar is the only durable record of their tags).
 	for i := 0; i < 2; i++ {
-		if applied, err := p.IngestBatch(&tags[i], batches[i], false); err != nil || !applied {
+		if applied, err := p.IngestBatch(&tags[i], batches[i]); err != nil || !applied {
 			t.Fatalf("apply %s: applied=%v err=%v", tags[i], applied, err)
 		}
 	}
@@ -83,7 +85,7 @@ func TestReplStateSurvivesCompactionAndReopen(t *testing.T) {
 	}
 	// Second half: applied but left in the WAL (tagged records on disk).
 	for i := 2; i < 4; i++ {
-		if applied, err := p.IngestBatch(&tags[i], batches[i], false); err != nil || !applied {
+		if applied, err := p.IngestBatch(&tags[i], batches[i]); err != nil || !applied {
 			t.Fatalf("apply %s: applied=%v err=%v", tags[i], applied, err)
 		}
 	}
@@ -94,7 +96,7 @@ func TestReplStateSurvivesCompactionAndReopen(t *testing.T) {
 	re := openOrFatal(t, dir, persistOpts())
 	assertStoresEqual(t, re.Store, want, "after reopen")
 	for i, tag := range tags {
-		applied, err := re.IngestBatch(&tag, batches[i], false)
+		applied, err := re.IngestBatch(&tag, batches[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +128,7 @@ func TestReplStateCrashMatrix(t *testing.T) {
 			dir := t.TempDir()
 			p := openOrFatal(t, dir, persistOpts())
 			for i, b := range batches {
-				if applied, err := p.IngestBatch(&tags[i], b, false); err != nil || !applied {
+				if applied, err := p.IngestBatch(&tags[i], b); err != nil || !applied {
 					t.Fatalf("apply %s: applied=%v err=%v", tags[i], applied, err)
 				}
 			}
@@ -144,7 +146,7 @@ func TestReplStateCrashMatrix(t *testing.T) {
 			re := openOrFatal(t, dir, persistOpts())
 			assertStoresEqual(t, re.Store, want, "after crash at "+point)
 			for i, tag := range tags {
-				applied, err := re.IngestBatch(&tag, batches[i], false)
+				applied, err := re.IngestBatch(&tag, batches[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -163,7 +165,7 @@ func TestReplStateCrashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			re2 := openOrFatal(t, dir, persistOpts())
-			if applied, err := re2.IngestBatch(&tags[0], batches[0], false); err != nil || applied {
+			if applied, err := re2.IngestBatch(&tags[0], batches[0]); err != nil || applied {
 				t.Fatalf("tag %s lost after compact+reopen: applied=%v err=%v", tags[0], applied, err)
 			}
 		})
@@ -186,7 +188,7 @@ func TestShipReplicatedFiltersShards(t *testing.T) {
 		{Epoch: "e1", Shard: 0, Seq: 2},
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := p.IngestBatch(&tagOf[i], batches[i], false); err != nil {
+		if _, err := p.IngestBatch(&tagOf[i], batches[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -319,26 +319,24 @@ func New(opts Options) *Store {
 // any partition that did receive out-of-order events is re-sorted once at
 // the end of the batch, not per event.
 func (s *Store) Ingest(d *types.Dataset) {
-	_, _ = s.apply(nil, d, false, nil)
+	_, _ = s.apply(nil, d, nil)
 }
 
 // IngestBatch applies one batch, tagged or not. A replication-tagged batch
 // (tag non-nil) is applied exactly once: if its tag was already applied the
-// batch is skipped and false is returned. quiet suppresses the ingest
-// observer — replica-role and catch-up ingests must not feed standing rules,
-// or a rule would fire once per copy of the data. The in-memory store never
-// fails; the error is there so *Persistent, whose journal can, shares the
-// signature.
-func (s *Store) IngestBatch(tag *ReplTag, d *types.Dataset, quiet bool) (bool, error) {
-	return s.apply(tag, d, quiet, nil)
+// batch is skipped and false is returned. Every applied batch reaches the
+// ingest observer. The in-memory store never fails; the error is there so
+// *Persistent, whose journal can, shares the signature.
+func (s *Store) IngestBatch(tag *ReplTag, d *types.Dataset) (bool, error) {
+	return s.apply(tag, d, nil)
 }
 
 // apply is the one way a batch enters the store. Under tapMu it skips a
 // tagged batch whose tag is already applied (counting a duplicate), runs
 // journal if given (the durable store's WAL append, which must land before
 // the batch is visible), applies the batch, records the tag, and notifies
-// the observer unless quiet. A journal error leaves the store untouched.
-func (s *Store) apply(tag *ReplTag, d *types.Dataset, quiet bool, journal func() error) (bool, error) {
+// the observer. A journal error leaves the store untouched.
+func (s *Store) apply(tag *ReplTag, d *types.Dataset, journal func() error) (bool, error) {
 	s.tapMu.Lock()
 	defer s.tapMu.Unlock()
 	if tag != nil && s.replAppliedLocked(*tag) {
@@ -356,7 +354,7 @@ func (s *Store) apply(tag *ReplTag, d *types.Dataset, quiet bool, journal func()
 		s.replApplied++
 		s.replMu.Unlock()
 	}
-	if !quiet && s.obs != nil {
+	if s.obs != nil {
 		s.obs(d, gen)
 	}
 	return true, nil

@@ -77,8 +77,8 @@ type rule struct {
 	plan        *engine.Plan
 	windowMs    int64
 	patternOnly int // -1 = all patterns; >= 0 restricts to one, emitting RawMatch
-	// partition, when set, restricts the backfill to the partitions of the
-	// worker's home shard (RuleSpec.Shard/NShards).
+	// partition, when set, restricts the rule, live and in backfill, to the
+	// partitions of the worker's home shard (RuleSpec.Shard/NShards).
 	partition func(agent, day int) bool
 
 	mu       sync.Mutex

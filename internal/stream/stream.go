@@ -44,6 +44,7 @@ import (
 	"aiql/internal/mpp"
 	"aiql/internal/parser"
 	"aiql/internal/storage"
+	"aiql/internal/timeutil"
 	"aiql/internal/types"
 )
 
@@ -121,11 +122,11 @@ type RuleSpec struct {
 	// the cluster coordinator registers on workers to run the cross-shard
 	// join itself.
 	Pattern *int `json:"pattern,omitempty"`
-	// Shard/NShards, when NShards > 0, restrict the backfill to the
-	// partitions whose home shard under the semantics-aware placement over
-	// NShards workers is Shard. Like Pattern, they are set by the cluster
-	// coordinator: a replicated worker's store also holds its neighbour
-	// shard's copy, whose history the neighbour replays.
+	// Shard/NShards, when NShards > 0, restrict the rule, live and in
+	// backfill, to the partitions whose home shard under the semantics-aware
+	// placement over NShards workers is Shard. Like Pattern, they are set by
+	// the cluster coordinator: a replicated worker also applies its
+	// neighbour shard's copy, which the neighbour's rules match.
 	Shard   int `json:"shard,omitempty"`
 	NShards int `json:"nshards,omitempty"`
 }
@@ -226,6 +227,9 @@ func (m *Matcher) OnIngest(d *types.Dataset, gen uint64) {
 		for _, ref := range refs {
 			pp := ref.r.plan.Patterns[ref.pattern]
 			if !patternAdmits(pp, ev) {
+				continue
+			}
+			if part := ref.r.partition; part != nil && !part(ev.AgentID, timeutil.DayIndex(ev.Start)) {
 				continue
 			}
 			if !resolved {

@@ -12,8 +12,10 @@ import (
 	"time"
 
 	"aiql/internal/gen"
+	"aiql/internal/mpp"
 	"aiql/internal/pred"
 	"aiql/internal/storage"
+	"aiql/internal/timeutil"
 	"aiql/internal/types"
 )
 
@@ -691,6 +693,60 @@ return p1, p2, f`,
 	}
 	if ems[0].Match.Subj.Attrs[types.AttrExeName] != "/w" {
 		t.Errorf("raw subj %+v", ems[0].Match.Subj)
+	}
+}
+
+// TestHomeShardRuleMatchesOnlyItsShard: a rule registered with
+// Shard/NShards matches a live event only when the event's (agent, day)
+// partition is homed on that shard — the predicate its backfill passes as
+// q.Partition — so of a replicated worker's two copies only the home one
+// fires it. A rule without a shard matches every event its store applies.
+func TestHomeShardRuleMatchesOnlyItsShard(t *testing.T) {
+	const nshards = 3
+	day := timeutil.DayIndex(testBase)
+	home := mpp.HomePartitions(0, nshards)
+	in, out := -1, -1
+	for a := 1; a < 64 && (in < 0 || out < 0); a++ {
+		switch {
+		case home(a, day) && in < 0:
+			in = a
+		case !home(a, day) && out < 0:
+			out = a
+		}
+	}
+	if in < 0 || out < 0 {
+		t.Fatalf("no agents inside and outside shard 0 on day %d", day)
+	}
+
+	st, m := newTapped(Options{})
+	const q = `proc p read file f["/etc/shadow"] return p, f`
+	subscribe := func(spec RuleSpec) *Subscription {
+		info, err := m.Register(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, _, err := m.Subscribe(info.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sub.Close)
+		return sub
+	}
+	owned := subscribe(RuleSpec{Query: q, Shard: 0, NShards: nshards})
+	all := subscribe(RuleSpec{Query: q})
+
+	ents := procFile(1, 2, in, "/usr/bin/cat", "/etc/shadow")
+	ents = append(ents, procFile(3, 4, out, "/usr/bin/vi", "/etc/shadow")...)
+	st.Ingest(types.NewDataset(ents, []types.Event{
+		event(1, in, 1, 2, types.OpRead, testBase+1000),  // home shard 0
+		event(2, out, 3, 4, types.OpRead, testBase+2000), // another shard's
+	}))
+
+	if got := drain(t, owned, 1); strings.Join(got[0].Row, " ") != "/usr/bin/cat /etc/shadow" {
+		t.Fatalf("shard-0 rule emitted %v, want the home-shard event's row only", got[0].Row)
+	}
+	if got := drain(t, all, 2); strings.Join(got[1].Row, " ") != "/usr/bin/vi /etc/shadow" {
+		t.Fatalf("unsharded rule's second row %v, want the other shard's event", got[1].Row)
 	}
 }
 
