@@ -114,6 +114,27 @@ func TestConformanceCoordinator(t *testing.T) {
 	})
 }
 
+// TestStreamConformance holds the live rule tap, over the memory store and
+// the durable store's WAL-first ingest, to the reference evaluator.
+func TestStreamConformance(t *testing.T) {
+	t.Run("memory", func(t *testing.T) {
+		backendtest.StreamConformance(t, func(t testing.TB) (*storage.Store, func(*types.Dataset) error) {
+			st := storage.New(storage.Options{})
+			return st, func(ds *types.Dataset) error { st.Ingest(ds); return nil }
+		})
+	})
+	t.Run("persistent", func(t *testing.T) {
+		backendtest.StreamConformance(t, func(t testing.TB) (*storage.Store, func(*types.Dataset) error) {
+			p, err := storage.OpenPersistent(t.TempDir(), storage.PersistOptions{FlushInterval: -1, CompactInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { p.Close() })
+			return p.Store, p.Ingest
+		})
+	})
+}
+
 func TestConformanceStrategies(t *testing.T) {
 	for _, s := range []engine.Strategy{engine.StrategyRelationship, engine.StrategyFetchFilter, engine.StrategyBigJoin} {
 		t.Run(s.String(), func(t *testing.T) {

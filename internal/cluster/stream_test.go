@@ -84,10 +84,13 @@ func collectEmissions(t *testing.T, rs *cluster.RuleStream, want int) [][]string
 // TestClusterStreamCorpusParity is the distributed half of the golden
 // batch/stream parity criterion: every streamable corpus query, registered
 // through the coordinator over 3 workers (raw per-pattern fan-out +
-// coordinator-side join for multi-pattern rules) with backfill over the
-// scattered dataset, emits exactly the rows the batch engine returns over
-// the undivided store — unreplicated, and at R=2, where every worker also
-// stores its neighbour shard's copy and must replay only its own.
+// coordinator-side join for multi-pattern rules), emits exactly the rows
+// the batch engine returns over the undivided store — unreplicated, and at
+// R=2, where every worker also stores its neighbour shard's copy and must
+// match only its own. The replicas=N subtests register over the ingested
+// dataset, so their rows come from backfill; the live/replicas=N subtests
+// register first and then ingest the dataset in three batches, so every
+// row comes from the workers' live ingest taps.
 func TestClusterStreamCorpusParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping corpus replay over the cluster")
@@ -96,46 +99,78 @@ func TestClusterStreamCorpusParity(t *testing.T) {
 	single := storage.New(storage.Options{})
 	single.Ingest(ds)
 	batch := engine.New(single, engine.Options{})
-	for _, replicas := range []int{1, 2} {
-		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
-			workers := startStreamWorkers(3)
-			t.Cleanup(func() { closeWorkers(workers) })
-			coord, err := cluster.New(workerURLs(workers), cluster.Options{Placement: mpp.SemanticsAware, Replicas: replicas})
-			if err != nil {
-				t.Fatal(err)
+	third := len(ds.Events) / 3
+	split := []*types.Dataset{
+		types.NewDataset(ds.Entities, ds.Events[:third]),
+		types.NewDataset(nil, ds.Events[third:2*third]),
+		types.NewDataset(nil, ds.Events[2*third:]),
+	}
+	for _, live := range []bool{false, true} {
+		for _, replicas := range []int{1, 2} {
+			name := fmt.Sprintf("replicas=%d", replicas)
+			if live {
+				name = "live/" + name
 			}
-			if err := coord.Ingest(context.Background(), ds); err != nil {
-				t.Fatal(err)
-			}
-			checkClusterStreamParity(t, coord, batch)
-		})
+			t.Run(name, func(t *testing.T) {
+				workers := startStreamWorkers(3)
+				t.Cleanup(func() { closeWorkers(workers) })
+				coord, err := cluster.New(workerURLs(workers), cluster.Options{Placement: mpp.SemanticsAware, Replicas: replicas})
+				if err != nil {
+					t.Fatal(err)
+				}
+				batches := []*types.Dataset{ds}
+				if live {
+					batches = split
+				}
+				checkClusterStreamParity(t, coord, batch, batches, live)
+			})
+		}
 	}
 }
 
 // checkClusterStreamParity registers every streamable corpus query on the
-// coordinator with backfill and compares its merged stream with the batch
-// engine's answer.
-func checkClusterStreamParity(t *testing.T, coord *cluster.Coordinator, batch *engine.Engine) {
+// coordinator and compares each rule's merged stream with the batch
+// engine's answer. The batches go in before registration, when the rules
+// backfill, or after it, when live.
+func checkClusterStreamParity(t *testing.T, coord *cluster.Coordinator, batch *engine.Engine, batches []*types.Dataset, live bool) {
+	ingest := func() {
+		for _, b := range batches {
+			if err := coord.Ingest(context.Background(), b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !live {
+		ingest()
+	}
 	corpus := append(queries.CaseStudy(), queries.Behaviors()...)
-	streamable := 0
+	var rules []queries.Query
 	for _, q := range corpus {
 		plan := compileOrSkip(t, q.Src)
 		if plan == nil || plan.Streamable() != nil {
 			continue
 		}
-		streamable++
+		if _, err := coord.RegisterRule(context.Background(), stream.RuleSpec{
+			ID: "parity-" + q.ID, Query: q.Src, WindowMs: streamWindowMs, Backfill: !live,
+		}); err != nil {
+			t.Fatalf("%s: register: %v", q.ID, err)
+		}
+		rules = append(rules, q)
+	}
+	if len(rules) < 20 {
+		t.Fatalf("only %d corpus queries were streamable; the parity sweep is not exercising the corpus", len(rules))
+	}
+	if live {
+		ingest()
+	}
+	for _, q := range rules {
 		want, err := batch.Query(q.Src)
 		if err != nil {
 			t.Fatalf("%s: batch execution failed: %v", q.ID, err)
 		}
-
-		info, err := coord.RegisterRule(context.Background(), stream.RuleSpec{
-			ID: "parity-" + q.ID, Query: q.Src, WindowMs: streamWindowMs, Backfill: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: register: %v", q.ID, err)
-		}
-		rs, _, err := coord.SubscribeRule(context.Background(), info.ID)
+		// The subscription replays the workers' retained rings, which
+		// hold every emission so far, backfilled or live.
+		rs, _, err := coord.SubscribeRule(context.Background(), "parity-"+q.ID)
 		if err != nil {
 			t.Fatalf("%s: subscribe: %v", q.ID, err)
 		}
@@ -148,14 +183,11 @@ func checkClusterStreamParity(t *testing.T, coord *cluster.Coordinator, batch *e
 			t.Errorf("%s: stream emitted a different result set than the batch engine (%d rows each)",
 				q.ID, len(rows))
 		}
-		if err := coord.DeleteRule(context.Background(), info.ID); err != nil {
+		if err := coord.DeleteRule(context.Background(), "parity-"+q.ID); err != nil {
 			t.Fatalf("%s: delete: %v", q.ID, err)
 		}
 	}
-	if streamable < 20 {
-		t.Fatalf("only %d corpus queries were streamable; the parity sweep is not exercising the corpus", streamable)
-	}
-	t.Logf("verified %d streamable corpus queries over a 3-worker cluster", streamable)
+	t.Logf("verified %d streamable corpus queries over a 3-worker cluster", len(rules))
 }
 
 func compileOrSkip(t *testing.T, src string) *engine.Plan {

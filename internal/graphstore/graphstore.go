@@ -119,52 +119,16 @@ func (g *Graph) run(ctx context.Context, q *storage.DataQuery) []storage.Match {
 		return nil
 	}
 
-	var agentSet map[int]struct{}
-	if len(q.Agents) > 0 {
-		agentSet = make(map[int]struct{}, len(q.Agents))
-		for _, a := range q.Agents {
-			agentSet[a] = struct{}{}
-		}
-	}
-
+	// The row test is the data query's own (DataQuery.Admits), with the
+	// schema-index candidates standing in for each side's allowed set and
+	// predicate.
 	check := func(pos int32) (storage.Match, bool) {
 		ev := &g.events[pos]
-		if !q.Ops.Contains(ev.Op) {
+		if !q.AdmitsEvent(ev) {
 			return storage.Match{}, false
-		}
-		if !q.Window.Unbounded() && !q.Window.Contains(ev.Start) {
-			return storage.Match{}, false
-		}
-		if agentSet != nil {
-			if _, ok := agentSet[ev.AgentID]; !ok {
-				return storage.Match{}, false
-			}
 		}
 		subj, obj := g.entities[ev.Subject], g.entities[ev.Object]
-		if subj == nil || obj == nil {
-			return storage.Match{}, false
-		}
-		if q.SubjType != types.EntityInvalid && subj.Type != q.SubjType {
-			return storage.Match{}, false
-		}
-		if q.ObjType != types.EntityInvalid && obj.Type != q.ObjType {
-			return storage.Match{}, false
-		}
-		if subjCand != nil {
-			if _, ok := subjCand[ev.Subject]; !ok {
-				return storage.Match{}, false
-			}
-		} else if q.SubjPred != nil && !q.SubjPred.Eval(subj) {
-			return storage.Match{}, false
-		}
-		if objCand != nil {
-			if _, ok := objCand[ev.Object]; !ok {
-				return storage.Match{}, false
-			}
-		} else if q.ObjPred != nil && !q.ObjPred.Eval(obj) {
-			return storage.Match{}, false
-		}
-		if q.EvtPred != nil && !q.EvtPred.Eval(ev) {
+		if !q.AdmitsSubject(subj, subjCand) || !q.AdmitsObject(obj, objCand) {
 			return storage.Match{}, false
 		}
 		return storage.Match{Event: ev, Subj: subj, Obj: obj}, true

@@ -275,7 +275,7 @@ func (s *coldScan) open(run *coldRun, b int) error {
 // mark selects row i of the open block, whose operation is op, if it passes
 // the row filter, reading its dictionary indexes in place.
 func (s *coldScan) mark(i int, op types.Op) error {
-	if !s.f.ops.Contains(op) {
+	if !s.f.q.Ops.Contains(op) {
 		return nil // spare the probes
 	}
 	c := &s.cols

@@ -170,27 +170,12 @@ func (c *shadowChunk) Int64Column(attr string) ([]int64, bool) {
 // OpColumn implements pred.ColumnSource.
 func (c *shadowChunk) OpColumn() ([]types.Op, bool) { return c.sh.ops[c.lo:c.hi], true }
 
-// entityPasses is the entity half of a data query's row test: the entity
-// must exist, match the type filter, and pass the candidate-set membership
-// test (when a candidate set exists) or the predicate (when it does not).
-func entityPasses(e *types.Entity, t types.EntityType, p pred.Pred, cand map[types.EntityID]struct{}) bool {
-	if e == nil || (t != types.EntityInvalid && e.Type != t) {
-		return false
-	}
-	if cand != nil {
-		_, ok := cand[e.ID]
-		return ok
-	}
-	return p == nil || p.Eval(e)
-}
-
-// dictVerdicts answers entityPasses for one side of a pattern once per
-// dictionary entry: entities are immutable, so a verdict cannot change
-// within a scan, and rows pay a bit probe instead of a map lookup and a
-// predicate call.
+// dictVerdicts answers one side's entity half of the data query
+// (DataQuery.AdmitsSubject or AdmitsObject) once per dictionary entry:
+// entities are immutable, so a verdict cannot change within a scan, and
+// rows pay a bit probe instead of a map lookup and a predicate call.
 type dictVerdicts struct {
-	typ        types.EntityType
-	p          pred.Pred
+	admits     func(q *DataQuery, e *types.Entity, cand map[types.EntityID]struct{}) bool
 	cand       map[types.EntityID]struct{}
 	seen, pass pred.Bitmap
 }
@@ -200,7 +185,7 @@ type dictVerdicts struct {
 // row's dictionary entries. ents holds the resolved entity of every entry a
 // verdict was asked about, so matching rows need no map lookup either.
 type rowFilter struct {
-	ops       types.OpSet
+	q         *DataQuery
 	subj, obj dictVerdicts
 	dict      []types.EntityID
 	entities  map[types.EntityID]*types.Entity
@@ -210,11 +195,11 @@ type rowFilter struct {
 // newRowFilter builds the filter of a scan over one dictionary (a hot
 // shadow's, or a cold run's).
 func (sn *Snapshot) newRowFilter(sp *scanPlan, dict []types.EntityID) rowFilter {
-	nd, q := len(dict), sp.q
+	nd := len(dict)
 	return rowFilter{
-		ops:      q.Ops,
-		subj:     dictVerdicts{typ: q.SubjType, p: q.SubjPred, cand: sp.subjCand, seen: pred.NewBitmap(nd), pass: pred.NewBitmap(nd)},
-		obj:      dictVerdicts{typ: q.ObjType, p: q.ObjPred, cand: sp.objCand, seen: pred.NewBitmap(nd), pass: pred.NewBitmap(nd)},
+		q:        sp.q,
+		subj:     dictVerdicts{admits: (*DataQuery).AdmitsSubject, cand: sp.subjCand, seen: pred.NewBitmap(nd), pass: pred.NewBitmap(nd)},
+		obj:      dictVerdicts{admits: (*DataQuery).AdmitsObject, cand: sp.objCand, seen: pred.NewBitmap(nd), pass: pred.NewBitmap(nd)},
 		dict:     dict,
 		entities: sn.entities,
 		ents:     make([]*types.Entity, nd),
@@ -232,7 +217,7 @@ func (f *rowFilter) verdict(v *dictVerdicts, di uint32) bool {
 			e = f.entities[f.dict[di]]
 			f.ents[di] = e
 		}
-		if entityPasses(e, v.typ, v.p, v.cand) {
+		if v.admits(f.q, e, v.cand) {
 			v.pass[w] |= bit
 		}
 	}
@@ -242,7 +227,7 @@ func (f *rowFilter) verdict(v *dictVerdicts, di uint32) bool {
 // passes reports whether a row with the given operation and subject/object
 // dictionary indexes survives the filter.
 func (f *rowFilter) passes(op types.Op, sdi, odi uint32) bool {
-	return f.ops.Contains(op) && f.verdict(&f.subj, sdi) && f.verdict(&f.obj, odi)
+	return f.q.Ops.Contains(op) && f.verdict(&f.subj, sdi) && f.verdict(&f.obj, odi)
 }
 
 // scanHot scans rows [lo, hi) of a hot partition through its columnar

@@ -232,16 +232,16 @@ func (sn *Snapshot) scan(ctx context.Context, q *DataQuery, onClose func()) Curs
 
 	c := &scanCursor{parent: ctx, limit: q.Limit, onClose: onClose}
 	sp := &scanPlan{q: q}
+	// ForceScan resolves no candidate set: every row is tested against the
+	// whole query, the allowed sets and the predicates both.
 	if !q.ForceScan {
 		sp.subjCand = sn.candidateSet(q.SubjType, q.SubjPred, q.SubjAllowed)
 		sp.objCand = sn.candidateSet(q.ObjType, q.ObjPred, q.ObjAllowed)
-	} else {
-		// Even under ForceScan the scheduler-imposed allowed sets must be
-		// honoured for correctness; only the index shortcuts are skipped.
-		sp.subjCand, sp.objCand = q.SubjAllowed, q.ObjAllowed
 	}
-	if (sp.subjCand != nil && len(sp.subjCand) == 0) || (sp.objCand != nil && len(sp.objCand) == 0) {
-		return c
+	for _, set := range []map[types.EntityID]struct{}{sp.subjCand, sp.objCand, q.SubjAllowed, q.ObjAllowed} {
+		if set != nil && len(set) == 0 {
+			return c
+		}
 	}
 
 	parts := sn.selectPartitions(q)
@@ -480,17 +480,16 @@ func (sn *Snapshot) scanPartition(ctx context.Context, p *partView, sp *scanPlan
 		return nil
 	}
 
+	// The row test is the data query's own (DataQuery.Admits), with the
+	// resolved candidate sets standing in for each side's allowed set and
+	// predicate.
 	check := func(pos int) (Match, bool) {
 		ev := &p.events[pos]
-		if !q.Ops.Contains(ev.Op) {
+		if !q.AdmitsEvent(ev) {
 			return Match{}, false
 		}
-		subj := sn.entities[ev.Subject]
-		obj := sn.entities[ev.Object]
-		if !entityPasses(subj, q.SubjType, q.SubjPred, sp.subjCand) || !entityPasses(obj, q.ObjType, q.ObjPred, sp.objCand) {
-			return Match{}, false
-		}
-		if q.EvtPred != nil && !q.EvtPred.Eval(ev) {
+		subj, obj := sn.entities[ev.Subject], sn.entities[ev.Object]
+		if !q.AdmitsSubject(subj, sp.subjCand) || !q.AdmitsObject(obj, sp.objCand) {
 			return Match{}, false
 		}
 		return Match{Event: ev, Subj: subj, Obj: obj}, true

@@ -35,6 +35,7 @@ package storage
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -655,6 +656,62 @@ type DataQuery struct {
 	// uses it to read one of the two shards it stores; it never crosses
 	// the wire.
 	Partition func(agent, day int) bool
+}
+
+// Admits reports whether one event, with its resolved endpoints, is in the
+// query's answer: the one row-level definition of a data query. Every
+// scalar evaluator calls it or its halves — storage's posting and ForceScan
+// walks, the graph baseline, a standing rule's live tap — and the
+// vectorized hot and cold scans evaluate the same conjuncts in batch form.
+// Limit and ForceScan are execution hints and play no part.
+func (q *DataQuery) Admits(ev *types.Event, subj, obj *types.Entity) bool {
+	return q.AdmitsEvent(ev) && q.AdmitsSubject(subj, nil) && q.AdmitsObject(obj, nil)
+}
+
+// AdmitsEvent is the event half of Admits: operation, agents, window,
+// partition and event predicate.
+func (q *DataQuery) AdmitsEvent(ev *types.Event) bool {
+	if !q.Ops.Contains(ev.Op) || !q.Window.Contains(ev.Start) {
+		return false
+	}
+	if len(q.Agents) > 0 && !slices.Contains(q.Agents, ev.AgentID) {
+		return false
+	}
+	if q.Partition != nil && !q.Partition(ev.AgentID, timeutil.DayIndex(ev.Start)) {
+		return false
+	}
+	return q.EvtPred == nil || q.EvtPred.Eval(ev)
+}
+
+// AdmitsSubject is the subject half of Admits. A non-nil cand is a
+// candidate set the caller resolved from SubjAllowed and SubjPred; it
+// stands in for both, so the predicate is not evaluated again.
+func (q *DataQuery) AdmitsSubject(e *types.Entity, cand map[types.EntityID]struct{}) bool {
+	return entityAdmits(e, q.SubjType, q.SubjPred, q.SubjAllowed, cand)
+}
+
+// AdmitsObject is the object half of Admits, as AdmitsSubject.
+func (q *DataQuery) AdmitsObject(e *types.Entity, cand map[types.EntityID]struct{}) bool {
+	return entityAdmits(e, q.ObjType, q.ObjPred, q.ObjAllowed, cand)
+}
+
+// entityAdmits is one endpoint's test: the entity must exist and have the
+// type, then belong to the candidate set when there is one, or else to the
+// allowed set (when set) and pass the predicate.
+func entityAdmits(e *types.Entity, t types.EntityType, p pred.Pred, allowed, cand map[types.EntityID]struct{}) bool {
+	if e == nil || (t != types.EntityInvalid && e.Type != t) {
+		return false
+	}
+	if cand != nil {
+		_, ok := cand[e.ID]
+		return ok
+	}
+	if allowed != nil {
+		if _, ok := allowed[e.ID]; !ok {
+			return false
+		}
+	}
+	return p == nil || p.Eval(e)
 }
 
 // Match is one event matching a DataQuery, with resolved entities.

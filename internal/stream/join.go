@@ -19,9 +19,14 @@ import (
 // Exactly-once emission without global state: every offered match receives
 // a monotonically increasing stamp, and a completed tuple is emitted only
 // at the offer of its maximum-stamp constituent (all other slots are filled
-// from strictly earlier stamps). Any arrival order — out-of-order event
-// time, interleaved workers — yields each complete tuple exactly once, the
-// same tuple set the batch engine's join produces over the same events.
+// from strictly earlier stamps). No tuple is emitted twice in any arrival
+// order. Every complete tuple is emitted, the same tuple set the batch
+// engine's join produces over the same events, only while none of its
+// constituents has expired: an entry falls more than the window behind the
+// watermark (below) and is swept, so a constituent arriving after a later
+// event time has pushed the watermark past its partner — out-of-order
+// event time, interleaved workers — misses that partner. A window that
+// spans the events a rule sees makes every arrival order complete.
 //
 // Bounded state is a first-class constraint, enforced two ways:
 //

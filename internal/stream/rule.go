@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"aiql/internal/engine"
-	"aiql/internal/pred"
 	"aiql/internal/storage"
 	"aiql/internal/timeutil"
 	"aiql/internal/types"
@@ -77,25 +76,17 @@ type rule struct {
 	plan        *engine.Plan
 	windowMs    int64
 	patternOnly int // -1 = all patterns; >= 0 restricts to one, emitting RawMatch
-	// partition, when set, restricts the rule, live and in backfill, to the
-	// partitions of the worker's home shard (RuleSpec.Shard/NShards).
-	partition func(agent, day int) bool
+	// queries holds each pattern's data query (PatternPlan.DataQuery), with
+	// Partition set to the worker's home shard when the rule has one
+	// (RuleSpec.Shard/NShards). It decides, live and in backfill, which
+	// events the pattern matches. Read-only once the rule is registered.
+	queries []*storage.DataQuery
 
 	mu       sync.Mutex
 	deleted  bool
 	live     bool
 	sinceGen uint64 // batches at or below this generation are not offered
 	pending  []patternMatch
-
-	// subjMemo/objMemo cache per-pattern entity predicate verdicts by
-	// entity id — the stream-side analogue of the storage layer's entity
-	// pre-resolution. Entities are immutable once registered (the store is
-	// first-write-wins), so a verdict never goes stale. The maps are
-	// touched only on the OnIngest path, which the store tap serializes;
-	// they are allocated before the rule becomes visible and are NOT
-	// guarded by mu (the backfill's matches come from storage queries).
-	subjMemo []map[types.EntityID]bool
-	objMemo  []map[types.EntityID]bool
 
 	em *Emitter // nil for raw rules
 	// pairSeen short-circuits distinct single-pattern rules: a (subject,
@@ -146,7 +137,7 @@ func (r *rule) process(pattern int, m storage.Match, backfill bool) {
 		if _, dup := r.pairSeen[key]; dup {
 			return
 		}
-		if len(r.pairSeen) >= memoLimit {
+		if len(r.pairSeen) >= pairSeenLimit {
 			r.pairSeen = make(map[[2]uint64]struct{})
 		}
 		r.pairSeen[key] = struct{}{}
@@ -186,12 +177,12 @@ func (r *rule) emit(em Emission) {
 // queued meanwhile and flips the rule live. Work happens under short lock
 // acquisitions so concurrent ingest only ever waits one chunk.
 //
-// A pattern's history is exactly the answer to its data query
-// (PatternPlan.DataQuery), the query the batch engine runs for it. History
-// must replay in global event-time order: a scan yields partitions in
-// (day, agent) order, which would race a multi-pattern rule's watermark to
-// the end of one agent's day before another agent's same-day events arrive
-// — silently expiring within-window joins. Replaying one day at a time,
+// A pattern's history is exactly the answer to its data query (r.queries):
+// the query the batch engine runs for it, and the one OnIngest admits live
+// events through. History must replay in global event-time order: a scan
+// yields partitions in (day, agent) order, which would race a multi-pattern
+// rule's watermark to the end of one agent's day before another agent's
+// same-day events arrive — silently expiring within-window joins. Replaying one day at a time,
 // each pattern's query narrowed to that day and the results merged by
 // (start, seq, pattern), restores the arrival order live ingestion has, so
 // backfill and live replay emit the same tuples for any window. The cost is
@@ -200,17 +191,16 @@ func (r *rule) emit(em Emission) {
 func (r *rule) backfill(snap *storage.Snapshot) {
 	for _, day := range r.m.store.Days() { // superset of the snapshot's days
 		var ms []patternMatch
-		for pi, pp := range r.plan.Patterns {
+		for pi, pq := range r.queries {
 			if r.patternOnly >= 0 && pi != r.patternOnly {
 				continue
 			}
-			q := pp.DataQuery()
+			q := *pq
 			q.Window = q.Window.Intersect(timeutil.DayWindow(day))
-			q.Partition = r.partition
 			if q.Window.Empty() {
 				continue
 			}
-			for _, m := range snap.Run(r.ctx, q) {
+			for _, m := range snap.Run(r.ctx, &q) {
 				ms = append(ms, patternMatch{pattern: pi, m: m})
 			}
 		}
@@ -256,77 +246,10 @@ func (r *rule) dropSubLocked(s *Subscription, reason string) {
 	}
 }
 
-// memoLimit bounds each predicate-verdict cache; past it the map resets —
-// correctness is unaffected (verdicts recompute), only the amortization.
-const memoLimit = 1 << 20
-
-// acceptsEntities is the OnIngest-path entity check: endpoint types
-// directly, attribute predicates through the per-entity verdict memo.
-// Serialized by the ingest tap; never called under r.mu.
-func (r *rule) acceptsEntities(pi int, subj, obj *types.Entity) bool {
-	if subj == nil || obj == nil {
-		return false
-	}
-	pp := r.plan.Patterns[pi]
-	if pp.Subj.Type != types.EntityInvalid && subj.Type != pp.Subj.Type {
-		return false
-	}
-	if pp.Obj.Type != types.EntityInvalid && obj.Type != pp.Obj.Type {
-		return false
-	}
-	if pp.Subj.Pred != nil && !memoEval(&r.subjMemo[pi], pp.Subj.Pred, subj) {
-		return false
-	}
-	if pp.Obj.Pred != nil && !memoEval(&r.objMemo[pi], pp.Obj.Pred, obj) {
-		return false
-	}
-	return true
-}
-
-func memoEval(mp *map[types.EntityID]bool, p pred.Pred, e *types.Entity) bool {
-	m := *mp
-	if m == nil {
-		m = make(map[types.EntityID]bool)
-		*mp = m
-	}
-	v, ok := m[e.ID]
-	if !ok {
-		v = p.Eval(e)
-		if len(m) >= memoLimit {
-			m = make(map[types.EntityID]bool)
-			*mp = m
-		}
-		m[e.ID] = v
-	}
-	return v
-}
-
-// patternAdmits checks the event-only half of a pattern's data query on the
-// live path: operation, agents, window, event attributes.
-func patternAdmits(pp *engine.PatternPlan, ev *types.Event) bool {
-	if !pp.Ops.Contains(ev.Op) {
-		return false
-	}
-	if len(pp.Agents) > 0 {
-		ok := false
-		for _, a := range pp.Agents {
-			if a == ev.AgentID {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if !pp.Window.Contains(ev.Start) {
-		return false
-	}
-	if pp.EvtPred != nil && !pp.EvtPred.Eval(ev) {
-		return false
-	}
-	return true
-}
+// pairSeenLimit bounds a distinct rule's pair shortcut; past it the set
+// resets — correctness is unaffected (row dedup still holds), only the
+// amortization.
+const pairSeenLimit = 1 << 20
 
 // ring is the rule's bounded replay buffer: the last cap emissions, so a
 // subscriber arriving after a burst (or requesting ?since=) can catch up

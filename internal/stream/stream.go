@@ -44,7 +44,6 @@ import (
 	"aiql/internal/mpp"
 	"aiql/internal/parser"
 	"aiql/internal/storage"
-	"aiql/internal/timeutil"
 	"aiql/internal/types"
 )
 
@@ -67,8 +66,10 @@ const (
 // merged-stream joins reuse.
 const DefaultWindow = 15 * time.Minute
 
-// DefaultMaxStatePerRule and DefaultMaxPairsPerEvent are the default
-// bounded-state caps (Options.MaxStatePerRule / MaxPairsPerEvent).
+// DefaultMaxStatePerRule is the default of Options.MaxStatePerRule.
+// DefaultMaxPairsPerEvent caps the join enumeration work one offered match
+// may trigger; overflow truncates that event's completions and is counted,
+// never silent.
 const (
 	DefaultMaxStatePerRule  = 65536
 	DefaultMaxPairsPerEvent = 1 << 20
@@ -85,22 +86,12 @@ type Options struct {
 	// MaxStatePerRule caps each pattern's sliding-window join buffer and the
 	// distinct dedup set (default 65536 entries).
 	MaxStatePerRule int
-	// MaxPairsPerEvent caps the join enumeration work one offered match may
-	// trigger (default 1<<20 candidate pairs); overflow truncates that
-	// event's completions and is counted, never silent.
-	MaxPairsPerEvent int
-	// DefaultWindow is the sliding join window for rules that don't set one
-	// (default the package-level DefaultWindow, 15 minutes). Single-pattern
-	// rules ignore it.
-	DefaultWindow time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	o.MaxRules = cmp.Or(o.MaxRules, 64)
 	o.BufferSize = cmp.Or(o.BufferSize, 256)
 	o.MaxStatePerRule = cmp.Or(o.MaxStatePerRule, DefaultMaxStatePerRule)
-	o.MaxPairsPerEvent = cmp.Or(o.MaxPairsPerEvent, DefaultMaxPairsPerEvent)
-	o.DefaultWindow = cmp.Or(o.DefaultWindow, DefaultWindow)
 	return o
 }
 
@@ -111,8 +102,7 @@ type RuleSpec struct {
 	// Query is the AIQL source; it must compile to a streamable plan.
 	Query string `json:"query"`
 	// WindowMs is the sliding join window for multi-pattern rules: how far
-	// apart (event time) one tuple's events may lie. 0 uses the matcher
-	// default.
+	// apart (event time) one tuple's events may lie. 0 uses DefaultWindow.
 	WindowMs int64 `json:"window_ms,omitempty"`
 	// Backfill replays the store's current contents through the rule before
 	// it goes live, so batch and stream answers agree from sequence 1.
@@ -171,10 +161,12 @@ type Stats struct {
 	Backfills            uint64
 }
 
-// patternRef is one (rule, pattern) the op-index routes events to.
+// patternRef is one (rule, pattern) the op-index routes events to, with
+// the pattern's data query.
 type patternRef struct {
 	r       *rule
 	pattern int
+	q       *storage.DataQuery
 }
 
 // Matcher owns the registered rules of one store and evaluates them against
@@ -225,18 +217,14 @@ func (m *Matcher) OnIngest(d *types.Dataset, gen uint64) {
 		var subj, obj *types.Entity
 		resolved := false
 		for _, ref := range refs {
-			pp := ref.r.plan.Patterns[ref.pattern]
-			if !patternAdmits(pp, ev) {
-				continue
-			}
-			if part := ref.r.partition; part != nil && !part(ev.AgentID, timeutil.DayIndex(ev.Start)) {
+			if !ref.q.AdmitsEvent(ev) {
 				continue
 			}
 			if !resolved {
 				subj, obj = m.store.EntityPair(ev.Subject, ev.Object)
 				resolved = true
 			}
-			if !ref.r.acceptsEntities(ref.pattern, subj, obj) {
+			if !ref.q.AdmitsSubject(subj, nil) || !ref.q.AdmitsObject(obj, nil) {
 				continue
 			}
 			ref.r.offer(ref.pattern, ev, subj, obj, gen)
@@ -269,7 +257,7 @@ func (m *Matcher) Register(spec RuleSpec) (*RuleInfo, error) {
 	}
 	windowMs := spec.WindowMs
 	if windowMs <= 0 {
-		windowMs = m.opts.DefaultWindow.Milliseconds()
+		windowMs = DefaultWindow.Milliseconds()
 	}
 
 	// A standing rule outlives whichever request registered it, so its
@@ -285,16 +273,18 @@ func (m *Matcher) Register(spec RuleSpec) (*RuleInfo, error) {
 		plan:        plan,
 		windowMs:    windowMs,
 		patternOnly: patternOnly,
-		subjMemo:    make([]map[types.EntityID]bool, len(plan.Patterns)),
-		objMemo:     make([]map[types.EntityID]bool, len(plan.Patterns)),
 		ring:        ring{cap: m.opts.BufferSize},
 		subs:        make(map[*Subscription]struct{}),
 	}
-	if spec.NShards > 0 {
-		r.partition = mpp.HomePartitions(spec.Shard, spec.NShards)
+	for _, pp := range plan.Patterns {
+		q := pp.DataQuery()
+		if spec.NShards > 0 {
+			q.Partition = mpp.HomePartitions(spec.Shard, spec.NShards)
+		}
+		r.queries = append(r.queries, q)
 	}
 	if patternOnly < 0 {
-		r.em = NewEmitter(plan, windowMs, m.opts.MaxStatePerRule, m.opts.MaxPairsPerEvent)
+		r.em = NewEmitter(plan, windowMs, m.opts.MaxStatePerRule, DefaultMaxPairsPerEvent)
 	}
 	// The pair-level shortcut of distinct rules is sound only when the
 	// projection depends on the entities alone: a return item reading an
@@ -497,7 +487,7 @@ func (m *Matcher) rebuildIndexLocked() {
 				continue
 			}
 			for _, op := range r.plan.Patterns[pi].Ops.Ops() {
-				byOp[int(op)] = append(byOp[int(op)], patternRef{r: r, pattern: pi})
+				byOp[int(op)] = append(byOp[int(op)], patternRef{r: r, pattern: pi, q: r.queries[pi]})
 			}
 		}
 	}
