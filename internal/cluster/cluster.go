@@ -25,13 +25,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -187,11 +186,10 @@ func (c *Coordinator) Scan(ctx context.Context, q *storage.DataQuery) storage.Cu
 	if err != nil {
 		return storage.NewErrCursor(err)
 	}
-	// Unreplicated, every target gets the same body; replicated, each gets
-	// its own (below), so the shared one is marshaled only when it is sent.
-	var body []byte
+	// Unreplicated, every leg sends the same body, marshaled once.
+	var shared []byte
 	if c.replicas == 1 {
-		if body, err = json.Marshal(wq); err != nil {
+		if shared, err = json.Marshal(wq); err != nil {
 			return storage.NewErrCursor(err)
 		}
 	}
@@ -207,22 +205,19 @@ func (c *Coordinator) Scan(ctx context.Context, q *storage.DataQuery) storage.Cu
 	cs := make([]storage.Cursor, len(targets))
 	for i, shard := range targets {
 		c.requests.Add(1)
+		body := shared
 		if c.replicas > 1 {
 			// Replicated: the worker's store also holds its neighbour
-			// shard's copy, so the query names the shard to read —
-			// which makes the body per-shard — and the cursor fails over
-			// to the replica before surfacing a worker error.
+			// shard's copy, so the query names the shard to read, which
+			// makes the body per-shard.
 			swq := *wq
 			swq.Shard, swq.NShards = shard, len(c.workers)
-			sbody, err := json.Marshal(&swq)
-			if err != nil {
+			if body, err = json.Marshal(&swq); err != nil {
 				cancel()
 				return storage.NewErrCursor(err)
 			}
-			cs[i] = newFailoverCursor(cctx, c, shard, sbody)
-		} else {
-			cs[i] = newRemoteCursor(cctx, c.client, c.workers[shard], shard, shard, body)
 		}
+		cs[i] = newFailoverCursor(cctx, c, shard, body)
 	}
 	return &gatherCursor{
 		coord:   c,
@@ -331,35 +326,13 @@ func (c *Coordinator) postIngest(ctx context.Context, worker int, body []byte) e
 		if attempt > 0 {
 			c.ingestRetries.Add(1)
 		}
-		var code int
-		if code, err = c.ingestWorker(ctx, worker, body); err == nil || ctx.Err() != nil || (code > 0 && code < 500) {
+		err = c.send(ctx, http.MethodPost, worker, "/ingest", body, BatchContentType)
+		var se *StatusError
+		if err == nil || ctx.Err() != nil || (errors.As(err, &se) && se.Code < 500) {
 			return err
 		}
 	}
 	return err
-}
-
-// ingestWorker makes one /ingest request and returns its status code (0
-// when the transport failed) and an error unless the worker answered 200.
-func (c *Coordinator) ingestWorker(ctx context.Context, worker int, body []byte) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.workers[worker]+"/ingest", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", BatchContentType)
-	if id := obs.TraceID(ctx); id != "" {
-		req.Header.Set(obs.TraceIDHeader, id)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, fmt.Errorf("ingest returned status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	return resp.StatusCode, nil
 }
 
 // Stats is a snapshot of the coordinator's scatter/gather counters.

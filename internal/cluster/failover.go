@@ -7,19 +7,19 @@ import (
 	"aiql/internal/types"
 )
 
-// failoverCursor gathers one logical shard from a replicated cluster: it
-// streams from the shard's primary worker and, if that stream dies with a
-// worker failure, re-issues the query against the replica. Rows already
+// failoverCursor is one leg of a scan: it gathers one logical shard,
+// streaming from the shard's holders in order. Unreplicated that is the
+// shard's own worker alone; replicated, if the primary's stream dies with a
+// worker failure, the query is re-issued against the replica. Rows already
 // emitted from the failed stream are remembered by event id and filtered
 // out of the retry stream, so the consumer sees each matching row exactly
 // once no matter where mid-stream the primary died. A cancellation is
-// never failed over — the caller hung up.
+// never failed over: the caller hung up.
 type failoverCursor struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	coord  *Coordinator
-	shard  int
-	body   []byte
+	ctx   context.Context
+	coord *Coordinator
+	shard int
+	body  []byte
 
 	// attempts lists worker indexes to try in order: primary, then
 	// replica.
@@ -36,24 +36,14 @@ type failoverCursor struct {
 	done bool
 }
 
-// newFailoverCursor builds the per-shard cursor for a replicated scan. The
-// first worker request is issued immediately (like newRemoteCursor); the
-// replica is contacted only on failure.
+// newFailoverCursor builds the leg for one shard. The first worker request
+// is issued immediately (like newRemoteCursor); the replica, when the
+// cluster keeps one, is contacted only on failure. Each attempt's
+// remoteCursor cancels its own request, so ctx is the scan's.
 func newFailoverCursor(ctx context.Context, c *Coordinator, shard int, body []byte) *failoverCursor {
-	cctx, cancel := context.WithCancel(ctx)
-	attempts := []int{shard}
-	if r := c.placement.Replica(shard, len(c.workers)); r >= 0 {
-		attempts = append(attempts, r)
-	}
-	f := &failoverCursor{
-		ctx:      cctx,
-		cancel:   cancel,
-		coord:    c,
-		shard:    shard,
-		body:     body,
-		attempts: attempts,
-	}
-	if len(attempts) > 1 {
+	f := &failoverCursor{ctx: ctx, coord: c, shard: shard, body: body, attempts: []int{shard}}
+	if r := c.placement.Replica(shard, len(c.workers)); c.replicas > 1 && r >= 0 {
+		f.attempts = append(f.attempts, r)
 		f.emitted = make(map[types.EventID]struct{})
 	}
 	f.open()
@@ -139,9 +129,6 @@ func (f *failoverCursor) finish(err error) {
 	if err != nil && f.err == nil {
 		f.err = err
 	}
-	f.cancel()
-	if f.cur != nil {
-		f.cur.Close()
-	}
+	f.cur.Close()
 	f.emitted = nil
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -54,11 +53,11 @@ func newRemoteCursor(ctx context.Context, client *http.Client, worker string, sh
 	c := &remoteCursor{ctx: cctx, cancel: cancel, worker: worker, shard: shard, respCh: make(chan respOrErr, 1)}
 	c.workerIdx = workerIdx
 	// Each leg gets its own child span under the scan's gather span, and the
-	// request carries the trace ID so the worker's logs and spans share it.
+	// request carries the trace ID (Call) so the worker's logs and spans
+	// share it.
 	c.span = obs.SpanFromContext(ctx).Child("worker")
 	c.span.Set("worker", worker)
 	c.span.Set("shard", strconv.Itoa(shard))
-	traceID := obs.TraceID(ctx)
 	// The goroutine sends on its own captured copy of the channel: the
 	// consumer side nils c.respCh when it is done with it, and the send
 	// must not observe that write. The buffer of 1 lets the goroutine exit
@@ -66,40 +65,21 @@ func newRemoteCursor(ctx context.Context, client *http.Client, worker string, sh
 	// closed by the transport when the canceled request context unwinds.
 	ch := c.respCh
 	go func() {
-		req, err := http.NewRequestWithContext(cctx, http.MethodPost, worker+"/scan", bytes.NewReader(body))
-		if err != nil {
-			ch <- respOrErr{err: err}
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("Accept", ScanContentType)
-		if traceID != "" {
-			req.Header.Set(obs.TraceIDHeader, traceID)
-		}
-		resp, err := client.Do(req)
+		resp, err := Call(cctx, client, http.MethodPost, worker+"/scan", body, "application/json", ScanContentType)
 		ch <- respOrErr{resp: resp, err: err}
 	}()
 	return c
 }
 
-// connect waits for the response headers and checks the status and the
-// content type. A worker answering in another wire format (an older aiqld
-// in a mixed-version cluster) is refused by name.
+// connect waits for the response: Call has checked its status and its
+// content type, so a worker answering in another wire format (an older
+// aiqld in a mixed-version cluster) is refused by name.
 func (c *remoteCursor) connect() error {
 	select {
 	case re := <-c.respCh:
 		c.respCh = nil
 		if re.err != nil {
 			return re.err
-		}
-		if re.resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(re.resp.Body, 1024))
-			re.resp.Body.Close()
-			return fmt.Errorf("scan returned %s: %s", re.resp.Status, bytes.TrimSpace(msg))
-		}
-		if err := WantContentType(re.resp.Header, ScanContentType); err != nil {
-			re.resp.Body.Close()
-			return fmt.Errorf("scan %w", err)
 		}
 		c.body, c.bp, c.entities = re.resp.Body, framePool.Get().(*[]byte), make(map[types.EntityID]*types.Entity)
 		return nil

@@ -266,57 +266,25 @@ func (c *Coordinator) postRule(ctx context.Context, shard int, spec *stream.Rule
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.workers[shard]+"/rules", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("register rule returned %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	return nil
+	return c.send(ctx, http.MethodPost, shard, "/rules", body, "application/json")
 }
 
 // deleteWorkerRule removes one worker-side rule; 404 is success.
 func (c *Coordinator) deleteWorkerRule(ctx context.Context, shard int, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		c.workers[shard]+"/rules/"+url.PathEscape(id), nil)
-	if err != nil {
-		return err
+	err := c.send(ctx, http.MethodDelete, shard, "/rules/"+url.PathEscape(id), nil, "")
+	if se := (*StatusError)(nil); errors.As(err, &se) && se.Code == http.StatusNotFound {
+		return nil
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("delete rule returned %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	return nil
+	return err
 }
 
 // listWorkerRules fetches one worker's rule listing keyed by id.
 func (c *Coordinator) listWorkerRules(ctx context.Context, shard int) (map[string]stream.RuleInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.workers[shard]+"/rules", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
+	resp, err := Call(ctx, c.client, http.MethodGet, c.workers[shard]+"/rules", nil, "", "")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return nil, fmt.Errorf("list rules returned %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
 	var doc struct {
 		Rules []stream.RuleInfo `json:"rules"`
 	}
@@ -430,12 +398,6 @@ type subLine struct {
 	Error   *string  `json:"error"`
 }
 
-// errSubNotFound marks a subscribe attempt the worker answered 404: the
-// worker does not know the rule — typically because it restarted and lost
-// its in-memory registrations — and must be re-registered before the
-// subscription can resume.
-var errSubNotFound = errors.New("worker does not know the rule")
-
 // A replicated coordinator re-dials a dropped worker subscription up to
 // subscribeRetries times, subscribeRetryDelay apart; a single-copy cluster
 // keeps its fail-fast semantics and never re-dials.
@@ -465,9 +427,11 @@ func (rs *RuleStream) consumeWorker(ctx context.Context, c *Coordinator, shard i
 		}
 		if c.replicas > 1 && retries < subscribeRetries {
 			retries++
-			if errors.Is(err, errSubNotFound) {
-				// Best-effort: if the re-registration fails too, the next
-				// subscribe attempt reports the real error.
+			if se := (*StatusError)(nil); errors.As(err, &se) && se.Code == http.StatusNotFound {
+				// The worker does not know the rule: it restarted and lost
+				// its in-memory registrations. Best-effort: if the
+				// re-registration fails too, the next subscribe attempt
+				// reports the real error.
 				_ = c.postRule(ctx, shard, &ws)
 				lastSeq = 0 // the restarted worker's ring numbers from 1
 			}
@@ -498,23 +462,11 @@ func (rs *RuleStream) streamWorker(ctx context.Context, c *Coordinator, shard in
 	if *lastSeq > 0 {
 		target += "?since=" + fmt.Sprint(*lastSeq)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "application/x-ndjson")
-	resp, err := c.client.Do(req)
+	resp, err := Call(ctx, c.client, http.MethodGet, target, nil, "", "application/x-ndjson")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		if resp.StatusCode == http.StatusNotFound {
-			return fmt.Errorf("%w: %s", errSubNotFound, bytes.TrimSpace(msg))
-		}
-		return fmt.Errorf("subscribe returned %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	sawHeader := false

@@ -54,8 +54,8 @@ func closeWorkers(ws []*worker) {
 	}
 }
 
-// collectEmissions reads exactly want emissions then asserts the stream has
-// nothing further buffered.
+// collectEmissions reads exactly want emissions; assertQuiet then checks
+// that no more follow.
 func collectEmissions(t *testing.T, rs *cluster.RuleStream, want int) [][]string {
 	t.Helper()
 	rows := make([][]string, 0, want)
@@ -71,14 +71,23 @@ func collectEmissions(t *testing.T, rs *cluster.RuleStream, want int) [][]string
 			t.Fatalf("timed out after %d of %d emissions", len(rows), want)
 		}
 	}
-	select {
-	case em, ok := <-rs.C():
-		if ok {
-			t.Fatalf("extra emission beyond the batch result: %v", em.Row)
-		}
-	case <-time.After(50 * time.Millisecond):
-	}
 	return rows
+}
+
+// assertQuiet waits 50 ms, then asserts that none of the streams, each read
+// to its expected count, holds a further emission.
+func assertQuiet(t *testing.T, streams ...*cluster.RuleStream) {
+	t.Helper()
+	time.Sleep(50 * time.Millisecond)
+	for _, rs := range streams {
+		select {
+		case em, ok := <-rs.C():
+			if ok {
+				t.Fatalf("extra emission beyond the batch result: %v", em.Row)
+			}
+		default:
+		}
+	}
 }
 
 // TestClusterStreamCorpusParity is the distributed half of the golden
@@ -178,6 +187,7 @@ func checkClusterStreamParity(t *testing.T, coord *cluster.Coordinator, batch *e
 		// workers shut down: a server's Close waits for open streams.
 		t.Cleanup(rs.Close)
 		rows := collectEmissions(t, rs, len(want.Rows))
+		assertQuiet(t, rs)
 		rs.Close()
 		if got, wantKey := queries.Canonical(rows), queries.Canonical(want.Rows); got != wantKey {
 			t.Errorf("%s: stream emitted a different result set than the batch engine (%d rows each)",
@@ -264,6 +274,7 @@ return p1, p2, f`,
 		t.Fatalf("placement did not split the events (shards %d, %d)", s0, s1)
 	}
 	rows := collectEmissions(t, rs, 1)
+	assertQuiet(t, rs)
 	if got := rows[0][0] + " " + rows[0][1] + " " + rows[0][2]; got != "/usr/bin/dropper /usr/bin/loader /tmp/payload" {
 		t.Errorf("joined row = %q", got)
 	}
@@ -459,6 +470,7 @@ func TestClusterStreamResumeAfterWorkerDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := collectEmissions(t, rs, len(want.Rows))
+	assertQuiet(t, rs)
 	if cutArmed.Load() {
 		t.Fatal("the subscription cut was never injected")
 	}
@@ -563,6 +575,7 @@ func TestCatchUpFiresPrimaryRules(t *testing.T) {
 	}
 
 	rows := collectEmissions(t, rs, len(want.Rows))
+	assertQuiet(t, rs)
 	if got, wantKey := queries.Canonical(rows), queries.Canonical(want.Rows); got != wantKey {
 		t.Errorf("merged stream after catch-up differs from the batch engine (%d rows each)", len(rows))
 	}

@@ -9,7 +9,6 @@ package server
 // See docs/CLUSTER.md.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -156,22 +155,11 @@ func CatchUp(ctx context.Context, durable *storage.Persistent, from string, shar
 		}
 		target += "?shards=" + url.QueryEscape(strings.Join(parts, ","))
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := cluster.Call(ctx, http.DefaultClient, http.MethodGet, target, nil, "", cluster.ShipContentType)
 	if err != nil {
 		return nil, fmt.Errorf("catchup: pull %s: %w", target, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return nil, fmt.Errorf("catchup: peer returned %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	if err := cluster.WantContentType(resp.Header, cluster.ShipContentType); err != nil {
-		return nil, fmt.Errorf("catchup: peer %w", err)
-	}
 	out := &CatchupResponse{}
 	peerStates, err := cluster.ReadShip(resp.Body, func(payload []byte) error {
 		// A batch this store missed fires its rules now, once: the tag

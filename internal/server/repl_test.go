@@ -487,3 +487,30 @@ func scanServeSpan(t *testing.T, url, traceID string) *obs.SpanJSON {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestCatchUpForwardsTraceID: a catch-up's /walship pull carries the trace
+// ID of the context it runs under, like every other node-to-node call.
+func TestCatchUpForwardsTraceID(t *testing.T) {
+	peer, pPeer := durableServer(t, t.TempDir())
+	t.Cleanup(func() { pPeer.Close() })
+	postTagged(t, peer.URL, 0, 1, taggedBatch(1))
+	var got []string
+	rec := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got = append(got, r.Method+" "+r.URL.Path+" "+r.Header.Get(obs.TraceIDHeader))
+		peer.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(rec.Close)
+	t.Cleanup(peer.Close)
+	p, err := storage.OpenPersistent(t.TempDir(), storage.PersistOptions{FlushInterval: -1, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	id := obs.NewTraceID()
+	if _, err := server.CatchUp(obs.WithTrace(context.Background(), obs.NewTrace(id)), p, rec.URL, nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := "GET /walship " + id; len(got) != 1 || got[0] != want {
+		t.Errorf("peer saw %q, want [%q]", got, want)
+	}
+}
