@@ -22,8 +22,9 @@ type failoverCursor struct {
 	body  []byte
 
 	// attempts lists worker indexes to try in order: primary, then
-	// replica.
+	// replica. It slices holders, so a leg allocates no list of its own.
 	attempts []int
+	holders  [2]int
 	next     int // next attempt index to open
 	cur      *remoteCursor
 
@@ -41,7 +42,8 @@ type failoverCursor struct {
 // cluster keeps one, is contacted only on failure. Each attempt's
 // remoteCursor cancels its own request, so ctx is the scan's.
 func newFailoverCursor(ctx context.Context, c *Coordinator, shard int, body []byte) *failoverCursor {
-	f := &failoverCursor{ctx: ctx, coord: c, shard: shard, body: body, attempts: []int{shard}}
+	f := &failoverCursor{ctx: ctx, coord: c, shard: shard, body: body}
+	f.attempts = append(f.holders[:0], shard)
 	if r := c.placement.Replica(shard, len(c.workers)); c.replicas > 1 && r >= 0 {
 		f.attempts = append(f.attempts, r)
 		f.emitted = make(map[types.EventID]struct{})
