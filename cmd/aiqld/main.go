@@ -99,12 +99,15 @@ func main() {
 		compactIv     = flag.Duration("compact-interval", 30*time.Second, "background WAL-to-segment compaction cadence (-data-dir only)")
 		compactTh     = flag.Int64("compact-threshold", 16<<20, "compact as soon as the WAL exceeds this many bytes (-data-dir only)")
 		maxRules      = flag.Int("max-rules", 64, "maximum registered continuous-query rules (POST /rules)")
-		streamBuf     = flag.Int("stream-buffer", 256, "per-subscriber emission buffer and per-rule replay ring; a subscriber a full buffer behind is disconnected")
+		streamBuf     = flag.Int("stream-buffer", 256, "per-rule emission ring (>= 1): the replay a late or resuming subscriber catches up from, and the lag bound; a subscriber is disconnected once this many emissions, counted from its unread position, are newer than it")
 		pprofAddr     = flag.String("pprof", "", "listen address for net/http/pprof profiling endpoints (e.g. localhost:6060); empty = disabled. Kept off the query listener so profiling is never exposed with the service port")
 		logFormat     = flag.String("log-format", "", "structured request logging to stderr: text or json; empty = request logging off. Every line carries the request's trace ID")
 		slowLogSize   = flag.Int("slow-log", 0, "slow-query log capacity served at GET /debug/slow (0 = default 32, negative = off)")
 	)
 	flag.Parse()
+	if *streamBuf < 1 {
+		fatalf("-stream-buffer must be at least 1, got %d", *streamBuf)
+	}
 
 	if *pprofAddr != "" {
 		ln, err := startPprof(*pprofAddr)

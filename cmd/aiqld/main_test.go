@@ -41,6 +41,8 @@ func TestUsageErrorsExitNonZero(t *testing.T) {
 		{"no data", nil, "provide -data"},
 		{"coordinator without workers", []string{"-role", "coordinator"}, "-workers"},
 		{"unknown role", []string{"-role", "replica"}, "unknown -role"},
+		{"empty stream buffer", []string{"-stream-buffer", "0"}, "-stream-buffer must be at least 1"},
+		{"negative stream buffer", []string{"-stream-buffer", "-1"}, "-stream-buffer must be at least 1"},
 	}
 	for _, tc := range cases {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()

@@ -134,7 +134,11 @@ func emitted(t *testing.T, m *stream.Matcher, id string) ([]string, [][]string, 
 	}
 	rows := make([][]string, 0, info.Seq)
 	for len(rows) < int(info.Seq) {
-		rows = append(rows, (<-sub.C()).Row)
+		em, err := sub.Next(t.Context())
+		if err != nil {
+			t.Fatalf("%s: after %d of %d emissions: %v", id, len(rows), info.Seq, err)
+		}
+		rows = append(rows, em.Row)
 	}
 	return info.Columns, rows, info
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -33,12 +34,16 @@ const streamWindowMs = int64(1) << 41
 // startStreamWorkers boots workers sized for corpus replay: rings large
 // enough to retain every backfill emission and a rule budget covering
 // per-pattern sub-rule fan-out.
-func startStreamWorkers(n int) []*worker {
+func startStreamWorkers(n int) []*worker { return startStreamWorkersBuffer(n, 1<<17) }
+
+// startStreamWorkersBuffer boots n stream workers whose rules keep rings
+// of buffer emissions.
+func startStreamWorkersBuffer(n, buffer int) []*worker {
 	ws := make([]*worker, n)
 	for i := range ws {
 		st := storage.New(storage.Options{})
 		s := server.New(st, engine.New(st, engine.Options{}), server.Options{
-			MaxRules: 1024, StreamBuffer: 1 << 17,
+			MaxRules: 1024, StreamBuffer: buffer,
 		})
 		s.SetShard(i)
 		w := &worker{store: st}
@@ -152,15 +157,166 @@ func checkClusterStreamParity(t *testing.T, coord *cluster.Coordinator, batch *e
 	if !live {
 		ingest()
 	}
-	corpus := append(queries.CaseStudy(), queries.Behaviors()...)
+	rules := registerCorpusRules(t, coord, !live)
+	if live {
+		ingest()
+	}
+	// Every rule's merged subscription stays open until one shared quiet
+	// window has passed. Each replays the workers' retained rings, which
+	// hold every emission so far, backfilled or live.
+	streams := make([]*cluster.RuleStream, len(rules))
+	for i, q := range rules {
+		rs, _, err := coord.SubscribeRule(context.Background(), "parity-"+q.ID)
+		if err != nil {
+			t.Fatalf("%s: subscribe: %v", q.ID, err)
+		}
+		// A failed collection must still end the subscription before the
+		// workers shut down: a server's Close waits for open streams.
+		t.Cleanup(rs.Close)
+		streams[i] = rs
+	}
+	for i, q := range rules {
+		want, err := batch.Query(q.Src)
+		if err != nil {
+			t.Fatalf("%s: batch execution failed: %v", q.ID, err)
+		}
+		rows := collectEmissions(t, streams[i], len(want.Rows))
+		if got, wantKey := queries.Canonical(rows), queries.Canonical(want.Rows); got != wantKey {
+			t.Errorf("%s: stream emitted a different result set than the batch engine (%d rows each)",
+				q.ID, len(rows))
+		}
+	}
+	assertQuiet(t, streams...)
+	for i, q := range rules {
+		streams[i].Close()
+		if err := coord.DeleteRule(context.Background(), "parity-"+q.ID); err != nil {
+			t.Fatalf("%s: delete: %v", q.ID, err)
+		}
+	}
+	t.Logf("verified %d streamable corpus queries over a 3-worker cluster", len(rules))
+}
+
+// TestClusterSubscriptionHeap states the heap one open merged subscription
+// holds: 3 workers at R=2 with every streamable corpus rule backfilled, and
+// every rule's merged subscription open at once, attached on every worker
+// and read until quiet. A worker subscription is a cursor over its rule's
+// ring, so the cost follows the traffic and not the ring size: under 2 MB
+// per subscription at StreamBuffer 1<<17, and within 2× of the same cluster
+// at 256.
+func TestClusterSubscriptionHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping the corpus subscription heap probe")
+	}
+	const limit = 2 << 20
+	ds := gen.Scenario(gen.Config{Hosts: 10, Days: 3, BackgroundPerHostDay: 300, Seed: 1})
+	perSub := func(buffer int) int64 {
+		workers := startStreamWorkersBuffer(3, buffer)
+		defer closeWorkers(workers)
+		coord, err := cluster.New(workerURLs(workers), cluster.Options{Placement: mpp.SemanticsAware, Replicas: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Ingest(context.Background(), ds); err != nil {
+			t.Fatal(err)
+		}
+		rules := registerCorpusRules(t, coord, true)
+		base := heapInUse()
+		var delivered atomic.Int64
+		var streams []*cluster.RuleStream
+		defer func() {
+			for _, rs := range streams {
+				rs.Close()
+			}
+		}()
+		for _, q := range rules {
+			rs, _, err := coord.SubscribeRule(context.Background(), "parity-"+q.ID)
+			if err != nil {
+				t.Fatalf("%s: subscribe: %v", q.ID, err)
+			}
+			streams = append(streams, rs)
+			go func() {
+				for range rs.C() {
+					delivered.Add(1)
+				}
+			}()
+			waitAttached(t, workers, "parity-"+q.ID)
+			// Stop at the first subscription over the bound, before
+			// buffer-sized subscriptions exhaust the machine's memory.
+			if grown := heapInUse() - base; grown > int64(len(streams))*limit {
+				t.Fatalf("StreamBuffer %d: %d open subscriptions hold %.1f MB of heap", buffer, len(streams), float64(grown)/(1<<20))
+			}
+		}
+		for last := int64(-1); last != delivered.Load(); {
+			last = delivered.Load()
+			time.Sleep(100 * time.Millisecond)
+		}
+		return (heapInUse() - base) / int64(len(streams))
+	}
+	big, small := perSub(1<<17), perSub(256)
+	t.Logf("heap in use per open merged subscription: %.2f MB at StreamBuffer 1<<17, %.2f MB at 256",
+		float64(big)/(1<<20), float64(small)/(1<<20))
+	if big >= limit || big > 2*max(small, 1) {
+		t.Errorf("an open subscription holds %d B at StreamBuffer 1<<17 and %d B at 256, want under %d B and within 2x", big, small, limit)
+	}
+}
+
+// heapInUse forces a collection and returns the heap's in-use bytes.
+func heapInUse() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapInuse)
+}
+
+// waitAttached waits until every worker rule backing coordinator rule id
+// (id itself, or its per-pattern sub-rules id#pN) has a subscriber on
+// every worker.
+func waitAttached(t *testing.T, workers []*worker, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, w := range workers {
+		for {
+			resp, err := http.Get(w.URL() + "/rules")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				Rules []stream.RuleInfo `json:"rules"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&doc)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			attached := true
+			for _, ri := range doc.Rules {
+				if (ri.ID == id || strings.HasPrefix(ri.ID, id+"#")) && ri.Subscribers == 0 {
+					attached = false
+				}
+			}
+			if attached {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: worker %s has no subscriber after 10s", id, w.URL())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// registerCorpusRules registers every streamable corpus query on the
+// coordinator as rule "parity-<query id>" and returns those queries.
+func registerCorpusRules(t *testing.T, coord *cluster.Coordinator, backfill bool) []queries.Query {
+	t.Helper()
 	var rules []queries.Query
-	for _, q := range corpus {
+	for _, q := range append(queries.CaseStudy(), queries.Behaviors()...) {
 		plan := compileOrSkip(t, q.Src)
 		if plan == nil || plan.Streamable() != nil {
 			continue
 		}
 		if _, err := coord.RegisterRule(context.Background(), stream.RuleSpec{
-			ID: "parity-" + q.ID, Query: q.Src, WindowMs: streamWindowMs, Backfill: !live,
+			ID: "parity-" + q.ID, Query: q.Src, WindowMs: streamWindowMs, Backfill: backfill,
 		}); err != nil {
 			t.Fatalf("%s: register: %v", q.ID, err)
 		}
@@ -169,35 +325,7 @@ func checkClusterStreamParity(t *testing.T, coord *cluster.Coordinator, batch *e
 	if len(rules) < 20 {
 		t.Fatalf("only %d corpus queries were streamable; the parity sweep is not exercising the corpus", len(rules))
 	}
-	if live {
-		ingest()
-	}
-	for _, q := range rules {
-		want, err := batch.Query(q.Src)
-		if err != nil {
-			t.Fatalf("%s: batch execution failed: %v", q.ID, err)
-		}
-		// The subscription replays the workers' retained rings, which
-		// hold every emission so far, backfilled or live.
-		rs, _, err := coord.SubscribeRule(context.Background(), "parity-"+q.ID)
-		if err != nil {
-			t.Fatalf("%s: subscribe: %v", q.ID, err)
-		}
-		// A failed collection must still end the subscription before the
-		// workers shut down: a server's Close waits for open streams.
-		t.Cleanup(rs.Close)
-		rows := collectEmissions(t, rs, len(want.Rows))
-		assertQuiet(t, rs)
-		rs.Close()
-		if got, wantKey := queries.Canonical(rows), queries.Canonical(want.Rows); got != wantKey {
-			t.Errorf("%s: stream emitted a different result set than the batch engine (%d rows each)",
-				q.ID, len(rows))
-		}
-		if err := coord.DeleteRule(context.Background(), "parity-"+q.ID); err != nil {
-			t.Fatalf("%s: delete: %v", q.ID, err)
-		}
-	}
-	t.Logf("verified %d streamable corpus queries over a 3-worker cluster", len(rules))
+	return rules
 }
 
 func compileOrSkip(t *testing.T, src string) *engine.Plan {

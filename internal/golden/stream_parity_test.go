@@ -1,6 +1,7 @@
 package golden
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -86,16 +87,9 @@ func TestGoldenCorpusStreamParity(t *testing.T) {
 			t.Fatalf("%s: %d emissions overflowed the replay ring; grow BufferSize", qid, info.Seq)
 		}
 		var rows [][]string
-	drain:
-		for {
-			select {
-			case em := <-sub.C():
-				rows = append(rows, em.Row)
-			default:
-				break drain
-			}
+		for _, em := range retained(sub) {
+			rows = append(rows, em.Row)
 		}
-		sub.Close()
 		got := sortedRows(rows)
 		if !equalRows(got, fix.Rows) {
 			t.Errorf("%s: stream emitted %d rows, fixture pins %d — batch/stream parity broken\nstream: %v\nfixture: %v",
@@ -145,19 +139,12 @@ func TestGoldenCorpusStreamParityWithBackfill(t *testing.T) {
 			t.Fatalf("%s: subscribe: %v", q.ID, err)
 		}
 		var rows [][]string
-	drain:
-		for {
-			select {
-			case em := <-sub.C():
-				if !em.Backfill {
-					t.Errorf("%s: pre-registration data emitted without the backfill flag", q.ID)
-				}
-				rows = append(rows, em.Row)
-			default:
-				break drain
+		for _, em := range retained(sub) {
+			if !em.Backfill {
+				t.Errorf("%s: pre-registration data emitted without the backfill flag", q.ID)
 			}
+			rows = append(rows, em.Row)
 		}
-		sub.Close()
 		got := sortedRows(rows)
 		if fix := want[q.ID]; !equalRows(got, fix.Rows) {
 			t.Errorf("%s: backfill emitted %d rows, fixture pins %d\nstream: %v\nfixture: %v",
@@ -176,4 +163,20 @@ func compileQuery(src string) (*engine.Plan, error) {
 		return nil, err
 	}
 	return engine.Compile(q)
+}
+
+// retained reads, without waiting, every emission the rule's ring holds
+// past the subscription's cursor, and closes the subscription.
+func retained(sub *stream.Subscription) []stream.Emission {
+	defer sub.Close()
+	now, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out []stream.Emission
+	for {
+		em, err := sub.Next(now)
+		if err != nil {
+			return out
+		}
+		out = append(out, em)
+	}
 }

@@ -215,16 +215,14 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for {
-		select {
-		case em, ok := <-sub.C():
-			if !ok {
-				_ = ew.send("closed", 0, &subscribeClose{Closed: sub.Reason()})
-				return
-			}
-			if err := ew.send("match", em.Seq, &em); err != nil {
-				return
-			}
-		case <-r.Context().Done():
+		em, err := sub.Next(r.Context())
+		if errors.Is(err, stream.ErrClosed) {
+			_ = ew.send("closed", 0, &subscribeClose{Closed: sub.Reason()})
+		}
+		if err != nil {
+			return
+		}
+		if err := ew.send("match", em.Seq, &em); err != nil {
 			return
 		}
 	}

@@ -81,9 +81,11 @@ type Options struct {
 	// worker serving a coordinator, each multi-pattern coordinator rule
 	// costs one sub-rule per pattern.
 	MaxRules int
-	// StreamBuffer sizes each subscriber's emission buffer and each rule's
-	// replay ring (default 256); a subscriber a full buffer behind is
-	// disconnected.
+	// StreamBuffer sizes each rule's emission ring (default 256), the one
+	// buffer its subscribers read through their cursors: the replay a late
+	// or resuming subscriber catches up from, and the lag bound — a
+	// subscriber is disconnected once StreamBuffer emissions newer than its
+	// unread position exist.
 	StreamBuffer int
 	// SlowLogSize bounds the slow-query log served at /debug/slow (default
 	// 32 entries; negative disables the log).

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -85,7 +86,10 @@ func BenchmarkStreamSubscriberFanOut(b *testing.B) {
 					}
 					go func(sub *Subscription) {
 						n := 0
-						for range sub.C() {
+						for {
+							if _, err := sub.Next(context.Background()); err != nil {
+								break
+							}
 							n++
 						}
 						done <- n
@@ -95,7 +99,7 @@ func BenchmarkStreamSubscriberFanOut(b *testing.B) {
 				b.StartTimer()
 				st.Ingest(types.NewDataset(nil, ds.Events))
 				b.StopTimer()
-				m.Delete("r") // closes the subscriber channels
+				m.Delete("r") // ends the subscriptions once they have read the ring
 				for s := 0; s < nSubs; s++ {
 					<-done
 				}

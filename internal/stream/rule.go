@@ -96,7 +96,6 @@ type rule struct {
 	pairSeen       map[[2]uint64]struct{}
 	seq            uint64
 	matched        uint64
-	emitted        uint64
 	dropped        uint64
 	pendingDropped uint64
 	backfilled     bool
@@ -154,22 +153,22 @@ func (r *rule) process(pattern int, m storage.Match, backfill bool) {
 	})
 }
 
-// emit stamps, rings, and fans one emission out to subscribers. A
-// subscriber whose buffer is full is dropped on the spot — ingest never
-// blocks on a slow consumer. Callers hold r.mu.
+// emit stamps, rings, and wakes the subscribers. One whose next emission
+// the push overwrote is dropped on the spot — ingest never blocks on a slow
+// consumer. Callers hold r.mu.
 func (r *rule) emit(em Emission) {
 	r.seq++
 	em.Rule = r.id
 	em.Seq = r.seq
-	r.emitted++
 	r.m.emitted.Add(1)
 	r.ring.push(em)
 	for s := range r.subs {
-		select {
-		case s.ch <- em:
-		default:
+		if s.next+uint64(r.ring.cap) <= r.seq {
 			r.dropSubLocked(s, DropSlowConsumer)
+			r.dropped++
+			r.m.dropped.Add(1)
 		}
+		s.signal()
 	}
 }
 
@@ -230,19 +229,13 @@ func (r *rule) backfill(snap *storage.Snapshot) {
 	r.mu.Unlock()
 }
 
-// dropSubLocked removes a subscriber with the given reason and closes its
-// channel. Callers hold r.mu.
+// dropSubLocked detaches a subscriber with the given reason ("" for the
+// consumer's own Close) and wakes it. Callers hold r.mu.
 func (r *rule) dropSubLocked(s *Subscription, reason string) {
-	if s.closed {
-		return
-	}
-	delete(r.subs, s)
-	s.closed = true
-	s.reason = reason
-	close(s.ch)
-	if reason == DropSlowConsumer {
-		r.dropped++
-		r.m.dropped.Add(1)
+	if _, ok := r.subs[s]; ok {
+		delete(r.subs, s)
+		s.reason = reason
+		s.signal()
 	}
 }
 
@@ -251,44 +244,28 @@ func (r *rule) dropSubLocked(s *Subscription, reason string) {
 // amortization.
 const pairSeenLimit = 1 << 20
 
-// ring is the rule's bounded replay buffer: the last cap emissions, so a
-// subscriber arriving after a burst (or requesting ?since=) can catch up
-// without the matcher retaining unbounded history. Storage grows lazily up
-// to cap — a quiet rule with a large configured buffer costs nothing.
+// ring is the rule's one emission buffer: the last cap emissions, read in
+// place by every subscriber's cursor. Seqs are contiguous from 1, so seq s
+// sits at buf[(s-1)%cap]. Storage grows lazily up to cap — a quiet rule with
+// a large configured buffer costs nothing.
 type ring struct {
-	cap  int
-	buf  []Emission
-	next int // next write position once buf reached cap
+	cap int
+	buf []Emission
 }
 
 func (rg *ring) push(em Emission) {
-	if rg.cap <= 0 {
-		return
-	}
 	if len(rg.buf) < rg.cap {
 		rg.buf = append(rg.buf, em)
 		return
 	}
-	rg.buf[rg.next] = em
-	rg.next = (rg.next + 1) % rg.cap
+	rg.buf[(em.Seq-1)%uint64(rg.cap)] = em
 }
 
-// replay returns the retained emissions with Seq > since, oldest first.
-func (rg *ring) replay(since uint64) []Emission {
-	n := len(rg.buf)
-	if n == 0 {
-		return nil
+// at returns emission seq if the ring holds it (never seq 0).
+func (rg *ring) at(seq uint64) (Emission, bool) {
+	i := (seq - 1) % uint64(rg.cap)
+	if i >= uint64(len(rg.buf)) || rg.buf[i].Seq != seq {
+		return Emission{}, false
 	}
-	start := 0
-	if n == rg.cap {
-		start = rg.next
-	}
-	var out []Emission
-	for i := 0; i < n; i++ {
-		em := rg.buf[(start+i)%n]
-		if em.Seq > since {
-			out = append(out, em)
-		}
-	}
-	return out
+	return rg.buf[i], true
 }

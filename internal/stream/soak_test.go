@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -94,19 +95,14 @@ func TestStreamSoak(t *testing.T) {
 					// be dropped once it falls a buffer behind.
 					time.Sleep(2 * time.Millisecond)
 				} else {
-					deadline := time.After(2 * time.Millisecond)
-				consume:
+					ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 					for {
-						select {
-						case _, ok := <-sub.C():
-							if !ok {
-								break consume
-							}
-							received.Add(1)
-						case <-deadline:
-							break consume
+						if _, err := sub.Next(ctx); err != nil {
+							break
 						}
+						received.Add(1)
 					}
+					cancel()
 				}
 				sub.Close()
 			}

@@ -47,11 +47,13 @@ import (
 	"aiql/internal/types"
 )
 
-// Registration and subscription failures callers branch on.
+// Registration and subscription failures callers branch on. ErrClosed ends
+// a subscription's Next; Subscription.Reason says why.
 var (
 	ErrUnknownRule   = errors.New("stream: unknown rule")
 	ErrDuplicateRule = errors.New("stream: rule id already registered")
 	ErrTooManyRules  = errors.New("stream: rule limit reached")
+	ErrClosed        = errors.New("stream: subscription closed")
 )
 
 // Drop reasons surfaced by Subscription.Reason.
@@ -79,9 +81,9 @@ const (
 type Options struct {
 	// MaxRules caps registered rules (default 64).
 	MaxRules int
-	// BufferSize is both the per-subscriber channel capacity and the
-	// per-rule emission replay ring (default 256). A subscriber falling more
-	// than a full buffer behind is dropped.
+	// BufferSize sizes each rule's emission ring (default 256, also for
+	// values ≤ 0): the replay subscribers read through their cursors, and the
+	// lag bound — one is dropped once BufferSize newer emissions exist.
 	BufferSize int
 	// MaxStatePerRule caps each pattern's sliding-window join buffer and the
 	// distinct dedup set (default 65536 entries).
@@ -90,7 +92,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	o.MaxRules = cmp.Or(o.MaxRules, 64)
-	o.BufferSize = cmp.Or(o.BufferSize, 256)
+	o.BufferSize = cmp.Or(max(o.BufferSize, 0), 256)
 	o.MaxStatePerRule = cmp.Or(o.MaxStatePerRule, DefaultMaxStatePerRule)
 	return o
 }

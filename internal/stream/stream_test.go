@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -43,28 +44,32 @@ func event(id types.EventID, agent int, subj, obj types.EntityID, op types.Op, a
 	return types.Event{ID: id, AgentID: agent, Subject: subj, Object: obj, Op: op, Start: at, Seq: uint64(id)}
 }
 
+// next reads one emission, waiting at most d (d = 0 only takes one the
+// ring already holds past the cursor).
+func next(sub *Subscription, d time.Duration) (Emission, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return sub.Next(ctx)
+}
+
 func drain(t *testing.T, sub *Subscription, want int) []Emission {
 	t.Helper()
 	out := make([]Emission, 0, want)
-	timeout := time.After(5 * time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	for len(out) < want {
-		select {
-		case em, ok := <-sub.C():
-			if !ok {
-				t.Fatalf("stream closed (%q) after %d of %d emissions", sub.Reason(), len(out), want)
-			}
-			out = append(out, em)
-		case <-timeout:
+		em, err := sub.Next(ctx)
+		switch {
+		case errors.Is(err, ErrClosed):
+			t.Fatalf("stream closed (%q) after %d of %d emissions", sub.Reason(), len(out), want)
+		case err != nil:
 			t.Fatalf("timed out after %d of %d emissions", len(out), want)
 		}
+		out = append(out, em)
 	}
-	// No extras expected: anything already buffered is a failure.
-	select {
-	case em, ok := <-sub.C():
-		if ok {
-			t.Fatalf("unexpected extra emission seq=%d row=%v", em.Seq, em.Row)
-		}
-	default:
+	// No extras expected: anything already emitted is a failure.
+	if em, err := next(sub, 0); err == nil {
+		t.Fatalf("unexpected extra emission seq=%d row=%v", em.Seq, em.Row)
 	}
 	return out
 }
@@ -132,10 +137,8 @@ return p1, p2, f`,
 
 	// Write arrives first: no emission yet.
 	st.Ingest(types.NewDataset(nil, []types.Event{event(1, 1, 1, 10, types.OpWrite, testBase+1000)}))
-	select {
-	case em := <-sub.C():
+	if em, err := next(sub, 20*time.Millisecond); err == nil {
 		t.Fatalf("premature emission %+v", em)
-	case <-time.After(20 * time.Millisecond):
 	}
 	// A read of a different file: still nothing (id join fails).
 	st.Ingest(types.NewDataset(nil, []types.Event{event(2, 1, 2, 11, types.OpRead, testBase+2000)}))
@@ -153,12 +156,8 @@ return p1, p2, f`,
 	// must still complete a tuple: arrival order is not a correctness
 	// condition, the temporal join predicate is.
 	st.Ingest(types.NewDataset(nil, []types.Event{event(4, 1, 2, 10, types.OpRead, testBase+500)}))
-	select {
-	case em, ok := <-sub.C():
-		if ok {
-			t.Fatalf("read before write must not match 'before' join: %+v", em)
-		}
-	case <-time.After(20 * time.Millisecond):
+	if em, err := next(sub, 20*time.Millisecond); err == nil {
+		t.Fatalf("read before write must not match 'before' join: %+v", em)
 	}
 }
 
@@ -192,11 +191,9 @@ return p1, p2, f`,
 		st.Ingest(types.NewDataset(nil, []types.Event{event(types.EventID(100+i), 1, 1, 10, types.OpWrite, testBase+10_000+int64(i))}))
 	}
 	st.Ingest(types.NewDataset(nil, []types.Event{event(2, 1, 2, 10, types.OpRead, testBase+20_000)}))
-	select {
-	case em := <-sub.C():
-		// The reads can only join writes within 1s of the watermark.
+	// The reads can only join writes within 1s of the watermark.
+	if em, err := next(sub, 20*time.Millisecond); err == nil {
 		t.Fatalf("expired write still joined: %+v", em)
-	case <-time.After(20 * time.Millisecond):
 	}
 	ri, _ := m.Rule(info.ID)
 	if ri.StateEvicted == 0 {
@@ -549,13 +546,19 @@ func TestSlowSubscriberDroppedNotBlocking(t *testing.T) {
 	}
 	ents := procFile(1, 10, 1, "/usr/bin/cat", "/tmp/f")
 	st.Ingest(types.NewDataset(ents, nil))
-	// Never read from sub: the buffer (4) overflows on the 5th emission and
-	// the subscriber must be dropped without Ingest ever blocking.
+	// Never read from sub: the ring (4) overwrites the subscriber's next
+	// emission on the 5th and the subscriber must be dropped without Ingest
+	// ever blocking.
 	done := make(chan struct{})
+	var subsAt [2]int // subscribers after the 4th and after the 5th emission
 	go func() {
 		defer close(done)
 		for i := 0; i < 20; i++ {
 			st.Ingest(types.NewDataset(nil, []types.Event{event(types.EventID(1+i), 1, 1, 10, types.OpRead, testBase+int64(i))}))
+			if i == 3 || i == 4 {
+				ri, _ := m.Rule(info.ID)
+				subsAt[i-3] = ri.Subscribers
+			}
 		}
 	}()
 	select {
@@ -563,13 +566,18 @@ func TestSlowSubscriberDroppedNotBlocking(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("ingest blocked on a slow subscriber")
 	}
-	// The channel must be closed after its buffered prefix.
-	n := 0
-	for range sub.C() {
-		n++
+	if subsAt != [2]int{1, 0} {
+		t.Errorf("subscribers after the 4th and 5th emissions = %v, want [1 0]", subsAt)
 	}
-	if n != 4 {
-		t.Errorf("slow subscriber received %d buffered emissions, want 4", n)
+	// A dropped subscriber reads nothing more: its next emission is gone.
+	n := 0
+	for err == nil {
+		if _, err = next(sub, time.Second); err == nil {
+			n++
+		}
+	}
+	if n != 0 || !errors.Is(err, ErrClosed) {
+		t.Errorf("slow subscriber received %d emissions and then %v, want 0 and %v", n, err, ErrClosed)
 	}
 	if sub.Reason() != DropSlowConsumer {
 		t.Errorf("drop reason = %q", sub.Reason())
@@ -602,6 +610,131 @@ func TestSubscribeSinceReplaysRing(t *testing.T) {
 	ems := drain(t, sub, 3)
 	if ems[0].Seq != 8 || ems[2].Seq != 10 {
 		t.Errorf("replay from 7 gave seqs %d..%d, want 8..10", ems[0].Seq, ems[2].Seq)
+	}
+}
+
+// ruleWithEmissions registers a rule matching every read on a matcher
+// whose rings hold buffer emissions and ingests n reads, each one emission;
+// the returned reads(first, n) ingests n more with event ids from first.
+func ruleWithEmissions(t *testing.T, buffer, n int) (*Matcher, string, func(first, n int)) {
+	t.Helper()
+	st, m := newTapped(Options{BufferSize: buffer})
+	info, err := m.Register(RuleSpec{Query: `proc p read file f return p, f`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Ingest(types.NewDataset(procFile(1, 10, 1, "/usr/bin/cat", "/tmp/f"), nil))
+	reads := func(first, n int) {
+		evs := make([]types.Event, n)
+		for i := range evs {
+			evs[i] = event(types.EventID(first+i), 1, 1, 10, types.OpRead, testBase+int64(first+i))
+		}
+		st.Ingest(types.NewDataset(nil, evs))
+	}
+	reads(1, n)
+	return m, info.ID, reads
+}
+
+// TestSubscribeFirstSeq pins where a subscription's cursor starts for each
+// since, and the live slack a subscriber keeps once it has read its replay.
+func TestSubscribeFirstSeq(t *testing.T) {
+	const buffer, emitted = 8, 12 // the ring holds seqs 5..12
+	for _, tc := range []struct {
+		name      string
+		since     uint64
+		wantFirst uint64
+		live      int // emissions after subscribing, ingested before any is read
+	}{
+		{"since inside the ring", 9, 10, 0},
+		// The gap (since, FirstSeq) is visible: seqs 3 and 4 are gone.
+		{"since older than the ring", 2, 5, 1},
+		// Not since+1: the next live emission must still arrive.
+		{"since at Seq", emitted, emitted + 1, 1},
+		{"since past Seq", 100, emitted + 1, 1},
+		{"replay read, full live slack", 0, 5, buffer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, id, reads := ruleWithEmissions(t, buffer, emitted)
+			sub, _, err := m.Subscribe(id, tc.since)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			if sub.FirstSeq() != tc.wantFirst {
+				t.Fatalf("FirstSeq = %d, want %d", sub.FirstSeq(), tc.wantFirst)
+			}
+			ems := drain(t, sub, emitted+1-int(tc.wantFirst))
+			reads(emitted+1, tc.live)
+			if ri, _ := m.Rule(id); ri.Subscribers != 1 || ri.Dropped != 0 {
+				t.Fatalf("subscriber dropped after %d live emissions: %+v", tc.live, ri)
+			}
+			ems = append(ems, drain(t, sub, tc.live)...)
+			for i, em := range ems {
+				if em.Seq != tc.wantFirst+uint64(i) {
+					t.Fatalf("emission %d has seq %d, want %d", i, em.Seq, tc.wantFirst+uint64(i))
+				}
+			}
+		})
+	}
+}
+
+// TestNextAfterDeleteAndClose pins Next's one read rule on a ring that
+// still holds unread emissions: a subscriber the rule's deletion
+// disconnected reads them and then ends, one that called Close reads none.
+func TestNextAfterDeleteAndClose(t *testing.T) {
+	m, id, _ := ruleWithEmissions(t, 8, 3)
+	deleted, _, err := m.Subscribe(id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, _, err := m.Subscribe(id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	if em, err := next(closed, 0); !errors.Is(err, ErrClosed) || closed.Reason() != "" {
+		t.Errorf("Next after Close = seq %d, %v (reason %q), want %v", em.Seq, err, closed.Reason(), ErrClosed)
+	}
+	m.Delete(id)
+	ems := drain(t, deleted, 3)
+	if ems[2].Seq != 3 {
+		t.Errorf("deleted rule's subscriber read up to seq %d, want 3", ems[2].Seq)
+	}
+	if _, err := next(deleted, time.Second); !errors.Is(err, ErrClosed) || deleted.Reason() != DropRuleDeleted {
+		t.Errorf("Next past the ring after deletion = %v (reason %q), want %v and %q", err, deleted.Reason(), ErrClosed, DropRuleDeleted)
+	}
+}
+
+// TestSubscribeAllocatesNoBuffer: an open subscription's memory follows
+// what it reads, not the configured buffer — subscribing at BufferSize
+// 1<<17 to a rule with 1 000 retained emissions allocates no copy of them.
+func TestSubscribeAllocatesNoBuffer(t *testing.T) {
+	m, id, _ := ruleWithEmissions(t, 1<<17, 1000)
+	before := heapAlloc()
+	sub, _, err := m.Subscribe(id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := heapAlloc() - before
+	defer sub.Close()
+	if grown >= 64<<10 {
+		t.Errorf("Subscribe grew the heap by %d B, want under 64 KB", grown)
+	}
+}
+
+// heapAlloc forces a collection and returns the live heap bytes.
+func heapAlloc() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+func TestOptionsDefaultBufferSize(t *testing.T) {
+	for in, want := range map[int]int{-1: 256, 0: 256, 1: 1, 4096: 4096} {
+		if got := (Options{BufferSize: in}).withDefaults().BufferSize; got != want {
+			t.Errorf("BufferSize %d defaults to %d, want %d", in, got, want)
+		}
 	}
 }
 
@@ -650,8 +783,8 @@ func TestDeleteDisconnectsSubscribers(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Delete(info.ID)
-	if _, ok := <-sub.C(); ok {
-		t.Fatal("channel still open after rule deletion")
+	if _, err := next(sub, time.Second); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Next after rule deletion: %v, want %v", err, ErrClosed)
 	}
 	if sub.Reason() != DropRuleDeleted {
 		t.Errorf("reason = %q", sub.Reason())

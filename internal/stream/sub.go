@@ -1,57 +1,85 @@
 package stream
 
-// Subscription is one consumer of a rule's emission stream. Emissions
-// arrive on C in sequence order: first the replay of retained emissions
-// newer than the requested since, then live emissions as they happen. The
-// channel closes when the subscriber is dropped (slow consumer), the rule
-// is deleted, or Close is called; Reason distinguishes the cases.
+import "context"
+
+// Subscription is one consumer of a rule's emission stream: a cursor over
+// the rule's ring, holding no emissions of its own. Next delivers them in
+// sequence order, the retained ones newer than since first. It ends when
+// the subscriber is dropped (slow consumer), the rule is deleted, or Close
+// is called; Reason distinguishes the cases.
 type Subscription struct {
-	r  *rule
-	ch chan Emission
+	r     *rule
+	wake  chan struct{} // 1 slot, signalled by every emission and by the end
+	first uint64
 
-	// firstSeq is the first sequence number this subscription will deliver
-	// (set at attach time; immutable after).
-	firstSeq uint64
-
-	// guarded by r.mu
-	closed bool
+	// guarded by r.mu; the subscription is attached while in r.subs
+	next   uint64 // seq of the next emission to deliver; 0 once Closed
 	reason string
 }
 
-// FirstSeq returns the first sequence number the subscription delivers. A
-// value greater than since+1 means emissions in (since, FirstSeq) had
-// already rotated out of the rule's replay ring — the gap is visible, not
-// silent (clients see it in the stream header's first_seq).
-func (s *Subscription) FirstSeq() uint64 { return s.firstSeq }
+// FirstSeq returns the cursor's starting seq. A value above since+1 means
+// emissions in (since, FirstSeq) had already rotated out of the ring — the
+// gap is visible, not silent (the stream header's first_seq).
+func (s *Subscription) FirstSeq() uint64 { return s.first }
 
-// C is the emission channel. It is closed when the subscription ends.
-func (s *Subscription) C() <-chan Emission { return s.ch }
+// Next returns the emission at the cursor and advances it, waiting until
+// there is one or ctx ends. It returns the emission if the ring still holds
+// it and Close has not been called, else ErrClosed once the subscription
+// has ended: a subscriber the rule's deletion disconnected still reads what
+// the ring holds past its cursor; one dropped as a slow consumer reads
+// nothing more, its next emission being gone.
+func (s *Subscription) Next(ctx context.Context) (Emission, error) {
+	for {
+		s.r.mu.Lock()
+		em, ok := s.r.ring.at(s.next)
+		if ok {
+			s.next++
+		}
+		_, attached := s.r.subs[s]
+		s.r.mu.Unlock()
+		switch {
+		case ok:
+			return em, nil
+		case !attached:
+			return Emission{}, ErrClosed
+		}
+		select {
+		case <-s.wake:
+		case <-ctx.Done():
+			return Emission{}, ctx.Err()
+		}
+	}
+}
 
-// Close detaches the subscriber. Idempotent; safe concurrently with
-// publishes.
+// signal wakes a waiting Next, never blocking.
+func (s *Subscription) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Close detaches the subscriber; Next then returns ErrClosed. Idempotent;
+// safe concurrently with publishes and with Next.
 func (s *Subscription) Close() {
 	s.r.mu.Lock()
-	if !s.closed {
-		delete(s.r.subs, s)
-		s.closed = true
-		close(s.ch)
-	}
+	s.r.dropSubLocked(s, "")
+	s.next = 0 // no ring holds seq 0
 	s.r.mu.Unlock()
 }
 
 // Reason reports why the stream ended: DropSlowConsumer, DropRuleDeleted,
-// or "" for a consumer-initiated Close. Meaningful once C is closed.
+// or "" for a consumer-initiated Close.
 func (s *Subscription) Reason() string {
 	s.r.mu.Lock()
 	defer s.r.mu.Unlock()
 	return s.reason
 }
 
-// Subscribe attaches a consumer to a rule's stream, replaying the retained
-// emissions with Seq > since before going live. The returned channel's
-// capacity covers the replay plus a full live buffer; a consumer that falls
-// a whole buffer behind is disconnected (counted as a slow-consumer drop)
-// rather than ever back-pressuring ingest.
+// Subscribe attaches a consumer to a rule's stream, its cursor at since+1
+// clamped to the retained emissions and the next live one. A consumer
+// whose unread position falls a whole ring behind is disconnected (counted
+// as a slow-consumer drop) rather than ever back-pressuring ingest.
 func (m *Matcher) Subscribe(id string, since uint64) (*Subscription, RuleInfo, error) {
 	m.mu.Lock()
 	r, ok := m.rules[id]
@@ -64,16 +92,8 @@ func (m *Matcher) Subscribe(id string, since uint64) (*Subscription, RuleInfo, e
 		r.mu.Unlock()
 		return nil, RuleInfo{}, ErrUnknownRule
 	}
-	replay := r.ring.replay(since)
-	s := &Subscription{r: r, ch: make(chan Emission, len(replay)+m.opts.BufferSize)}
-	if len(replay) > 0 {
-		s.firstSeq = replay[0].Seq
-	} else {
-		s.firstSeq = r.seq + 1 // next live emission
-	}
-	for _, em := range replay {
-		s.ch <- em
-	}
+	first := max(min(since, r.seq)+1, r.seq-uint64(len(r.ring.buf))+1)
+	s := &Subscription{r: r, wake: make(chan struct{}, 1), first: first, next: first}
 	r.subs[s] = struct{}{}
 	r.mu.Unlock()
 	return s, m.infoOf(r), nil
